@@ -84,18 +84,18 @@ class Settings:
         cfg = load_config(args.config) if getattr(args, "config", None) else {}
         self.smt = resolve_option(getattr(args, "smt", None),
                                   cfg.get("smt"), os.environ.get(ENV_SMT))
-        self.max_nodes = resolve_option(
-            getattr(args, "max_nodes", None), cfg.get("max_nodes"),
-            None, int) or 10_000
-        self.max_merges = resolve_option(
-            getattr(args, "max_merges", None), cfg.get("max_merges"),
-            None, int) or 8
-        self.fuel = resolve_option(
-            getattr(args, "fuel", None), cfg.get("fuel"), None, int) or 10_000
-        self.seed = resolve_option(
-            getattr(args, "seed", None), cfg.get("seed"), None, int)
-        self.jobs = resolve_option(
-            getattr(args, "jobs", None), cfg.get("jobs"), None, int) or 1
+
+        def number(key: str, default: Optional[int]) -> Optional[int]:
+            # An explicit 0 is kept; only an absent option takes the default.
+            value = resolve_option(getattr(args, key, None), cfg.get(key),
+                                   None, int)
+            return default if value is None else value
+
+        self.max_nodes = number("max_nodes", 10_000)
+        self.max_merges = number("max_merges", 8)
+        self.fuel = number("fuel", 10_000)
+        self.seed = number("seed", None)
+        self.jobs = number("jobs", 1)
 
     def engine(self) -> Entailment:
         return Entailment(smt_cmd=self.smt)

@@ -1,11 +1,19 @@
 """Symbolic variables, linear integer arithmetic, and entailment checking.
 
 All reasoning in the analyzer goes through :func:`entails` (or an
-:class:`Entailment` engine instance).  The internal decision procedure is
-sound but incomplete: it case-splits disjunctions, eliminates equalities by
-substitution, splits disequalities, and runs Fourier-Motzkin elimination
-with integer tightening under an effort bound.  An external SMT-LIB2 solver
-can be configured as a fallback; its failures degrade to ``NOT_PROVEN``.
+:class:`Entailment` engine instance).  A query ``premise => goal`` is
+decided by refuting ``premise and not goal``, clause by clause of the goal.
+When every atom of the refutation is a difference atom (``x - y <= c``,
+``x <= c``, their equalities and disequalities), the refutation runs on a
+difference-constraint graph: each branch of the case split over the
+disjunctive clauses adds edges, and a negative cycle refutes the branch
+(Cotton & Maler, SAT 2006).  For difference constraints, rational and
+integer feasibility coincide, so this is exact.  Any other query falls back
+to equality substitution plus Fourier-Motzkin elimination with integer
+tightening, re-run on every branch; that path is sound but incomplete.
+Both paths run under an effort bound and answer ``NOT_PROVEN`` when it is
+exhausted.  An external SMT-LIB2 solver can be configured as a fallback;
+its failures degrade to ``NOT_PROVEN``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import logging
 import math
 import subprocess
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 log = logging.getLogger(__name__)
@@ -50,10 +58,6 @@ class VarGen:
             self._next += 1
         return SymVar(n, hint)
 
-    @property
-    def high_water(self) -> int:
-        return self._next
-
 
 _GLOBAL_GEN = VarGen()
 
@@ -66,12 +70,21 @@ def fresh_var(hint: str = "v") -> SymVar:
 Value = Union[SymVar, int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Term:
     """Linear combination ``const + sum(coeff * var)``; no zero coefficients."""
 
     const: int = 0
     coeffs: Tuple[Tuple[SymVar, int], ...] = ()
+    # Terms, atoms and formulas are hashed on every engine cache lookup; each
+    # computes the dataclass's field-tuple hash once and keeps it here.
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.const, self.coeffs)))
+        return self._hash
 
     @staticmethod
     def of(x: Union["Term", SymVar, int]) -> "Term":
@@ -137,12 +150,19 @@ class Term:
 EQ, NE, LE = "=", "!=", "<="
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """Normalized relation ``term REL 0`` with REL in {=, !=, <=}."""
 
     rel: str
     term: Term
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rel, self.term)))
+        return self._hash
 
     @staticmethod
     def _normalize(rel: str, t: Term) -> "Atom":
@@ -241,11 +261,18 @@ class Atom:
 Clause = Tuple[Atom, ...]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Formula:
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 
     clauses: Tuple[Clause, ...] = ()
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.clauses,)))
+        return self._hash
 
     @staticmethod
     def conj(atoms: Iterable[Atom]) -> "Formula":
@@ -460,7 +487,23 @@ def _fm_unsat(ineqs: Sequence[Lin], budget: _Budget) -> bool:
 
 def _refute(conjuncts: list, clauses: list, budget: _Budget) -> bool:
     """True iff the conjunction of conjunct-atoms and disjunctive clauses is
-    provably unsat.  Conjuncts are Atom objects; clauses are atom tuples."""
+    provably unsat.  Conjuncts are Atom objects; clauses are atom tuples.
+
+    Difference-logic queries are decided on a constraint graph; any query
+    with another atom goes whole to Fourier-Motzkin."""
+    problem = _difference_problem(conjuncts, clauses)
+    if problem is None:
+        return _refute_fm(conjuncts, clauses, budget)
+    n, edges, alternatives = problem
+    try:
+        return _DifferenceGraph(n, budget).refute(edges, alternatives)
+    except _OutOfEffort:
+        return False
+
+
+def _refute_fm(conjuncts: list, clauses: list, budget: _Budget) -> bool:
+    """:func:`_refute` by equality substitution and Fourier-Motzkin on every
+    branch of the case split over ``clauses``."""
     eqs, ineqs = [], []
     ne_clauses: list = []
     for a in conjuncts:
@@ -515,6 +558,138 @@ def _refute_branches(lins: list, clauses: list, subst, budget: _Budget) -> bool:
     return True
 
 
+# A difference edge ``(u, v, w)`` stands for ``x_v - x_u <= w``; node 0 is
+# the constant 0 and nodes 1.. are the query's variables.
+Edge = Tuple[int, int, int]
+
+
+class _OutOfEffort(Exception):
+    """The effort budget ran out during a graph refutation."""
+
+
+def _difference_problem(conjuncts: list, clauses: list):
+    """``(nodes, edges, alternatives)`` for a query made only of difference
+    atoms, or None.  ``edges`` encode the conjuncts (a ground atom is a loop
+    on node 0); ``alternatives`` holds, per clause that is not trivially
+    true and in the order :func:`_refute_fm` splits them, the edge tuple of
+    each branch: a ``!=`` atom becomes its two ``<=`` alternatives, an ``=``
+    atom two edges."""
+    index: Dict[SymVar, int] = {}
+
+    def edges_of(rel: str, t: Term) -> Optional[Tuple[Edge, ...]]:
+        pos = neg = 0
+        for v, c in t.coeffs:
+            if c == 1 and not pos:
+                pos = index.setdefault(v, len(index) + 1)
+            elif c == -1 and not neg:
+                neg = index.setdefault(v, len(index) + 1)
+            else:
+                return None
+        w = -t.const
+        if rel == LE:
+            return ((neg, pos, w),)
+        return ((neg, pos, w), (pos, neg, -w))
+
+    def branches(a: Atom) -> Optional[list]:
+        if a.rel != NE:
+            e = edges_of(a.rel, a.term)
+            return None if e is None else [e]
+        # t != 0 splits into (t + 1 <= 0) or (-t + 1 <= 0).
+        e = edges_of(EQ, a.term)
+        return None if e is None else [((u, v, w - 1),) for u, v, w in e]
+
+    edges: list = []
+    alternatives: list = []
+    for a in conjuncts:
+        b = branches(a)
+        if b is None:
+            return None
+        if a.rel == NE:
+            alternatives.append(b)
+        else:
+            edges.extend(b[0])
+    for clause in clauses:
+        alts: list = []
+        for a in clause:
+            if a.is_trivially_true():
+                alts = None
+                break
+            if a.is_trivially_false():
+                continue
+            b = branches(a)
+            if b is None:
+                return None
+            alts.extend(b)
+        if alts is not None:
+            alternatives.append(alts)
+    return len(index) + 1, edges, alternatives
+
+
+class _DifferenceGraph:
+    """Difference constraints with a potential ``pi`` that satisfies every
+    edge, ``pi[v] <= pi[u] + w``; adding an edge restores it by relaxing
+    from the edge's target only, so a conjunction stays consistent until an
+    edge closes a negative cycle (Cotton & Maler, SAT 2006).  Every edge and
+    every branch costs one unit of effort; the first-in first-out relaxation
+    after one edge is bounded by nodes times edges, as in Bellman-Ford."""
+
+    def __init__(self, n: int, budget: _Budget):
+        self.succ: list = [[] for _ in range(n)]
+        self.pi = [0] * n
+        self.budget = budget
+
+    def _spend(self) -> None:
+        if not self.budget.spend():
+            raise _OutOfEffort
+
+    def add(self, u: int, v: int, w: int) -> bool:
+        """Add ``x_v - x_u <= w``; False when it closes a negative cycle."""
+        self._spend()
+        if u == v:
+            return w >= 0
+        self.succ[u].append((v, w))
+        pi = self.pi
+        if pi[u] + w >= pi[v]:
+            return True
+        # Any negative cycle runs through the new edge, so it shows as a
+        # path back to u that would lower pi[u].
+        pi[v] = pi[u] + w
+        queue = [v]
+        for x in queue:
+            px = pi[x]
+            for y, wy in self.succ[x]:
+                if px + wy < pi[y]:
+                    if y == u:
+                        return False
+                    pi[y] = px + wy
+                    queue.append(y)
+        return True
+
+    def refute(self, edges: list, alternatives: list) -> bool:
+        """True iff the edges plus one branch of every alternative list are
+        inconsistent, for every choice of branches."""
+        for e in edges:
+            if not self.add(*e):
+                return True
+        return self._refute_branches(alternatives, 0)
+
+    def _refute_branches(self, alternatives: list, i: int) -> bool:
+        if i == len(alternatives):
+            return False
+        for branch in alternatives[i]:
+            self._spend()
+            marks = [len(self.succ[u]) for u, _, _ in branch]
+            saved = self.pi[:]
+            refuted = (not all(self.add(*e) for e in branch)
+                       or self._refute_branches(alternatives, i + 1))
+            for (u, _, _), m in zip(branch, marks):
+                del self.succ[u][m:]
+            self.pi = saved
+            if not refuted:
+                return False
+        return True
+
+
 def _negate_atom(a: Atom):
     """Negation of an atom: returns (conjunct_atoms, clauses)."""
     if a.rel == LE:
@@ -561,6 +736,7 @@ class Entailment:
         self.effort = effort
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
         self.queries = 0
+        self.exhausted = 0  # refutations cut off by the effort bound
 
     def entails(self, premise: Formula, conclusion: Formula) -> Verdict:
         key = (premise, conclusion)
@@ -571,9 +747,6 @@ class Entailment:
         verdict = self._entails_uncached(premise, conclusion)
         self._cache[key] = verdict
         return verdict
-
-    def entails_atom(self, premise: Formula, atom: Atom) -> bool:
-        return self.entails(premise, Formula.of(atom)) is Verdict.VALID
 
     def _entails_uncached(self, premise: Formula, conclusion: Formula) -> Verdict:
         for clause in conclusion.clauses:
@@ -596,7 +769,13 @@ class Entailment:
             goal_vars |= set(a.vars())
         disj = _relevant_clauses(premise.disjunctions(), goal_vars, conjuncts)
         budget = _Budget(self.effort)
-        return _refute(conjuncts, extra_clauses + disj, budget)
+        if _refute(conjuncts, extra_clauses + disj, budget):
+            return True
+        if budget.left < 0:
+            self.exhausted += 1
+            log.warning("entailment effort %d exhausted; answering not proven",
+                        self.effort)
+        return False
 
     # -- external solver channel -------------------------------------------
 

@@ -4,7 +4,9 @@ pass/fail line (the verbose test report) and enforcing its stated budget.
 1. Flagship proof: the build-then-traverse program is proved memory safe
    and terminating in under ten seconds, with at least two cycle-closing
    generalization edges and a transition whose guard forces a unit
-   decrease of a summarized list length.
+   decrease of a summarized list length.  Its deterministic counts (142
+   states, 145 edges, 1,342 entailment queries) are pinned, so an
+   unintended change of graph shape fails the gate.
 2. State replay: the landmark states and edges of the flagship analysis
    (checked in detail in test_symexec) all hold.
 3. Verdict corpus: every program in corpus/ gets its expected exit code.
@@ -73,11 +75,12 @@ def flagship():
     its = extract_its(seg, prog, eng)
     result = prove_termination(its, eng)
     elapsed = time.monotonic() - t0
-    return prog, eng, seg, its, result, elapsed
+    # Later tests issue more queries on the same engine; keep the count.
+    return prog, eng, seg, its, result, elapsed, eng.queries
 
 
 def test_criterion_1_flagship_proved_with_decreasing_length(flagship):
-    prog, eng, seg, its, result, elapsed = flagship
+    prog, eng, seg, its, result, elapsed, _ = flagship
     assert seg.outcome == "complete"
     assert result.terminating
 
@@ -116,8 +119,14 @@ def test_criterion_1_flagship_proved_with_decreasing_length(flagship):
            f"{decreasing} unit-decrease transitions")
 
 
+def test_criterion_1_flagship_deterministic_counts(flagship):
+    _, _, seg, _, _, _, queries = flagship
+    assert (len(seg.states), len(seg.edges), queries) == (142, 145, 1342)
+    report("criterion 1: PASS 142 states, 145 edges, 1342 entailment queries")
+
+
 def test_criterion_2_landmark_state_replay(flagship):
-    prog, eng, seg, _, _, _ = flagship
+    prog, eng, seg, _, _, _, _ = flagship
     trio = (prog, eng, seg)
     replay.test_loop_counter_starts_at_zero(trio)
     replay.test_undecided_loop_test_refines_into_complementary_states(trio)

@@ -8,10 +8,12 @@ hold (the engine is incomplete by design).
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from listterm import logic
 from listterm.logic import (
     Atom,
     Entailment,
@@ -170,6 +172,19 @@ def test_effort_bound_degrades_gracefully():
         Verdict.VALID, Verdict.NOT_PROVEN)
 
 
+def test_effort_exhaustion_is_counted():
+    eng = Entailment(effort=1)
+    vs = [fresh_var() for _ in range(8)]
+    p = Formula.conj([Atom.le(vs[i], vs[i + 1]) for i in range(7)])
+    assert eng.exhausted == 0
+    assert eng.entails(p, Formula.of(Atom.le(vs[0], vs[7]))) is Verdict.NOT_PROVEN
+    assert eng.exhausted == 1
+    # The default budget decides the same query without running out.
+    full = Entailment()
+    assert full.entails(p, Formula.of(Atom.le(vs[0], vs[7]))) is Verdict.VALID
+    assert full.exhausted == 0
+
+
 def test_rename_formula_alpha_invariance():
     a, b = V[:2]
     x, y = fresh_var("x"), fresh_var("y")
@@ -265,6 +280,64 @@ def test_hypothesis_premise_monotonicity(data):
             asg = dict(zip(vs, pt))
             if eval_formula(asg, p):
                 assert eval_formula(asg, g)
+
+
+# --- difference-constraint graph against Fourier-Motzkin --------------------
+
+UNBOUNDED = 10**9
+
+
+def _difference_atom(draw, vs) -> Atom:
+    rel = draw(st.sampled_from(["=", "!=", "<="]))
+    x = draw(st.sampled_from(vs))
+    others = [v for v in vs if v != x]
+    if others and draw(st.booleans()):
+        t = Term.of(x) - Term.of(draw(st.sampled_from(others)))
+    else:
+        t = Term.of(x).scale(draw(st.sampled_from([-1, 1])))
+    return Atom.make(rel, t + draw(st.integers(-4, 4)))
+
+
+def _difference_formula(draw, vs, n_clauses) -> Formula:
+    return Formula(tuple(
+        tuple(_difference_atom(draw, vs) for _ in range(draw(st.integers(1, 2))))
+        for _ in range(n_clauses)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_difference_graph_agrees_with_fourier_motzkin(data):
+    draw = data.draw
+    vs = [SymVar(i, "d") for i in range(1, draw(st.integers(1, 5)) + 1)]
+    p = _difference_formula(draw, vs, draw(st.integers(1, 4)))
+    g = _difference_formula(draw, vs, 1)
+    refutations = []
+    real_refute = logic._refute
+
+    def spy(conjuncts, clauses, budget):
+        refutations.append(logic._difference_problem(conjuncts, clauses))
+        return real_refute(conjuncts, clauses, budget)
+
+    with mock.patch.object(logic, "_refute", spy):
+        graph = Entailment(effort=UNBOUNDED).entails(p, g)
+    assert all(r is not None for r in refutations)  # the graph decided it
+    with mock.patch.object(logic, "_refute", logic._refute_fm):
+        fm = Entailment(effort=UNBOUNDED).entails(p, g)
+    assert graph is fm, f"{p} => {g}: graph {graph}, FM {fm}"
+    if graph is Verdict.VALID:
+        assert brute_force_valid(p, g, 8), f"unsound: {p} => {g}"
+
+
+def test_non_difference_atom_is_decided_by_fourier_motzkin():
+    x, y = V[:2]
+    p = Formula.conj([Atom.le(Term.of(x).scale(2), y), Atom.le(y, 3)])
+    g = Formula.of(Atom.le(x, 1))
+    assert logic._difference_problem(list(p.atoms()), []) is None
+    with mock.patch.object(logic, "_refute_fm",
+                           wraps=logic._refute_fm) as fm:
+        assert Entailment().entails(p, g) is Verdict.VALID
+    assert fm.call_count == 1
+    assert brute_force_valid(p, g, 8)
 
 
 def test_fresh_vars_strictly_increase():
