@@ -9,7 +9,9 @@ pass/fail line (the verbose test report) and enforcing its stated budget.
    unintended change of graph shape fails the gate.
 2. State replay: the landmark states and edges of the flagship analysis
    (checked in detail in test_symexec) all hold.
-3. Verdict corpus: every program in corpus/ gets its expected exit code.
+3. Verdict corpus: every program in corpus/ gets its expected exit code,
+   and its ``analyze --json`` report, JSON graph export and transition
+   system export match pinned sha256 digests.
 4. Differential soundness: 1000 randomized concrete runs across the
    corpus, every trace prefix matched by the graph, in under five minutes.
 5. Entailment soundness: 500 random queries; every Valid answer confirmed
@@ -24,6 +26,7 @@ pass/fail line (the verbose test report) and enforcing its stated budget.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import random
@@ -60,6 +63,39 @@ EXPECTED_EXIT = {
     "store_into_invariant.ll": 2,
     "null_deref.ll": 2,
 }
+
+# Per program: entailment queries, then the first 16 hex digits of the sha256
+# of the ``analyze --json`` report (artifacts blanked), of the
+# ``--emit-graph X.json`` file and of the ``--emit-its`` file (None when the
+# graph is not complete and no transition system is written).
+EXPORT_DIGESTS = {
+    "build_append.ll": (
+        2377, "44c4e36e7087ee8a", "43bfbbba4cd0e7cc", "eb737ba6b1a8e2b2"),
+    "build_only.ll": (
+        518, "abe5153df2d6301e", "161537821015e3b9", "a133df5ffba3d7b1"),
+    "build_search_value.ll": (
+        1869, "1c3a6ad4831bdbc8", "d8e7f0482aa3f36a", "3f30e0fb1d750185"),
+    "build_traverse_field.ll": (
+        1341, "a04df9c93b159096", "10ae57b4daea89c5", "1af92be6d9e2fb85"),
+    "build_traverse_ptr.ll": (
+        1342, "e7f0020fc7737b16", "e993acd19aea5424", "c92c5d8e86fd94cc"),
+    "count_up.ll": (
+        53, "8b0c513aa40289d7", "52ee395623e57e71", "38651e994e3288ee"),
+    "cyclic_traverse.ll": (
+        49, "c5445babc934f409", "235d55a3f28511ff", "9cf4f1ac740e3893"),
+    "infinite_loop.ll": (
+        11, "4b4046fd4644b653", "12d9aef291450710", "68d1c5d027674ce2"),
+    "null_deref.ll": (
+        7, "218346359ac027fb", "0cd98bcb44b193cc", None),
+    "store_into_invariant.ll": (
+        473, "417b5b2ec581d86a", "808bb0d55fa45e4f", None),
+    "straight_line.ll": (
+        13, "057caea2824e0460", "a63eb1d79c11c067", "2395165556f3db1e"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def report(line: str) -> None:
@@ -143,22 +179,33 @@ def test_criterion_2_landmark_state_replay(flagship):
     report("criterion 2: PASS 12 landmark groups replayed")
 
 
-def test_criterion_3_verdict_corpus_agrees(capsys):
+def test_criterion_3_verdict_corpus_agrees(capsys, tmp_path):
     files = sorted(CORPUS.glob("*.ll"))
     assert len(files) >= 10
     assert set(f.name for f in files) == set(EXPECTED_EXIT)
     mismatches = []
+    digests = {}
     for f in files:
-        code = main(["analyze", str(f)])
-        capsys.readouterr()
+        graph = tmp_path / f"{f.stem}.json"
+        its = tmp_path / f"{f.stem}.smt2"
+        code = main(["analyze", str(f), "--json", "--emit-graph", str(graph),
+                     "--emit-its", str(its)])
+        doc = json.loads(capsys.readouterr().out)
+        doc["artifacts"] = None  # paths differ by construction
+        digests[f.name] = (
+            doc["stats"]["entailment_queries"],
+            _digest(json.dumps(doc, sort_keys=True).encode()),
+            _digest(graph.read_bytes()),
+            _digest(its.read_bytes()) if its.exists() else None)
         if code != EXPECTED_EXIT[f.name]:
             mismatches.append((f.name, code, EXPECTED_EXIT[f.name]))
         if f.name in ("store_into_invariant.ll", "null_deref.ll"):
             assert code != 0
     assert mismatches == []
+    assert digests == EXPORT_DIGESTS
     with capsys.disabled():
         report(f"criterion 3: PASS {len(files)}/{len(files)} "
-               "expected verdicts")
+               "expected verdicts, exports match pinned digests")
 
 
 def test_criterion_4_thousand_randomized_runs():
