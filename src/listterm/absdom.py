@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .ir import AggType, IrType, ProgramPosition
-from .logic import (
-    Atom,
-    Entailment,
-    Formula,
-    SymVar,
-    Term,
-    Verdict,
-)
+from .logic import Atom, Entailment, Formula, SymVar, Term
 
 Value = Union[SymVar, int]
 
@@ -260,31 +253,29 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
         rounds += 1
         current = Formula(tuple(clauses))
 
-        def holds(atom: Atom) -> bool:
-            return engine.entails(current, Formula.of(atom)) is Verdict.VALID
-
         for i, p in enumerate(s.pt):
             for q in s.pt[i + 1:]:
                 if p.ty != q.ty:
                     continue
                 func = Atom.eq(value_term(p.value), value_term(q.value))
-                if (func,) not in clauses and holds(Atom.eq(p.addr, q.addr)):
+                if (func,) not in clauses and \
+                        engine.holds(current, Atom.eq(p.addr, q.addr)):
                     clauses.append((func,))
                     changed = True
                 inj = Atom.ne(Term.of(p.addr), Term.of(q.addr))
-                if (inj,) not in clauses and holds(
-                        Atom.ne(value_term(p.value), value_term(q.value))):
+                if (inj,) not in clauses and \
+                        engine.holds(current, Atom.ne(p.value, q.value)):
                     clauses.append((inj,))
                     changed = True
 
         for l in s.li:
-            if holds(Atom.eq(l.length, 1)):
+            if engine.holds(current, Atom.eq(l.length, 1)):
                 for f in l.fields:
                     eq = Atom.eq(value_term(f.first), value_term(f.last))
                     if (eq,) not in clauses:
                         clauses.append((eq,))
                         changed = True
-            if holds(Atom.ge(l.length, 2)):
+            if engine.holds(current, Atom.ge(l.length, 2)):
                 pos = Atom.ge(value_term(l.rec_field.first), 1)
                 if (pos,) not in clauses:
                     clauses.append((pos,))
@@ -292,7 +283,7 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
             long = Atom.ge(l.length, 2)
             if (long,) not in clauses:
                 for f in l.fields:
-                    if holds(Atom.ne(value_term(f.first), value_term(f.last))):
+                    if engine.holds(current, Atom.ne(f.first, f.last)):
                         clauses.append((long,))
                         changed = True
                         break
@@ -303,74 +294,7 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
 
 
 def is_satisfiable(s: AbstractState, engine: Entailment) -> bool:
-    return engine.entails(state_formula(s, engine),
-                          Formula.of(Atom.false())) is not Verdict.VALID
-
-
-# --------------------------------------------------------------------------
-# Constant extraction and concreteness
-# --------------------------------------------------------------------------
-
-def constant_values(f: Formula) -> Dict[SymVar, int]:
-    """Constants implied by the conjunctive equalities of ``f`` via simple
-    propagation (each equality solved once all but one variable is known)."""
-    known: Dict[SymVar, int] = {}
-    eqs = [a for a in f.atoms() if a.rel == "="]
-    changed = True
-    while changed:
-        changed = False
-        for a in eqs:
-            unknown = [(v, c) for v, c in a.term.coeffs if v not in known]
-            if len(unknown) != 1:
-                continue
-            v, c = unknown[0]
-            rest = a.term.const + sum(cc * known[w] for w, cc in a.term.coeffs
-                                      if w in known)
-            if rest % c == 0:
-                known[v] = -rest // c
-                changed = True
-    return known
-
-
-def is_concrete(s: StateOrErr, engine: Entailment) -> bool:
-    """A state is concrete when every symbolic variable has a forced
-    numeric value, memory is fully byte-mapped, and no summaries remain.
-    ERR counts as concrete."""
-    if isinstance(s, ErrState):
-        return True
-    if s.li:
-        return False
-    f = state_formula(s, engine)
-    consts = constant_values(f)
-    for v in s.sym_vars():
-        if v not in consts:
-            return False
-    from .logic import eval_formula
-    if not eval_formula(consts, f):
-        return False
-
-    def val(x: Value) -> int:
-        return x if isinstance(x, int) else consts[x]
-
-    covered: Dict[int, int] = {}
-    for p in s.pt:
-        if str(p.ty) != "i8":
-            return False
-        if not 0 <= val(p.value) <= 255:
-            return False
-        covered[val(p.addr)] = val(p.value)
-    for a in s.al:
-        lo, hi = val(a.lo), val(a.hi)
-        for addr in range(lo, hi + 1):
-            if addr not in covered:
-                return False
-    allocated = set()
-    for a in s.al:
-        allocated.update(range(val(a.lo), val(a.hi) + 1))
-    for p in s.pt:
-        if val(p.addr) not in allocated:
-            return False
-    return True
+    return not engine.holds(state_formula(s, engine), Atom.false())
 
 
 # --------------------------------------------------------------------------

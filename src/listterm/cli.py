@@ -6,7 +6,8 @@ the extracted transition system), ``run`` (concrete interpreter), and
 ``check`` (differential representation checking of random concrete runs
 against the graph).
 
-Exit codes for analyze: 0 proved, 1 parse error, 2 error state reachable,
+Exit codes for analyze: 0 proved, 1 bad input (an unreadable or malformed
+program or config file, or a negative limit), 2 error state reachable,
 3 unknown.  Option precedence: command-line flags, then the config file,
 then environment variables.
 """
@@ -20,7 +21,7 @@ import os
 import random
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .absdom import ErrState
 from .concrete import FuelExhausted, Trace, format_trace, represents, run_concrete
@@ -51,7 +52,7 @@ VERDICT_UNKNOWN = "Unknown"
 
 ENV_SMT = "LISTTERM_SMT_CMD"
 
-_CONFIG_KEYS = ("smt", "max_nodes", "max_merges", "fuel", "seed", "jobs")
+_CONFIG_KEYS = ("smt", "max_nodes", "max_merges", "fuel", "seed")
 
 
 def load_config(path: str) -> Dict[str, str]:
@@ -95,7 +96,12 @@ class Settings:
         self.max_merges = number("max_merges", 8)
         self.fuel = number("fuel", 10_000)
         self.seed = number("seed", None)
-        self.jobs = number("jobs", 1)
+        for key, value in (("max_nodes", self.max_nodes),
+                           ("max_merges", self.max_merges),
+                           ("fuel", self.fuel),
+                           ("runs", getattr(args, "runs", 0))):
+            if value < 0:
+                raise ValueError(f"{key} must not be negative, got {value}")
 
     def engine(self) -> Entailment:
         return Entailment(smt_cmd=self.smt)
@@ -105,9 +111,12 @@ class Settings:
                            max_merges_per_position=self.max_merges)
 
 
-def _parse_file(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+def _load(args: argparse.Namespace) -> Tuple[Settings, Program]:
+    """The settings and the parsed program of a command; raises ParseError,
+    ValueError or OSError on bad input."""
+    settings = Settings(args)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        return settings, parse_program(fh.read())
 
 
 def _merge_count(seg: Seg) -> int:
@@ -175,13 +184,8 @@ def analysis_report(prog: Program, settings: Settings) -> dict:
     return report, seg, its, time.monotonic() - t0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    try:
-        prog = _parse_file(args.file)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+def cmd_analyze(args: argparse.Namespace, settings: Settings,
+                prog: Program) -> int:
     report, seg, its, elapsed = analysis_report(prog, settings)
     if args.emit_graph:
         text = to_json(seg) if args.emit_graph.endswith(".json") else to_dot(seg)
@@ -208,25 +212,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return report["exit_code"]
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    try:
-        prog = _parse_file(args.file)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+def cmd_graph(args: argparse.Namespace, settings: Settings,
+              prog: Program) -> int:
     seg = build_seg(prog, settings.engine(), settings.build_config())
     sys.stdout.write(to_json(seg) if args.json else to_dot(seg))
     return EXIT_PROVED
 
 
-def cmd_its(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    try:
-        prog = _parse_file(args.file)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+def cmd_its(args: argparse.Namespace, settings: Settings,
+            prog: Program) -> int:
     engine = settings.engine()
     seg = build_seg(prog, engine, settings.build_config())
     if seg.outcome != COMPLETE:
@@ -247,13 +241,8 @@ def nondet_stream(seed: Optional[int], max_length: int = 5):
         yield rng.randrange(0, 10)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    try:
-        prog = _parse_file(args.file)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+def cmd_run(args: argparse.Namespace, settings: Settings,
+            prog: Program) -> int:
     try:
         trace = run_concrete(prog, nondet_stream(settings.seed),
                              fuel=settings.fuel)
@@ -345,13 +334,8 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
     return len(seeds), violations, exhausted
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    try:
-        prog = _parse_file(args.file)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+def cmd_check(args: argparse.Namespace, settings: Settings,
+              prog: Program) -> int:
     engine = settings.engine()
     seg = build_seg(prog, engine, settings.build_config())
     base = settings.seed if settings.seed is not None else 0
@@ -384,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-merges", type=int, dest="max_merges")
     common.add_argument("--seed", type=int)
     common.add_argument("--fuel", type=int)
-    common.add_argument("--jobs", type=int)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="prove memory safety and termination")
@@ -418,7 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        settings, prog = _load(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    return args.func(args, settings, prog)
 
 
 if __name__ == "__main__":

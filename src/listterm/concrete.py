@@ -17,7 +17,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from . import ir
 from .absdom import AbstractState, ErrState, StateOrErr, value_term
 from .ir import DataLayout, Instruction, Program, ProgramPosition, type_size
-from .logic import Atom, Entailment, Formula, SymVar, eval_formula
+from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
+                    eval_formula, propagate_equalities)
 
 
 # --------------------------------------------------------------------------
@@ -256,12 +257,6 @@ def run_concrete(prog: Program, nondet: Iterator[int],
     raise FuelExhausted(f"no halt within {fuel} steps")
 
 
-def extract_interpretation(c: ConcreteState) -> Tuple[Dict[str, int],
-                                                      Dict[int, int]]:
-    """The (assignment, memory) pair read off a concrete state."""
-    return dict(c.asgn), dict(c.mem)
-
-
 def format_trace(t: Trace, prog: Program) -> str:
     lines = []
     for before, ins, after in zip(t.states, t.instructions, t.states[1:]):
@@ -350,25 +345,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
     invented, exposing which variables stay structurally undetermined."""
     sigma = dict(seed)
     eqs = [a for a in formula.atoms() if a.rel == "="]
-
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for a in eqs:
-                unknown = [(v, co) for v, co in a.term.coeffs
-                           if v not in sigma]
-                if len(unknown) != 1:
-                    continue
-                v, co = unknown[0]
-                rest = a.term.const + sum(cc * sigma[w]
-                                          for w, cc in a.term.coeffs
-                                          if w in sigma)
-                if rest % co == 0:
-                    sigma[v] = -rest // co
-                    changed = True
-
-    propagate()
+    propagate_equalities(eqs, sigma)
 
     # Points-to entries whose address is known fix their value (and vice
     # versa nothing: values do not determine addresses).
@@ -378,7 +355,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
             got = read_le(c.mem, sigma[p.addr], type_size(p.ty, layout))
             if got is not None:
                 sigma[p.value] = got
-                propagate()
+                propagate_equalities(eqs, sigma)
 
     # List invariants: walk the concrete chain from the root address.
     for l in s.li:
@@ -392,7 +369,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
                 got = read_le(c.mem, sigma[l.ad] + f.off, size)
                 if got is not None:
                     sigma[f.first] = got
-        propagate()
+        propagate_equalities(eqs, sigma)
         # Walk the chain to find the length and the last-element values,
         # stopping when the rec field matches the (known) last rec value or
         # when the chain leaves allocated memory.
@@ -439,7 +416,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
                 if isinstance(f.last, SymVar) and p.value == f.last:
                     sigma[p.addr] = node + f.off
                     break
-        propagate()
+        propagate_equalities(eqs, sigma)
 
     if probe:
         return sigma
@@ -449,7 +426,6 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
     # unit-coefficient bounds and let the formula check validate it.  Vars
     # linked to the witness by an equality chain translate their bounds
     # onto it, so a whole affine-connected class is assigned consistently.
-    from .seg import OffsetClosure
     closure = OffsetClosure(formula)
     for _ in range(4):
         free = [v for v in _state_data(s, engine)[1] if v not in sigma]
@@ -490,7 +466,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
                 # Unbounded above: shifting clear of concrete memory keeps
                 # stale allocation extents disjoint from live allocations.
                 sigma[v] = (lo if lo is not None else 0) + shift
-            propagate()
+            propagate_equalities(eqs, sigma)
 
     if any(v not in sigma for v in _state_data(s, engine)[1]):
         return None
@@ -590,21 +566,7 @@ def _seed_consistent(s, engine: Entailment, seed: Dict[SymVar, int],
     constraints fully determined by the seed (under equality propagation)
     are checked, so False is definitive while True is inconclusive."""
     sigma = dict(seed)
-    eqs = [a for a in formula.atoms() if a.rel == "="]
-    changed = True
-    while changed:
-        changed = False
-        for a in eqs:
-            unknown = [(v, co) for v, co in a.term.coeffs if v not in sigma]
-            if len(unknown) != 1:
-                continue
-            v, co = unknown[0]
-            rest = a.term.const + sum(cc * sigma[w]
-                                      for w, cc in a.term.coeffs
-                                      if w in sigma)
-            if rest % co == 0:
-                sigma[v] = -rest // co
-                changed = True
+    propagate_equalities([a for a in formula.atoms() if a.rel == "="], sigma)
 
     def known(a: Atom) -> bool:
         return all(w in sigma for w, _ in a.term.coeffs)

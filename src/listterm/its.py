@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .absdom import AbstractState, ErrState, Value, state_formula, value_term
 from .ir import Program
-from .logic import Atom, Entailment, Formula, SymVar, Term, Verdict
-from .seg import COMPLETE, GENERALIZATION, OffsetClosure, Seg
+from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
+                    clause_sexpr, term_sexpr)
+from .seg import COMPLETE, GENERALIZATION, Seg
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _candidate_ranks(vars_: Sequence[SymVar]) -> List[Term]:
 
 
 def _known_drop(cand: Term, upd: Dict[SymVar, Term],
-                closure: "OffsetClosure") -> Optional[int]:
+                closure: OffsetClosure) -> Optional[int]:
     """Exact provable value of rank - rank' when every variable's change is
     a known constant offset in the guard; None when undetermined."""
     total = 0
@@ -294,12 +295,10 @@ def prove_termination(its: ITS, engine: Entailment) -> TerminationResult:
                 if known is not None and known < 1:
                     ok = False  # exact change is provable and too small
                     break
-                if known is None and engine.entails(
-                        t.guard, Formula.of(dec)) is not Verdict.VALID:
+                if known is None and not engine.holds(t.guard, dec):
                     ok = False
                     break
-                if engine.entails(t.guard, Formula.of(bnd)) is not \
-                        Verdict.VALID:
+                if not engine.holds(t.guard, bnd):
                     ok = False
                     break
                 decrease.append(dec)
@@ -339,26 +338,6 @@ def _canonical_names(its: ITS) -> Dict[SymVar, str]:
     return names
 
 
-def _term_sexpr(t: Term, names: Dict[SymVar, str]) -> str:
-    parts = []
-    if t.const or not t.coeffs:
-        parts.append(str(t.const))
-    for v, c in t.coeffs:
-        parts.append(names[v] if c == 1 else f"(* {c} {names[v]})")
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
-def _atom_sexpr(a: Atom, names: Dict[SymVar, str]) -> str:
-    s = _term_sexpr(a.term, names)
-    if a.rel == "=":
-        return f"(= {s} 0)"
-    if a.rel == "!=":
-        return f"(not (= {s} 0))"
-    return f"(<= {s} 0)"
-
-
 def export_its(its: ITS) -> str:
     """Deterministic Horn-clause text; one rule per transition."""
     names = _canonical_names(its)
@@ -379,18 +358,12 @@ def export_its(its: ITS) -> str:
     for t in its.transitions:
         src_loc = its.locations[t.src]
         dst_loc = its.locations[t.dst]
-        body = []
-        for clause in t.guard.clauses:
-            if len(clause) == 1:
-                body.append(_atom_sexpr(clause[0], names))
-            else:
-                body.append("(or " + " ".join(
-                    _atom_sexpr(a, names) for a in clause) + ")")
+        body = [clause_sexpr(clause, names) for clause in t.guard.clauses]
         upd = t.update_map()
         for x in dst_loc.vars:
             if x in upd:
                 body.append(f"(= {primed.get(x, names[x] + 'p')} "
-                            f"{_term_sexpr(upd[x], names)})")
+                            f"{term_sexpr(upd[x], names)})")
         body.append(f"(L{t.src} " + " ".join(
             names[v] for v in src_loc.vars) + ")")
         head_args = " ".join(

@@ -1,19 +1,24 @@
 """Symbolic variables, linear integer arithmetic, and entailment checking.
 
-All reasoning in the analyzer goes through :func:`entails` (or an
-:class:`Entailment` engine instance).  A query ``premise => goal`` is
-decided by refuting ``premise and not goal``, clause by clause of the goal.
-When every atom of the refutation is a difference atom (``x - y <= c``,
-``x <= c``, their equalities and disequalities), the refutation runs on a
-difference-constraint graph: each branch of the case split over the
-disjunctive clauses adds edges, and a negative cycle refutes the branch
-(Cotton & Maler, SAT 2006).  For difference constraints, rational and
-integer feasibility coincide, so this is exact.  Any other query falls back
-to equality substitution plus Fourier-Motzkin elimination with integer
-tightening, re-run on every branch; that path is sound but incomplete.
-Both paths run under an effort bound and answer ``NOT_PROVEN`` when it is
-exhausted.  An external SMT-LIB2 solver can be configured as a fallback;
-its failures degrade to ``NOT_PROVEN``.
+All reasoning in the analyzer goes through an :class:`Entailment` engine
+(:meth:`Entailment.holds` for one implied fact).  The other modules share
+this module's equality reasoning: :class:`OffsetClosure` answers constant
+offsets between variables without the engine, :func:`propagate_equalities`
+solves equalities under a partial assignment, and :func:`clause_sexpr`
+prints SMT-LIB.
+
+A query ``premise => goal`` is decided by refuting ``premise and not goal``,
+clause by clause of the goal.  When every atom of the refutation is a
+difference atom (``x - y <= c``, ``x <= c``, their equalities and
+disequalities), the refutation runs on a difference-constraint graph: each
+branch of the case split over the disjunctive clauses adds edges, and a
+negative cycle refutes the branch (Cotton & Maler, SAT 2006).  For
+difference constraints, rational and integer feasibility coincide, so this
+is exact.  Any other query falls back to equality substitution plus
+Fourier-Motzkin elimination with integer tightening, re-run on every branch;
+that path is sound but incomplete.  Both paths run under an effort bound and
+answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2 solver can
+be configured as a fallback; its failures degrade to ``NOT_PROVEN``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import itertools
 import logging
 import math
 import subprocess
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -45,26 +49,13 @@ class SymVar:
         return self.name
 
 
-class VarGen:
-    """Thread-safe fresh-variable factory; ids strictly increase."""
-
-    def __init__(self, start: int = 1):
-        self._next = start
-        self._lock = threading.Lock()
-
-    def fresh(self, hint: str = "v") -> SymVar:
-        with self._lock:
-            n = self._next
-            self._next += 1
-        return SymVar(n, hint)
-
-
-_GLOBAL_GEN = VarGen()
+_GLOBAL_GEN = itertools.count(1)
 
 
 def fresh_var(hint: str = "v") -> SymVar:
-    """Issue a fresh variable from the process-wide generator."""
-    return _GLOBAL_GEN.fresh(hint)
+    """Issue a fresh variable from the process-wide counter; ids strictly
+    increase."""
+    return SymVar(next(_GLOBAL_GEN), hint)
 
 
 Value = Union[SymVar, int]
@@ -343,6 +334,92 @@ def brute_force_valid(premise: Formula, conclusion: Formula, bound: int) -> bool
 
 def rename_formula(f: Formula, ren: Mapping[SymVar, SymVar]) -> Formula:
     return f.substitute({v: Term.of(w) for v, w in ren.items()})
+
+
+# --------------------------------------------------------------------------
+# Equalities without the engine
+# --------------------------------------------------------------------------
+
+class OffsetClosure:
+    """Union-find over the conjunctive equalities of a formula, tracking a
+    constant offset to each representative.  Supports 'x - y = ?' and
+    'x = const?' queries without full entailment calls."""
+
+    _CONST = SymVar(0, "const0")  # sentinel root representing the value 0
+
+    def __init__(self, f: Formula):
+        self.parent: Dict[SymVar, SymVar] = {}
+        self.offset: Dict[SymVar, int] = {}
+        for a in f.atoms():
+            if a.rel != EQ:
+                continue
+            coeffs = a.term.coeffs
+            if len(coeffs) == 1 and abs(coeffs[0][1]) == 1:
+                v, c = coeffs[0]
+                self._union(v, self._CONST, -a.term.const * c)
+            elif len(coeffs) == 2:
+                (x, cx), (y, cy) = coeffs
+                if cx == 1 and cy == -1:
+                    # x - y + const = 0, so x = y - const.
+                    self._union(x, y, -a.term.const)
+
+    def _find(self, v: SymVar) -> Tuple[SymVar, int]:
+        path = []
+        off = 0
+        while v in self.parent:
+            path.append((v, off))
+            off += self.offset[v]
+            v = self.parent[v]
+        for node, seen in path:
+            self.parent[node] = v
+            self.offset[node] = off - seen
+        return v, off
+
+    def _union(self, x: SymVar, y: SymVar, d: int) -> None:
+        # x = y + d
+        rx, ox = self._find(x)
+        ry, oy = self._find(y)
+        if rx == ry:
+            return  # consistency is the entailment engine's business
+        # x = rx + ox and y = ry + oy, so rx = ry + (oy + d - ox).
+        self.parent[rx] = ry
+        self.offset[rx] = oy + d - ox
+
+    def _node(self, v: Value) -> Tuple[SymVar, int]:
+        if isinstance(v, int):
+            root, off = self._find(self._CONST)
+            return root, off + v
+        return self._find(v)
+
+    def diff(self, a: Value, b: Value) -> Optional[int]:
+        ra, oa = self._node(a)
+        rb, ob = self._node(b)
+        if ra != rb:
+            return None
+        return oa - ob
+
+    def const(self, a: Value) -> Optional[int]:
+        return self.diff(a, 0)
+
+
+def propagate_equalities(eqs: Sequence[Atom],
+                         known: Dict[SymVar, int]) -> None:
+    """Extend the partial assignment ``known`` in place: each equality of
+    ``eqs`` is solved once all but one of its variables is known, to a
+    fixpoint.  A variable whose solution is not an integer stays unknown."""
+    changed = True
+    while changed:
+        changed = False
+        for a in eqs:
+            unknown = [(v, c) for v, c in a.term.coeffs if v not in known]
+            if len(unknown) != 1:
+                continue
+            v, c = unknown[0]
+            rest = a.term.const + sum(cc * known[w] for w, cc in a.term.coeffs
+                                      if w in known)
+            if rest % c == 0:
+                known[v] = -rest // c
+                changed = True
 
 
 class Verdict(enum.Enum):
@@ -738,6 +815,11 @@ class Entailment:
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
 
+    def holds(self, premise: Formula, *parts: Union[Atom, Clause, Formula]
+              ) -> bool:
+        """Is the conjunction of ``parts`` provably implied by ``premise``?"""
+        return self.entails(premise, Formula.of(*parts)) is Verdict.VALID
+
     def entails(self, premise: Formula, conclusion: Formula) -> Verdict:
         key = (premise, conclusion)
         hit = self._cache.get(key)
@@ -791,32 +873,38 @@ class Entailment:
             return False
 
 
+def term_sexpr(t: Term, names: Mapping[SymVar, str]) -> str:
+    parts = [str(t.const)] if t.const or not t.coeffs else []
+    for v, c in t.coeffs:
+        parts.append(names[v] if c == 1 else f"(* {c} {names[v]})")
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
+def atom_sexpr(a: Atom, names: Mapping[SymVar, str]) -> str:
+    s = term_sexpr(a.term, names)
+    if a.rel == EQ:
+        return f"(= {s} 0)"
+    if a.rel == NE:
+        return f"(not (= {s} 0))"
+    return f"(<= {s} 0)"
+
+
+def clause_sexpr(clause: Clause, names: Mapping[SymVar, str]) -> str:
+    """SMT-LIB text of a clause; ``names`` gives each variable's symbol."""
+    if len(clause) == 1:
+        return atom_sexpr(clause[0], names)
+    return "(or " + " ".join(atom_sexpr(a, names) for a in clause) + ")"
+
+
 def smtlib_script(premise: Formula, conclusion: Formula) -> str:
     """SMT-LIB2 validity query: premise and not(conclusion), expecting unsat."""
-
-    def term_sexpr(t: Term) -> str:
-        parts = [str(t.const)] if t.const or not t.coeffs else []
-        for v, c in t.coeffs:
-            parts.append(v.name if c == 1 else f"(* {c} {v.name})")
-        if len(parts) == 1:
-            return parts[0]
-        return "(+ " + " ".join(parts) + ")"
-
-    def atom_sexpr(a: Atom) -> str:
-        s = term_sexpr(a.term)
-        if a.rel == EQ:
-            return f"(= {s} 0)"
-        if a.rel == NE:
-            return f"(not (= {s} 0))"
-        return f"(<= {s} 0)"
+    vs = sorted(set(premise.vars()) | set(conclusion.vars()))
+    names = {v: v.name for v in vs}
 
     def formula_sexpr(f: Formula) -> str:
-        cs = []
-        for clause in f.clauses:
-            if len(clause) == 1:
-                cs.append(atom_sexpr(clause[0]))
-            else:
-                cs.append("(or " + " ".join(atom_sexpr(a) for a in clause) + ")")
+        cs = [clause_sexpr(clause, names) for clause in f.clauses]
         if not cs:
             return "true"
         if len(cs) == 1:
@@ -824,18 +912,9 @@ def smtlib_script(premise: Formula, conclusion: Formula) -> str:
         return "(and " + " ".join(cs) + ")"
 
     lines = ["(set-logic QF_LIA)"]
-    for v in sorted(set(premise.vars()) | set(conclusion.vars())):
+    for v in vs:
         lines.append(f"(declare-const {v.name} Int)")
     lines.append(f"(assert {formula_sexpr(premise)})")
     lines.append(f"(assert (not {formula_sexpr(conclusion)}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
-
-
-_DEFAULT_ENGINE = Entailment()
-
-
-def entails(premise: Formula, conclusion: Formula,
-            engine: Optional[Entailment] = None) -> Verdict:
-    """Sound entailment check; ``VALID`` only if the implication truly holds."""
-    return (engine or _DEFAULT_ENGINE).entails(premise, conclusion)

@@ -31,10 +31,10 @@ from .absdom import (
     is_satisfiable,
     state_formula,
     value_key,
-    value_term,
 )
 from .ir import AggType, Program, recursive_index, type_size
-from .logic import Atom, Entailment, Formula, SymVar, Term, Verdict, fresh_var
+from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
+                    fresh_var)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
 
 GENERALIZATION = "generalization"
@@ -74,75 +74,6 @@ class Seg:
     def out_edges(self, node: int) -> List[Edge]:
         return [e for e in self.edges if e.src == node]
 
-    def in_edges(self, node: int) -> List[Edge]:
-        return [e for e in self.edges if e.dst == node]
-
-
-# --------------------------------------------------------------------------
-# Offset closure: cheap provable constant differences from equalities
-# --------------------------------------------------------------------------
-
-class OffsetClosure:
-    """Union-find over the conjunctive equalities of a formula, tracking a
-    constant offset to each representative.  Supports 'x - y = ?' and
-    'x = const?' queries without full entailment calls."""
-
-    _CONST = SymVar(0, "const0")  # sentinel root representing the value 0
-
-    def __init__(self, f: Formula):
-        self.parent: Dict[SymVar, SymVar] = {}
-        self.offset: Dict[SymVar, int] = {}
-        for a in f.atoms():
-            if a.rel != "=":
-                continue
-            coeffs = a.term.coeffs
-            if len(coeffs) == 1 and abs(coeffs[0][1]) == 1:
-                v, c = coeffs[0]
-                self._union(v, self._CONST, -a.term.const * c)
-            elif len(coeffs) == 2:
-                (x, cx), (y, cy) = coeffs
-                if cx == 1 and cy == -1:
-                    # x - y + const = 0, so x = y - const.
-                    self._union(x, y, -a.term.const)
-
-    def _find(self, v: SymVar) -> Tuple[SymVar, int]:
-        path = []
-        off = 0
-        while v in self.parent:
-            path.append((v, off))
-            off += self.offset[v]
-            v = self.parent[v]
-        for node, seen in path:
-            self.parent[node] = v
-            self.offset[node] = off - seen
-        return v, off
-
-    def _union(self, x: SymVar, y: SymVar, d: int) -> None:
-        # x = y + d
-        rx, ox = self._find(x)
-        ry, oy = self._find(y)
-        if rx == ry:
-            return  # consistency is the entailment engine's business
-        # x = rx + ox and y = ry + oy, so rx = ry + (oy + d - ox).
-        self.parent[rx] = ry
-        self.offset[rx] = oy + d - ox
-
-    def _node(self, v: Value) -> Tuple[SymVar, int]:
-        if isinstance(v, int):
-            root, off = self._find(self._CONST)
-            return root, off + v
-        return self._find(v)
-
-    def diff(self, a: Value, b: Value) -> Optional[int]:
-        ra, oa = self._node(a)
-        rb, ob = self._node(b)
-        if ra != rb:
-            return None
-        return oa - ob
-
-    def const(self, a: Value) -> Optional[int]:
-        return self.diff(a, 0)
-
 
 # --------------------------------------------------------------------------
 # Concrete list detection
@@ -166,6 +97,13 @@ class ListMatch:
         return self.values[-1]
 
 
+def _equal(closure: OffsetClosure, f: Formula, engine: Entailment,
+           a: Value, b: Value) -> bool:
+    """``a = b`` under ``f``, where ``closure`` is ``f``'s offset closure:
+    proved by the closure when it can, else by the engine."""
+    return closure.diff(a, b) == 0 or engine.holds(f, Atom.eq(a, b))
+
+
 def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
               engine: Entailment) -> Optional[ListMatch]:
     """Maximal concrete chain of ``ty`` nodes beginning at ``start``:
@@ -179,13 +117,6 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
     offs = prog.layout.offsets_of(ty.name)
     f = state_formula(s, engine)
     closure = OffsetClosure(f)
-
-    def eq(a: Value, b) -> bool:
-        if closure.diff(a, b) == 0:
-            return True
-        return engine.entails(
-            f, Formula.of(Atom.eq(value_term(a), Term.of(b)))) is Verdict.VALID
-
     starts: List[SymVar] = []
     ends: List[SymVar] = []
     values: List[Tuple[Value, ...]] = []
@@ -195,7 +126,8 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
     while True:
         alloc = next(
             (a for a in s.al if a not in used
-             and closure.diff(a.hi, a.lo) == size - 1 and eq(current, a.lo)),
+             and closure.diff(a.hi, a.lo) == size - 1
+             and _equal(closure, f, engine, current, a.lo)),
             None)
         if alloc is None:
             break
@@ -233,8 +165,7 @@ def _invariant_at(s: AbstractState, root: Value, ty: AggType,
     for l in s.li:
         if l.ty != ty:
             continue
-        if engine.entails(f, Formula.of(
-                Atom.eq(value_term(root), Term.of(l.ad)))) is Verdict.VALID:
+        if engine.holds(f, Atom.eq(root, l.ad)):
             return l
     return None
 
@@ -263,8 +194,7 @@ def _has_concrete_head_pointer(s: AbstractState, l: ListInvariant,
             continue
         for p in s.pt:
             if closure.diff(p.addr, alloc.lo) == off_j and \
-                    engine.entails(f, Formula.of(Atom.eq(
-                        value_term(p.value), Term.of(l.ad)))) is Verdict.VALID:
+                    engine.holds(f, Atom.eq(p.value, l.ad)):
                 return True
     return False
 
@@ -311,14 +241,6 @@ class _Merger:
         self.mu1: Dict[SymVar, Value] = {}
         self.mu2: Dict[SymVar, Value] = {}
 
-    def _prove(self, side: int, a: Value, b: Value) -> bool:
-        closure = self.cl1 if side == 1 else self.cl2
-        if closure.diff(a, b) == 0:
-            return True
-        f = self.f1 if side == 1 else self.f2
-        return self.engine.entails(f, Formula.of(
-            Atom.eq(value_term(a), value_term(b)))) is Verdict.VALID
-
     def pair(self, v1: Value, v2: Value, hint: str,
              force_var: bool = False) -> Value:
         key = (value_key(v1), value_key(v2))
@@ -341,7 +263,8 @@ class _Merger:
         for v1, v2, m in self.pairs:
             if isinstance(m, int):
                 continue
-            if self._prove(1, a1, v1) and self._prove(2, a2, v2):
+            if _equal(self.cl1, self.f1, self.engine, a1, v1) and \
+                    _equal(self.cl2, self.f2, self.engine, a2, v2):
                 return m
         return None
 
@@ -564,11 +487,11 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
             c1 = M.cl1.const(M.mu1[x])
             if c1 is not None:
                 continue  # equalities already capture constants
-            if _side_holds(M, 1, Atom.ge(value_term(M.mu1[x]), 1)) and \
-                    _side_holds(M, 2, Atom.ge(value_term(M.mu2[x]), 1)):
+            if engine.holds(M.f1, Atom.ge(M.mu1[x], 1)) and \
+                    engine.holds(M.f2, Atom.ge(M.mu2[x], 1)):
                 kb_atoms.append(Atom.ge(x, 1))
-            elif _side_holds(M, 1, Atom.ge(value_term(M.mu1[x]), 0)) and \
-                    _side_holds(M, 2, Atom.ge(value_term(M.mu2[x]), 0)):
+            elif engine.holds(M.f1, Atom.ge(M.mu1[x], 0)) and \
+                    engine.holds(M.f2, Atom.ge(M.mu2[x], 0)):
                 kb_atoms.append(Atom.ge(x, 0))
 
     # Deduplicate while preserving order.
@@ -588,14 +511,7 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
 def _provably_outside(M: _Merger, side: int, addr: Value, lo: Value,
                       hi: Value) -> bool:
     f = M.f1 if side == 1 else M.f2
-    goal = Formula.of((Atom.lt(value_term(addr), value_term(lo)),
-                       Atom.gt(value_term(addr), value_term(hi))))
-    return M.engine.entails(f, goal) is Verdict.VALID
-
-
-def _side_holds(M: _Merger, side: int, atom: Atom) -> bool:
-    f = M.f1 if side == 1 else M.f2
-    return M.engine.entails(f, Formula.of(atom)) is Verdict.VALID
+    return M.engine.holds(f, (Atom.lt(addr, lo), Atom.gt(addr, hi)))
 
 
 # --------------------------------------------------------------------------
@@ -632,21 +548,19 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
 
     f = state_formula(s, engine)
     subst = _subst_of(mu)
-    if engine.entails(f, sbar.kb.substitute(subst)) is not Verdict.VALID:
+    if not engine.holds(f, sbar.kb.substitute(subst)):
         return False
 
-    def prove_eq(a: Value, b: Value) -> bool:
-        return engine.entails(f, Formula.of(
-            Atom.eq(value_term(a), value_term(b)))) is Verdict.VALID
-
     for abar in sbar.al:
-        if not any(prove_eq(a.lo, img(abar.lo)) and prove_eq(a.hi, img(abar.hi))
+        if not any(engine.holds(f, Atom.eq(a.lo, img(abar.lo)))
+                   and engine.holds(f, Atom.eq(a.hi, img(abar.hi)))
                    for a in s.al):
             return False
 
     for pbar in sbar.pt:
-        if not any(p.ty == pbar.ty and prove_eq(p.addr, img(pbar.addr))
-                   and prove_eq(p.value, img(pbar.value))
+        if not any(p.ty == pbar.ty
+                   and engine.holds(f, Atom.eq(p.addr, img(pbar.addr)))
+                   and engine.holds(f, Atom.eq(p.value, img(pbar.value)))
                    for p in s.pt):
             return False
 
@@ -655,10 +569,10 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
         for l in s.li:
             if l.ty != lbar.ty:
                 continue
-            if prove_eq(l.ad, img(lbar.ad)) and \
-                    prove_eq(l.length, img(lbar.length)) and \
-                    all(prove_eq(fl.first, img(fb.first))
-                        and prove_eq(fl.last, img(fb.last))
+            if engine.holds(f, Atom.eq(l.ad, img(lbar.ad))) and \
+                    engine.holds(f, Atom.eq(l.length, img(lbar.length))) and \
+                    all(engine.holds(f, Atom.eq(fl.first, img(fb.first)))
+                        and engine.holds(f, Atom.eq(fl.last, img(fb.last)))
                         for fl, fb in zip(l.fields, lbar.fields)):
                 hit = True
                 break
@@ -667,12 +581,12 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
         match = find_list(s, img(lbar.ad), lbar.ty, prog, engine)
         if match is None:
             return False
-        if not prove_eq(match.length, img(lbar.length)):
+        if not engine.holds(f, Atom.eq(match.length, img(lbar.length))):
             return False
-        if not all(prove_eq(v, img(fb.first))
+        if not all(engine.holds(f, Atom.eq(v, img(fb.first)))
                    for v, fb in zip(match.firsts, lbar.fields)):
             return False
-        if not all(prove_eq(v, img(fb.last))
+        if not all(engine.holds(f, Atom.eq(v, img(fb.last)))
                    for v, fb in zip(match.lasts, lbar.fields)):
             return False
         # Every points-to entry surviving in the older state must be
@@ -680,9 +594,7 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
         for pbar in sbar.pt:
             addr = img(pbar.addr)
             for lo, hi in zip(match.starts, match.ends):
-                goal = Formula.of((Atom.lt(value_term(addr), Term.of(lo)),
-                                   Atom.gt(value_term(addr), Term.of(hi))))
-                if engine.entails(f, goal) is not Verdict.VALID:
+                if not engine.holds(f, (Atom.lt(addr, lo), Atom.gt(addr, hi))):
                     return False
     return True
 
@@ -709,12 +621,6 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
     f = state_formula(s, engine)
     closure = OffsetClosure(f)
 
-    def prove_eq(a: Value, b: Value) -> bool:
-        if closure.diff(a, b) == 0:
-            return True
-        return engine.entails(f, Formula.of(
-            Atom.eq(value_term(a), value_term(b)))) is Verdict.VALID
-
     def img(v: Value) -> Optional[Value]:
         return v if isinstance(v, int) else mu.get(v)
 
@@ -725,7 +631,7 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             if lo_i is None or img(abar.hi) is not None:
                 continue
             for a in s.al:
-                if prove_eq(a.lo, lo_i):
+                if _equal(closure, f, engine, a.lo, lo_i):
                     mu[abar.hi] = a.hi
                     progress = True
                     break
@@ -735,7 +641,8 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
                 continue
             if isinstance(pbar.value, SymVar) and pbar.value not in mu:
                 for p in s.pt:
-                    if p.ty == pbar.ty and prove_eq(p.addr, addr_i):
+                    if p.ty == pbar.ty and \
+                            _equal(closure, f, engine, p.addr, addr_i):
                         mu[pbar.value] = p.value
                         progress = True
                         break

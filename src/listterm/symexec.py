@@ -32,7 +32,7 @@ from .absdom import (
     value_term,
 )
 from .ir import Instruction, Program, ProgramPosition, type_size
-from .logic import Atom, Entailment, Formula, Term, Verdict, fresh_var
+from .logic import Atom, Entailment, Formula, Term, fresh_var
 
 EVALUATION = "evaluation"
 REFINEMENT = "refinement"
@@ -52,10 +52,6 @@ class StepResult:
         return StepResult(REFINEMENT, (a, b))
 
 
-def _holds(engine: Entailment, premise: Formula, *parts) -> bool:
-    return engine.entails(premise, Formula.of(*parts)) is Verdict.VALID
-
-
 def _kb_add(s: AbstractState, *atoms: Atom) -> Formula:
     return s.kb.and_(Formula.conj(atoms))
 
@@ -73,12 +69,12 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
     ad_t = value_term(ad)
     size = type_size(ins.ty, prog.layout)
     covered = any(
-        _holds(engine, f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
+        engine.holds(f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
         for a in s.al)
     if not covered:
         return None
     for p in s.pt:
-        if p.ty == ins.ty and _holds(engine, f, Atom.eq(ad_t, p.addr)):
+        if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
             w = fresh_var(ins.dst)
             return s.replace_components(
                 pos=prog.successor(s.pos),
@@ -98,7 +94,7 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
         for fld in l.fields:
             if fld.fty != ins.ty:
                 continue
-            if _holds(engine, f, Atom.eq(ad_t, Term.of(l.ad) + fld.off)):
+            if engine.holds(f, Atom.eq(ad_t, Term.of(l.ad) + fld.off)):
                 w = fresh_var(ins.dst)
                 return s.replace_components(
                     pos=prog.successor(s.pos),
@@ -125,7 +121,7 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
     ad_t = value_term(ad)
     size = type_size(ins.ty, prog.layout)
     covered = any(
-        _holds(engine, f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
+        engine.holds(f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
         for a in s.al)
     if not covered:
         return None
@@ -134,12 +130,12 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
     target_addr: Optional[Value] = None
     for p in s.pt:
         p_size = type_size(p.ty, prog.layout)
-        if p.ty == ins.ty and _holds(engine, f, Atom.eq(ad_t, p.addr)):
+        if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
             target_addr = p.addr  # replaced below
             continue
-        if _holds(engine, f,
-                  _disjoint_goal(Term.of(p.addr), Term.of(p.addr) + p_size - 1,
-                                 ad_t, ad_t + size - 1)):
+        if engine.holds(f, _disjoint_goal(
+                Term.of(p.addr), Term.of(p.addr) + p_size - 1,
+                ad_t, ad_t + size - 1)):
             new_pt.append(p)
         # Possibly-overlapping entries are dropped: their content is unknown.
     kb = s.kb
@@ -165,18 +161,18 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
         size = type_size(l.ty, prog.layout)
         j = l.rec_index
         for alloc in s.al:
-            if not _holds(engine, f,
-                          Atom.eq(Term.of(alloc.hi), Term.of(alloc.lo) + size - 1)):
+            if not engine.holds(
+                    f, Atom.eq(Term.of(alloc.hi), Term.of(alloc.lo) + size - 1)):
                 continue
             for m, fld_m in enumerate(l.fields, start=1):
                 if fld_m.fty != ins.ty:
                     continue
-                if not _holds(engine, f,
-                              Atom.eq(ad_t, Term.of(alloc.lo) + fld_m.off)):
+                if not engine.holds(
+                        f, Atom.eq(ad_t, Term.of(alloc.lo) + fld_m.off)):
                     continue
                 # The new head must already (or now) point at the summary.
                 if m == j:
-                    if not _holds(engine, f, Atom.eq(value_term(val), l.ad)):
+                    if not engine.holds(f, Atom.eq(value_term(val), l.ad)):
                         continue
                 # Every other field of the new head must be initialized.
                 head_vals: dict = {}
@@ -185,9 +181,8 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                     if i == m:
                         continue
                     entry = next(
-                        (p for p in s.pt if p.ty == fld.fty and _holds(
-                            engine, f,
-                            Atom.eq(Term.of(p.addr), Term.of(alloc.lo) + fld.off))),
+                        (p for p in s.pt if p.ty == fld.fty and engine.holds(
+                            f, Atom.eq(p.addr, Term.of(alloc.lo) + fld.off))),
                         None)
                     if entry is None:
                         ok = False
@@ -196,8 +191,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                 if not ok:
                     continue
                 if m != j:
-                    if not _holds(engine, f,
-                                  Atom.eq(value_term(head_vals[j]), l.ad)):
+                    if not engine.holds(f, Atom.eq(head_vals[j], l.ad)):
                         continue
                 # All side conditions hold: extend the summary.
                 new_len = fresh_var("len")
@@ -212,7 +206,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                 lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
                 kept_pt = [
                     p for p in s.pt
-                    if _holds(engine, f, _disjoint_goal(
+                    if engine.holds(f, _disjoint_goal(
                         Term.of(p.addr),
                         Term.of(p.addr) + type_size(p.ty, prog.layout) - 1,
                         lo_t, hi_t))]
@@ -250,7 +244,7 @@ def _traversal_candidate(s: AbstractState, ins, prog: Program,
             if t is None:
                 continue
             for i, fld in enumerate(l.fields, start=1):
-                if _holds(engine, f, Atom.eq(value_term(t), fld.off)):
+                if engine.holds(f, Atom.eq(value_term(t), fld.off)):
                     acc = i
                     break
         else:  # GepField
@@ -261,12 +255,12 @@ def _traversal_candidate(s: AbstractState, ins, prog: Program,
                 continue
             # The 0-based field operand selects 1-based field t+1.
             for i in range(1, len(l.fields) + 1):
-                if _holds(engine, f, Atom.eq(value_term(t) + 1, i)):
+                if engine.holds(f, Atom.eq(value_term(t) + 1, i)):
                     acc = i
                     break
         if acc is None:
             continue
-        if _holds(engine, f, Atom.eq(value_term(pa), value_term(rec.first))):
+        if engine.holds(f, Atom.eq(value_term(pa), value_term(rec.first))):
             return l, acc
     return None
 
@@ -279,8 +273,7 @@ def _split_partner(s: AbstractState, l: ListInvariant,
     for l1 in s.li:
         if l1 == l or l1.ty != l.ty:
             continue
-        if _holds(engine, f,
-                  Atom.eq(value_term(l1.rec_field.last), l.ad)):
+        if engine.holds(f, Atom.eq(l1.rec_field.last, l.ad)):
             return l1
     return None
 
@@ -427,7 +420,7 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
             # A symbolic field index needs a provable constant.
             f = state_formula(s, engine)
             t = next((i for i in range(len(prog.agg_fields(ins.agg.name)))
-                      if _holds(engine, f, Atom.eq(value_term(s.lv_of(ins.index)), i))),
+                      if engine.holds(f, Atom.eq(s.lv_of(ins.index), i))),
                      None)
             if t is None:
                 return None
@@ -449,8 +442,8 @@ def _step_gep(s: AbstractState, ins, prog: Program,
     if cand is not None:
         l, acc = cand
         f = state_formula(s, engine)
-        long = _holds(engine, f, Atom.ge(l.length, 2))
-        single = _holds(engine, f, Atom.eq(l.length, 1))
+        long = engine.holds(f, Atom.ge(l.length, 2))
+        single = engine.holds(f, Atom.eq(l.length, 1))
         if not long and not single:
             return StepResult.refine(
                 s.replace_components(kb=_kb_add(s, Atom.ge(l.length, 2))),
@@ -504,10 +497,10 @@ def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
         return StepResult.eval_to(ERR)
     atom, comp = _icmp_atoms(ins.pred, value_term(lhs), value_term(rhs))
     f = state_formula(s, engine)
-    if _holds(engine, f, atom):
+    if engine.holds(f, atom):
         return StepResult.eval_to(s.replace_components(
             pos=prog.successor(s.pos), lv=s.bind(ins.dst, 1)))
-    if _holds(engine, f, comp):
+    if engine.holds(f, comp):
         return StepResult.eval_to(s.replace_components(
             pos=prog.successor(s.pos), lv=s.bind(ins.dst, 0)))
     return StepResult.refine(
@@ -530,9 +523,9 @@ def rule_brcond(s: AbstractState, ins: ir.BrCond, prog: Program,
         return StepResult.eval_to(goto(ins.then_block if cond else
                                        ins.else_block))
     f = state_formula(s, engine)
-    if _holds(engine, f, Atom.eq(cond, 1)):
+    if engine.holds(f, Atom.eq(cond, 1)):
         return StepResult.eval_to(goto(ins.then_block))
-    if _holds(engine, f, Atom.eq(cond, 0)):
+    if engine.holds(f, Atom.eq(cond, 0)):
         return StepResult.eval_to(goto(ins.else_block))
     return StepResult.refine(
         s.replace_components(kb=_kb_add(s, Atom.eq(cond, 1))),
@@ -566,14 +559,12 @@ def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
         return ERR
     f = state_formula(s, engine)
     for alloc in s.al:
-        if not _holds(engine, f, Atom.eq(value_term(ptr), alloc.lo)):
+        if not engine.holds(f, Atom.eq(value_term(ptr), alloc.lo)):
             continue
         lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
-        kept = [p for p in s.pt if _holds(
-            engine, f,
-            _disjoint_goal(Term.of(p.addr),
-                           Term.of(p.addr) + type_size(p.ty, prog.layout) - 1,
-                           lo_t, hi_t))]
+        kept = [p for p in s.pt if engine.holds(f, _disjoint_goal(
+            Term.of(p.addr), Term.of(p.addr) + type_size(p.ty, prog.layout) - 1,
+            lo_t, hi_t))]
         return s.replace_components(pos=prog.successor(s.pos),
                                     al=[a for a in s.al if a != alloc],
                                     pt=kept)

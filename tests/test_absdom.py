@@ -5,15 +5,12 @@ from __future__ import annotations
 import pytest
 
 from listterm.absdom import (
-    ERR,
     AbstractState,
     Allocation,
     LIField,
     ListInvariant,
     PointsTo,
     alpha_rename,
-    constant_values,
-    is_concrete,
     is_satisfiable,
     state_formula,
 )
@@ -154,43 +151,6 @@ def test_satisfiability_pruning():
     eng = Entailment()
     assert not is_satisfiable(dead, eng)
     assert is_satisfiable(live, eng)
-
-
-def test_constant_values_propagation():
-    a, b, c = sv(1), sv(2), sv(3)
-    from listterm.logic import Term
-    f = Formula.conj([Atom.eq(a, 4),
-                      Atom.eq(b, Term.of(a) + 3),
-                      Atom.eq(c, Term.of(b) - Term.of(a))])
-    consts = constant_values(f)
-    assert consts == {a: 4, b: 7, c: 3}
-
-
-def test_is_concrete_err_and_small_memory():
-    eng = Entailment()
-    assert is_concrete(ERR, eng)
-    lo, hi = sv(1), sv(2)
-    v1, v2 = sv(3), sv(4)
-    a1, a2 = sv(5), sv(6)
-    kb = Formula.conj([Atom.eq(lo, 1), Atom.eq(hi, 2), Atom.eq(a1, 1),
-                       Atom.eq(a2, 2), Atom.eq(v1, 10), Atom.eq(v2, 255)])
-    s = AbstractState.make(POS, al=[Allocation(lo, hi)],
-                           pt=[PointsTo(a1, I8, v1), PointsTo(a2, I8, v2)],
-                           kb=kb)
-    assert is_concrete(s, eng)
-    # An uncovered allocated byte breaks concreteness.
-    s2 = s.replace_components(pt=[PointsTo(a1, I8, v1)])
-    assert not is_concrete(s2, eng)
-    # Non-i8 entries break concreteness.
-    s3 = s.replace_components(pt=[PointsTo(a1, I32, v1),
-                                  PointsTo(a2, I8, v2)])
-    assert not is_concrete(s3, eng)
-    # Unconstrained variable breaks concreteness.
-    s4 = s.replace_components(lv={"x": sv(9)})
-    assert not is_concrete(s4, eng)
-    # Remaining list summaries break concreteness.
-    s5 = s.replace_components(li=[make_list_inv(lo, hi, v1, v1, 0, 0)])
-    assert not is_concrete(s5, eng)
 
 
 def test_kb_clauses_come_first_and_are_kept():

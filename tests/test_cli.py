@@ -300,6 +300,20 @@ def test_explicit_zero_limits_are_kept(tmp_path):
         10_000, 8, 10_000)
 
 
-def test_jobs_flag_accepted(capsys):
-    code, _, _ = cli(capsys, "analyze", CORPUS / "count_up.ll", "--jobs", 4)
-    assert code == EXIT_PROVED
+@pytest.mark.parametrize("config, args", [
+    ("max_nodes\n", ["analyze"]),
+    (None, ["analyze", "--config", "/nonexistent/opts.cfg"]),
+    ("max_nodes=abc\n", ["analyze"]),
+    (None, ["analyze", "--max-nodes", "-3"]),
+    (None, ["check", "--runs", "-2"]),
+], ids=["config-line", "missing-config", "config-not-int",
+        "negative-max-nodes", "negative-runs"])
+def test_bad_input_exits_one_with_message(capsys, tmp_path, config, args):
+    if config is not None:
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", cfg]
+    code, out, err = cli(capsys, args[0], CORPUS / "count_up.ll", *args[1:])
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -24,7 +24,6 @@ from listterm.concrete import (
     decode_le,
     encode_le,
     eval_li_predicate,
-    extract_interpretation,
     format_trace,
     read_le,
     represents,
@@ -153,16 +152,6 @@ def test_null_deref_errors():
     prog = load("null_deref.ll")
     t = run_concrete(prog, stream())
     assert t.final.error
-
-
-def test_extract_interpretation_roundtrip():
-    prog = load("straight_line.ll")
-    t = run_concrete(prog, stream())
-    asgn, mem = extract_interpretation(t.final)
-    rebuilt = ConcreteState(t.final.pos, asgn, list(t.final.allocations),
-                            mem, t.final.halted, t.final.error)
-    assert rebuilt.asgn == t.final.asgn
-    assert rebuilt.mem == t.final.mem
 
 
 def test_format_trace_lines():

@@ -18,13 +18,14 @@ from listterm.logic import (
     Atom,
     Entailment,
     Formula,
+    OffsetClosure,
     SymVar,
     Term,
     Verdict,
     brute_force_valid,
-    entails,
     eval_formula,
     fresh_var,
+    propagate_equalities,
     rename_formula,
     smtlib_script,
 )
@@ -97,43 +98,43 @@ def test_eval_requires_assignment():
 def test_entails_transitive_chain():
     a, b, c = V[:3]
     p = Formula.conj([Atom.le(a, b), Atom.le(b, c)])
-    assert entails(p, Formula.of(Atom.le(a, c))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.le(a, c))) is Verdict.VALID
 
 
 def test_entails_equality_substitution():
     a, b, c = V[:3]
     p = Formula.conj([Atom.eq(b, Term.of(a) + 1), Atom.eq(c, Term.of(b) + 1),
                       Atom.ge(a, 0)])
-    assert entails(p, Formula.of(Atom.ge(c, 2))) is Verdict.VALID
-    assert entails(p, Formula.of(Atom.ge(c, 3))) is Verdict.NOT_PROVEN
+    assert Entailment().entails(p, Formula.of(Atom.ge(c, 2))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.ge(c, 3))) is Verdict.NOT_PROVEN
 
 
 def test_entails_disequality_split():
     a, b = V[:2]
     p = Formula.conj([Atom.ne(a, b), Atom.le(a, b)])
-    assert entails(p, Formula.of(Atom.lt(a, b))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.lt(a, b))) is Verdict.VALID
 
 
 def test_entails_contradictory_premise():
     a = V[0]
     p = Formula.conj([Atom.le(a, 0), Atom.ge(a, 1)])
-    assert entails(p, Formula.of(Atom.false())) is Verdict.VALID
-    assert entails(p, Formula.of(Atom.eq(a, 42))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.false())) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.eq(a, 42))) is Verdict.VALID
 
 
 def test_entails_premise_disjunction():
     a, b = V[:2]
     p = Formula.of((Atom.eq(a, 1), Atom.eq(a, 2))).and_(Atom.eq(b, a))
-    assert entails(p, Formula.of(Atom.ge(b, 1))) is Verdict.VALID
-    assert entails(p, Formula.of(Atom.le(b, 2))) is Verdict.VALID
-    assert entails(p, Formula.of(Atom.eq(b, 1))) is Verdict.NOT_PROVEN
+    assert Entailment().entails(p, Formula.of(Atom.ge(b, 1))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.le(b, 2))) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.eq(b, 1))) is Verdict.NOT_PROVEN
 
 
 def test_entails_disjunctive_conclusion():
     a = V[0]
     p = Formula.conj([Atom.ge(a, 0)])
     goal = Formula.of((Atom.eq(a, 0), Atom.ge(a, 1)))
-    assert entails(p, goal) is Verdict.VALID
+    assert Entailment().entails(p, goal) is Verdict.VALID
 
 
 def test_entails_integer_tightening_needed():
@@ -141,14 +142,14 @@ def test_entails_integer_tightening_needed():
     # 2a <= 7 and 2a >= 7 has no integer solution.
     p = Formula.conj([Atom.le(Term.of(a).scale(2), 7),
                       Atom.ge(Term.of(a).scale(2), 7)])
-    assert entails(p, Formula.of(Atom.false())) is Verdict.VALID
+    assert Entailment().entails(p, Formula.of(Atom.false())) is Verdict.VALID
 
 
 def test_entails_never_claims_false_positive_basics():
     a, b = V[:2]
     p = Formula.conj([Atom.le(a, b)])
-    assert entails(p, Formula.of(Atom.lt(a, b))) is Verdict.NOT_PROVEN
-    assert entails(p, Formula.of(Atom.eq(a, b))) is Verdict.NOT_PROVEN
+    assert Entailment().entails(p, Formula.of(Atom.lt(a, b))) is Verdict.NOT_PROVEN
+    assert Entailment().entails(p, Formula.of(Atom.eq(a, b))) is Verdict.NOT_PROVEN
 
 
 def test_entails_cache_and_counters():
@@ -191,7 +192,8 @@ def test_rename_formula_alpha_invariance():
     p = Formula.conj([Atom.lt(a, b)])
     g = Formula.of(Atom.le(a, b))
     ren = {a: x, b: y}
-    assert entails(rename_formula(p, ren), rename_formula(g, ren)) is Verdict.VALID
+    assert Entailment().entails(rename_formula(p, ren),
+                                rename_formula(g, ren)) is Verdict.VALID
 
 
 def test_smtlib_script_well_formed():
@@ -259,7 +261,7 @@ def test_hypothesis_soundness(data):
     rng = random.Random(seed)
     p = _random_formula(rng, vs, rng.randint(1, 3))
     g = _random_formula(rng, vs, 1)
-    if entails(p, g) is Verdict.VALID:
+    if Entailment().entails(p, g) is Verdict.VALID:
         assert brute_force_valid(p, g, 6)
 
 
@@ -274,7 +276,7 @@ def test_hypothesis_premise_monotonicity(data):
     rng = random.Random(seed)
     p = _random_formula(rng, vs, 2)
     g = _random_formula(rng, vs, 1)
-    if entails(p, g) is Verdict.VALID:
+    if Entailment().entails(p, g) is Verdict.VALID:
         import itertools
         for pt in itertools.product(range(0, 7), repeat=2):
             asg = dict(zip(vs, pt))
@@ -338,6 +340,47 @@ def test_non_difference_atom_is_decided_by_fourier_motzkin():
         assert Entailment().entails(p, g) is Verdict.VALID
     assert fm.call_count == 1
     assert brute_force_valid(p, g, 8)
+
+
+# --- equalities without the engine ------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_offset_closure_differences_are_entailed(data):
+    draw = data.draw
+    vs = [SymVar(i, "o") for i in range(1, draw(st.integers(1, 5)) + 1)]
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        x = draw(st.sampled_from(vs))
+        y = draw(st.sampled_from(vs))
+        if x == y or draw(st.booleans()):
+            atoms.append(Atom.eq(x, draw(st.integers(0, 8))))
+        else:
+            d = draw(st.integers(-4, 4))
+            atoms.append(Atom.eq(Term.of(x) - Term.of(y), d))
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(st.sampled_from(vs))
+        atoms.append(Atom.le(x, draw(st.integers(0, 8))))
+    f = Formula.conj(draw(st.permutations(atoms)))
+    closure = OffsetClosure(f)
+    derived = []
+    for a in vs + [0]:
+        for b in vs:
+            d = closure.diff(a, b)
+            if d is not None:
+                derived.append(Atom.eq(Term.of(a) - Term.of(b), d))
+    assert brute_force_valid(f, Formula.of(*derived), 8), f"{f}: {derived}"
+
+
+def test_propagate_equalities_to_fixpoint():
+    a, b, c, d = V
+    eqs = [Atom.eq(Term.of(c), Term.of(b) - Term.of(a)),
+           Atom.eq(b, Term.of(a) + 3),
+           Atom.eq(Term.of(d).scale(2), c)]
+    known = {a: 4}
+    propagate_equalities(eqs, known)
+    # 2d = 3 has no integer solution, so d stays unknown.
+    assert known == {a: 4, b: 7, c: 3}
 
 
 def test_fresh_vars_strictly_increase():

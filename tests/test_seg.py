@@ -16,14 +16,14 @@ from listterm.absdom import (
     state_formula,
 )
 from listterm.ir import AggType, I32, ProgramPosition, PtrType, parse_program
-from listterm.logic import Atom, Entailment, Formula, SymVar, Term
+from listterm.logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
+                            Term)
 from listterm.seg import (
     COMPLETE,
     CONTAINS_ERR,
     GENERALIZATION,
     INCOMPLETE,
     BuildConfig,
-    OffsetClosure,
     build_seg,
     can_merge,
     check_generalization,
