@@ -5,12 +5,14 @@ States are immutable values.  The state formula is the least fixed point of
 a set of clause families over the state's memory components; the conditional
 families (points-to functionality/injectivity, list-length consequences)
 consult the partial formula through the entailment engine, so generation is
-a saturation loop.  Results are memoized per state.
+a saturation loop.  Results are memoized per state in the engine's
+``state_formulas``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .ir import AggType, IrType, ProgramPosition
@@ -118,6 +120,15 @@ class AbstractState:
     li: Tuple[ListInvariant, ...]
     kb: Formula
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The dataclass's field-tuple hash, computed once: states are hashed
+        # on every state-formula lookup.
+        return hash((self.pos, self.lv, self.al, self.pt, self.li, self.kb))
+
     # -- construction --------------------------------------------------------
 
     @staticmethod
@@ -165,7 +176,9 @@ class AbstractState:
         m[var] = value
         return m
 
+    @cached_property
     def sym_vars(self) -> Tuple[SymVar, ...]:
+        """The state's symbolic variables, sorted by id (computed once)."""
         seen: Dict[SymVar, None] = {}
 
         def add(v):
@@ -217,11 +230,7 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
     pointer for provably length-2+ lists, and length >= 2 when some field's
     first and last values provably differ.
     """
-    cache: Dict[AbstractState, Formula]
-    cache = getattr(engine, "_state_formula_cache", None)
-    if cache is None:
-        cache = {}
-        engine._state_formula_cache = cache  # type: ignore[attr-defined]
+    cache = engine.state_formulas
     cached = cache.get(s)
     if cached is not None:
         return cached
@@ -304,7 +313,7 @@ def is_satisfiable(s: AbstractState, engine: Entailment) -> bool:
 def alpha_rename(s: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
     """Homomorphic renaming; the map must be injective on the state's
     variables (unmentioned variables stay fixed)."""
-    relevant = [v for v in s.sym_vars() if v in ren]
+    relevant = [v for v in s.sym_vars if v in ren]
     images = [ren[v] for v in relevant]
     if len(set(images)) != len(images):
         raise ValueError("renaming is not injective on the state's variables")

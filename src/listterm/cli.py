@@ -15,17 +15,17 @@ then environment variables.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .absdom import ErrState
 from .concrete import FuelExhausted, Trace, format_trace, represents, run_concrete
-from .ir import ParseError, Program, parse_program
+from .ir import GepByte, GepField, ParseError, Program, Store, parse_program
 from .its import export_its, extract_its, prove_termination
 from .logic import Entailment
 from .seg import (
@@ -33,13 +33,14 @@ from .seg import (
     CONTAINS_ERR,
     EVALUATION,
     GENERALIZATION,
-    REFINEMENT,
     BuildConfig,
+    Edge,
     Seg,
     build_seg,
     to_dot,
     to_json,
 )
+from .symexec import is_return
 
 EXIT_PROVED = 0
 EXIT_PARSE_ERROR = 1
@@ -56,7 +57,8 @@ _CONFIG_KEYS = ("smt", "max_nodes", "max_merges", "fuel", "seed")
 
 
 def load_config(path: str) -> Dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines, integers for every key but ``smt``; blank lines and
+    # comments ignored."""
     out: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -66,10 +68,16 @@ def load_config(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+            try:
+                if key != "smt":
+                    int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be an "
+                                 f"integer, got {value!r}") from None
+            out[key] = value
     return out
 
 
@@ -261,63 +269,121 @@ def cmd_run(args: argparse.Namespace, settings: Settings,
 # Differential representation checking
 # --------------------------------------------------------------------------
 
+# What a followed edge does; ``match_trace`` counts its checks per class.
+GEN = "generalization"  # the more abstract target represents the same state
+EXT = "extension"       # a store that grows a summarized list segment
+TRAV = "traversal"      # an address computation moving a summary's root
+OTHER = "other"         # any other evaluation edge
+
+
+def classify_eval_edge(seg: Seg, prog: Program, src: int, dst: int) -> str:
+    """EXT for a store and TRAV for an address computation that change a
+    list summary's root or length, OTHER for any other evaluation edge."""
+    a, b = seg.states[src], seg.states[dst]
+    if isinstance(a, ErrState) or isinstance(b, ErrState):
+        return OTHER
+    if [(l.ad, l.length) for l in a.li] == [(l.ad, l.length) for l in b.li]:
+        return OTHER
+    ins = prog.instruction_at(a.pos)
+    if isinstance(ins, Store):
+        return EXT
+    if isinstance(ins, (GepByte, GepField)):
+        return TRAV
+    return OTHER
+
+
 def match_trace(trace: Trace, seg: Seg, prog: Program,
-                engine: Optional[Entailment] = None) -> Optional[int]:
-    """Index of the first concrete state along the trace not represented by
-    any reachable graph state, or None when the whole prefix matches.
+                engine: Optional[Entailment] = None
+                ) -> Tuple[Counter, List[Tuple[int, str, int, int]]]:
+    """Follow a concrete run through the graph and check every followed edge.
 
-    Candidate graph nodes advance in lockstep with the trace: refinement
-    and generalization edges are silent (no instruction runs), evaluation
-    edges consume one concrete step."""
-    silent: Dict[int, List[int]] = {}
-    stepping: Dict[int, List[int]] = {}
+    Candidate nodes advance in lockstep with the trace. Refinement and
+    generalization edges are silent (no instruction runs): a refinement
+    branch is followed only when its target represents the concrete state,
+    since a run takes one branch of a case split, while a generalization
+    edge out of a representing node must keep representing it. Each
+    evaluation edge out of a candidate consumes one step, and its target
+    must represent the next state. Nodes without one (returns and ERR) keep
+    representing the final state. The walk stops at a node that graph
+    construction never expanded (after an error state, or at a size cap).
+
+    Returns (checks per edge class, violations). A violation is (index of
+    the concrete state the edge's target does not represent, edge class,
+    src, dst), or (index, OTHER, -1, -1) when no candidate is left.
+    """
+    silent: Dict[int, List[Edge]] = {}
+    steps: Dict[int, List[Tuple[int, str]]] = {}
     for e in seg.edges:
-        kind = silent if e.kind in (REFINEMENT, GENERALIZATION) else stepping
-        kind.setdefault(e.src, []).append(e.dst)
+        if e.kind == EVALUATION:
+            steps.setdefault(e.src, []).append(
+                (e.dst, classify_eval_edge(seg, prog, e.src, e.dst)))
+        else:
+            silent.setdefault(e.src, []).append(e)
+    counts: Counter = Counter()
+    violations: List[Tuple[int, str, int, int]] = []
+    # Does node n represent trace.states[i]? Kept for one step at a time.
+    memo: Dict[Tuple[int, int], bool] = {}
 
-    def closure(nodes: Iterable[int]) -> List[int]:
-        seen = set(nodes)
-        work = list(seen)
-        while work:
-            n = work.pop()
-            for m in silent.get(n, ()):
-                if m not in seen:
-                    seen.add(m)
-                    work.append(m)
-        return sorted(seen)
+    def rep(n: int, i: int) -> bool:
+        if (n, i) not in memo:
+            st, c = seg.states[n], trace.states[i]
+            memo[n, i] = isinstance(st, ErrState) or (
+                st.pos == c.pos and represents(c, st, prog.layout, engine))
+        return memo[n, i]
 
-    from .symexec import is_return
-
-    def frontier(n: int) -> bool:
-        # Never stepped: graph construction stopped before expanding it
-        # (after reaching an error state, or at a size cap).
-        if n in silent or n in stepping:
+    def frontier(node: int) -> bool:
+        if node in silent or node in steps:
             return False
-        st = seg.states[n]
+        st = seg.states[node]
         return not isinstance(st, ErrState) and not is_return(st, prog)
 
-    cands = closure([seg.root])
-    for i, c in enumerate(trace.states):
-        live = [n for n in cands
-                if isinstance(seg.states[n], ErrState)
-                or (seg.states[n].pos == c.pos
-                    and represents(c, seg.states[n], prog.layout, engine))]
-        if not live:
-            return i
-        if any(frontier(n) for n in live):
-            return None  # matched up to the unexplored part of the graph
-        if i + 1 < len(trace.states):
-            nxt = [m for n in live for m in stepping.get(n, ())]
-            # Halting instructions leave the concrete position in place, so
-            # leaf nodes keep representing the final state.
-            nxt += [n for n in live if n not in stepping]
-            cands = closure(nxt)
-    return None
+    def closure(live: List[int], i: int) -> List[int]:
+        """The representing nodes reached from ``live`` by silent edges."""
+        seen = set(live)
+        work = list(live)
+        while work:
+            for e in silent.get(work.pop(), ()):
+                if e.dst in seen:
+                    continue
+                if e.kind == GENERALIZATION:
+                    counts[GEN] += 1
+                    if not rep(e.dst, i):
+                        violations.append((i, GEN, e.src, e.dst))
+                        continue
+                elif not rep(e.dst, i):
+                    continue
+                seen.add(e.dst)
+                work.append(e.dst)
+        return sorted(seen)
+
+    cands = closure([seg.root] if rep(seg.root, 0) else [], 0)
+    for i in range(len(trace.states)):
+        if not cands:
+            violations.append((i, OTHER, -1, -1))
+            break
+        if i + 1 == len(trace.states) or any(frontier(n) for n in cands):
+            break
+        memo.clear()
+        stepped: List[int] = []
+        for n in cands:
+            if n not in steps:
+                if rep(n, i + 1):  # a halting node: the position stays put
+                    stepped.append(n)
+                continue
+            for dst, cls in steps[n]:
+                counts[cls] += 1
+                if rep(dst, i + 1):
+                    stepped.append(dst)
+                else:
+                    violations.append((i + 1, cls, n, dst))
+        cands = closure(sorted(set(stepped)), i + 1)
+    return counts, violations
 
 
 def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
                        fuel: int, engine: Optional[Entailment] = None):
-    """(runs, violations, fuel_exhausted) over the given seeds."""
+    """(runs, [(seed, first unrepresented step)], fuel_exhausted) over the
+    given seeds."""
     violations = []
     exhausted = 0
     for seed in seeds:
@@ -328,9 +394,9 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
             exhausted += 1
             trace = run_concrete(prog, nondet_stream(seed), fuel=256,
                                  partial=True)
-        bad = match_trace(trace, seg, prog, engine)
-        if bad is not None:
-            violations.append((seed, bad))
+        bad = match_trace(trace, seg, prog, engine)[1]
+        if bad:
+            violations.append((seed, bad[0][0]))
     return len(seeds), violations, exhausted
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from . import ir
-from .absdom import AbstractState, ErrState, StateOrErr, value_term
+from .absdom import AbstractState, ErrState, StateOrErr, state_formula
 from .ir import DataLayout, Instruction, Program, ProgramPosition, type_size
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
                     eval_formula, propagate_equalities)
@@ -313,25 +313,7 @@ def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
 # Representation of concrete states by abstract states
 # --------------------------------------------------------------------------
 
-# The representation checker is called once per trace step per candidate
-# graph node, so per-state derived data is cached (keyed by identity; the
-# value keeps the state alive so ids cannot be recycled).
-_state_cache: Dict[int, Tuple[AbstractState, Formula, tuple]] = {}
-
-
-def _state_data(s: AbstractState,
-                engine: Entailment) -> Tuple[Formula, tuple]:
-    hit = _state_cache.get(id(s))
-    if hit is not None and hit[0] is s:
-        return hit[1], hit[2]
-    from .absdom import state_formula
-    formula = state_formula(s, engine)
-    svars = tuple(sorted(s.sym_vars(), key=lambda v: (v.id, v.hint)))
-    _state_cache[id(s)] = (s, formula, svars)
-    return formula, svars
-
-
-def _solve_sigma(s: AbstractState, engine: Entailment,
+def _solve_sigma(s: AbstractState, svars: Tuple[SymVar, ...],
                  seed: Dict[SymVar, int],
                  layout: DataLayout, c: ConcreteState,
                  formula: Formula,
@@ -428,7 +410,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
     # onto it, so a whole affine-connected class is assigned consistently.
     closure = OffsetClosure(formula)
     for _ in range(4):
-        free = [v for v in _state_data(s, engine)[1] if v not in sigma]
+        free = [v for v in svars if v not in sigma]
         if not free:
             break
         for v in free:
@@ -468,7 +450,7 @@ def _solve_sigma(s: AbstractState, engine: Entailment,
                 sigma[v] = (lo if lo is not None else 0) + shift
             propagate_equalities(eqs, sigma)
 
-    if any(v not in sigma for v in _state_data(s, engine)[1]):
+    if any(v not in sigma for v in svars):
         return None
     return sigma
 
@@ -485,8 +467,8 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     """
     if isinstance(s, ErrState):
         return True  # ERR makes no claims; everything is an instance
-    engine = engine or Entailment()
-    formula = _state_data(s, engine)[0]
+    formula = state_formula(s, engine or Entailment())
+    svars = s.sym_vars
 
     lv = s.lv_map()
     if set(lv) != set(c.asgn):
@@ -504,7 +486,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
 
     clear = max((hi for _, hi in c.allocations), default=0) + 64
     for shift in (0, clear):
-        sigma = _solve_sigma(s, engine, seed, layout, c, formula,
+        sigma = _solve_sigma(s, svars, seed, layout, c, formula,
                              shift=shift)
         if sigma is not None and _check_instance(c, s, layout, sigma,
                                                  formula):
@@ -513,7 +495,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     # Values propagated purely from the program-variable assignment are the
     # same under every instantiation, so a conflict among them is final.
     # This rejects wrong-branch candidates without the enumeration below.
-    if not _seed_consistent(s, engine, seed, layout, c, formula):
+    if not _seed_consistent(seed, formula):
         return False
 
     # The chain walk guesses each summary's extent greedily, which can go
@@ -523,7 +505,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     # (short chains, few node-sized allocations), so enumerate.
     if not s.li:
         return False
-    probe = _solve_sigma(s, engine, seed, layout, c, formula, probe=True)
+    probe = _solve_sigma(s, svars, seed, layout, c, formula, probe=True)
     root_choices: List[List] = []
     for l in s.li:
         if isinstance(l.ad, SymVar) and l.ad not in probe:
@@ -551,7 +533,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
                     seeded[v] = lo
             seeded.update(zip(lengths, len_combo))
             for shift in (0, clear):
-                sigma = _solve_sigma(s, engine, seeded, layout, c, formula,
+                sigma = _solve_sigma(s, svars, seeded, layout, c, formula,
                                      shift=shift)
                 if sigma is not None and _check_instance(c, s, layout,
                                                          sigma, formula):
@@ -559,9 +541,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     return False
 
 
-def _seed_consistent(s, engine: Entailment, seed: Dict[SymVar, int],
-                     layout: DataLayout, c: ConcreteState,
-                     formula: Formula) -> bool:
+def _seed_consistent(seed: Dict[SymVar, int], formula: Formula) -> bool:
     """Can any instantiation extending the seed satisfy the formula?  Only
     constraints fully determined by the seed (under equality propagation)
     are checked, so False is definitive while True is inconclusive."""

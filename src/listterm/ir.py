@@ -10,7 +10,7 @@ nondet, free, ret).  Everything is immutable after parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 

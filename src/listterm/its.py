@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .absdom import AbstractState, ErrState, Value, state_formula, value_term
+from .absdom import AbstractState, Value, state_formula
 from .ir import Program
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
                     clause_sexpr, term_sexpr)

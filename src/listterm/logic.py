@@ -812,6 +812,8 @@ class Entailment:
         self.smt_cmd = smt_cmd
         self.effort = effort
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
+        # absdom.state_formula's results, per abstract state.
+        self.state_formulas: Dict[object, Formula] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from . import ir
 from .absdom import (
-    ERR,
     AbstractState,
     Allocation,
     ErrState,
@@ -543,7 +542,7 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
         if img(vbar) is None or img(vbar) != dict(s.lv)[x]:
             return False
 
-    if any(v not in mu for v in sbar.sym_vars()):
+    if any(v not in mu for v in sbar.sym_vars):
         return False
 
     f = state_formula(s, engine)
@@ -684,7 +683,7 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
         if not progress:
             break
 
-    if any(v not in mu for v in sbar.sym_vars()):
+    if any(v not in mu for v in sbar.sym_vars):
         return None
     if not check_generalization(s, sbar, mu, prog, engine):
         return None
@@ -822,7 +821,7 @@ def _canonical_renaming(seg: Seg) -> Dict[SymVar, SymVar]:
     for st in seg.states:
         if isinstance(st, ErrState):
             continue
-        for v in st.sym_vars():
+        for v in st.sym_vars:
             if v not in ren:
                 ren[v] = SymVar(counter, v.hint)
                 counter += 1
@@ -848,7 +847,7 @@ def to_dot(seg: Seg) -> str:
             label = "ERR"
         else:
             label = str(alpha_rename(st, {v: w for v, w in ren.items()
-                                          if v in st.sym_vars()}))
+                                          if v in st.sym_vars}))
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{i}: {label}"];')
     styles = {EVALUATION: "solid", REFINEMENT: "dashed",
@@ -873,7 +872,7 @@ def to_json(seg: Seg) -> str:
             nodes.append({"id": i, "err": True})
         else:
             r = alpha_rename(st, {v: w for v, w in ren.items()
-                                  if v in st.sym_vars()})
+                                  if v in st.sym_vars})
             nodes.append({"id": i, "err": False, "pos": str(st.pos),
                           "state": str(r)})
     edges = []

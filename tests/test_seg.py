@@ -260,7 +260,7 @@ def test_find_instantiation_identity(build_only_seg):
     merged = seg.states[midx]
     mu = find_instantiation(merged, merged, prog, eng)
     assert mu is not None
-    assert all(mu[v] == v for v in merged.sym_vars())
+    assert all(mu[v] == v for v in merged.sym_vars)
 
 
 def test_find_instantiation_rejects_position_mismatch(build_only_seg):

@@ -18,9 +18,9 @@ from collections import Counter
 
 import pytest
 
-from _support import EXT, GEN, TRAV, walk_trace
 from listterm.absdom import AbstractState, ErrState, state_formula
-from listterm.cli import nondet_stream
+from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
+                          nondet_stream)
 from listterm.concrete import run_concrete
 from listterm.ir import AggType, ProgramPosition, Ret, parse_program
 from listterm.logic import Atom, Entailment, Formula, Term, Verdict
@@ -506,7 +506,7 @@ def test_walker_preserves_representation_on_sampled_runs():
         seg = build_seg(prog, eng)
         for seed in (5, 6, 17):
             trace = run_concrete(prog, nondet_stream(seed), fuel=10000)
-            got, violations = walk_trace(trace, seg, prog, eng)
+            got, violations = match_trace(trace, seg, prog, eng)
             assert violations == []
             counts += got
     assert counts[GEN] > 0 and counts[EXT] > 0
@@ -524,5 +524,19 @@ def test_walker_flags_a_corrupted_graph():
     e = seg.edges[evals[1]]
     seg.edges[evals[1]] = Edge(e.src, seg.root, e.kind, e.instantiation)
     trace = run_concrete(prog, nondet_stream(3), fuel=10000)
-    _, violations = walk_trace(trace, seg, prog, eng)
+    _, violations = match_trace(trace, seg, prog, eng)
+    assert violations
+
+
+def test_check_flags_a_retargeted_generalization_edge():
+    """A generalization edge retargeted to the root stops representing the
+    runs that follow it; ``listterm check`` must report them."""
+    prog = parse_program((CORPUS / "count_up.ll").read_text())
+    eng = Entailment()
+    seg = build_seg(prog, eng)
+    from listterm.seg import Edge
+    i = next(i for i, e in enumerate(seg.edges) if e.kind == GENERALIZATION)
+    e = seg.edges[i]
+    seg.edges[i] = Edge(e.src, seg.root, e.kind, e.instantiation)
+    _, violations, _ = differential_check(prog, seg, range(6), 10000, eng)
     assert violations
