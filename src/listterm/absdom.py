@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .ir import AggType, IrType, ProgramPosition
-from .logic import Atom, Entailment, Formula, SymVar, Term
+from .logic import Atom, Entailment, Formula, SymVar, Term, rename_formula
 
 Value = Union[SymVar, int]
 
@@ -321,7 +321,6 @@ def alpha_rename(s: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
     def r(v: Value) -> Value:
         return ren.get(v, v) if isinstance(v, SymVar) else v
 
-    from .logic import rename_formula
     return AbstractState.make(
         pos=s.pos,
         lv={k: r(v) for k, v in s.lv},

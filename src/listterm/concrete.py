@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from . import ir
 from .absdom import AbstractState, ErrState, StateOrErr, state_formula
@@ -75,7 +76,6 @@ class FuelExhausted(Exception):
 class Trace:
     states: List[ConcreteState]
     instructions: List[Instruction]
-    exhausted: bool = False
 
     @property
     def final(self) -> ConcreteState:
@@ -264,9 +264,7 @@ def format_trace(t: Trace, prog: Program) -> str:
                    if before.mem.get(a) != v}
         cells = " ".join(f"{a}:{v}" for a, v in sorted(changed.items()))
         lines.append(f"{before.pos} | {ir.format_instruction(ins)} | {cells}")
-    if t.exhausted:
-        lines.append("-- fuel exhausted --")
-    elif t.final.error:
+    if t.final.error:
         lines.append("-- error --")
     return "\n".join(lines) + "\n"
 
@@ -276,37 +274,40 @@ def format_trace(t: Trace, prog: Program) -> str:
 # --------------------------------------------------------------------------
 
 def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
-                      ad: int,
-                      fields: List[Tuple[int, int, int, int]],
-                      _used: Optional[set] = None) -> bool:
-    """Does ``mem`` contain an ``ell``-element chain of ``bs``-byte nodes
-    starting at ``ad``?
+                      ad: int, fields: List[Tuple[int, int, int, int]],
+                      allocations: Container[Tuple[int, int]]) -> bool:
+    """Does ``mem`` contain an ``ell``-element chain of allocated
+    ``bs``-byte nodes starting at ``ad``?
 
     ``fields`` lists (offset, byte size, first-element value, last-element
     value); ``j`` is the 1-based index of the chain field.  Node footprints
     must be pairwise disjoint; intermediate elements' field values are read
-    off the memory itself.
+    off the memory itself.  Every node must be one of the (start, end)
+    ranges in ``allocations``.
     """
     if ell < 1:
         return False
-    used = set() if _used is None else _used
-    foot = range(ad, ad + bs)
-    if any(a not in mem or a in used for a in foot):
-        return False
-    for off, size, first, _last in fields:
-        if read_le(mem, ad + off, size) != first:
+    used: set = set()
+    values = [first for _off, _size, first, _last in fields]
+    while True:
+        foot = range(ad, ad + bs)
+        if any(a not in mem or a in used for a in foot):
             return False
-    if ell == 1:
-        return all(first == last for _off, _size, first, last in fields)
-    next_ad = fields[j - 1][2]
-    tail_fields = []
-    for off, size, _first, last in fields:
-        second = read_le(mem, next_ad + off, size)
-        if second is None:
+        if (ad, ad + bs - 1) not in allocations:
             return False
-        tail_fields.append((off, size, second, last))
-    return eval_li_predicate(mem, bs, j, ell - 1, next_ad, tail_fields,
-                             used | set(foot))
+        for (off, size, _first, _last), value in zip(fields, values):
+            if read_le(mem, ad + off, size) != value:
+                return False
+        ell -= 1
+        if ell == 0:
+            return all(value == last for (_off, _size, _first, last), value
+                       in zip(fields, values))
+        used.update(foot)
+        ad = values[j - 1]
+        values = [read_le(mem, ad + off, size)
+                  for off, size, _first, _last in fields]
+        if None in values:
+            return False
 
 
 # --------------------------------------------------------------------------
@@ -589,25 +590,12 @@ def _check_instance(c: ConcreteState, s, layout: DataLayout,
         if got is None or got != sv(p.value):
             return False
 
-    # List summaries: the chain predicate plus per-node allocations linked
-    # start-to-start through the chain field.
+    # List summaries: the chain predicate over allocated nodes.
     for l in s.li:
-        bs = type_size(l.ty, layout)
         fields = [(f.off, type_size(f.fty, layout), sv(f.first), sv(f.last))
                   for f in l.fields]
-        ell = sv(l.length)
-        if not eval_li_predicate(c.mem, bs, l.rec_index, ell, sv(l.ad),
-                                 fields):
+        if not eval_li_predicate(c.mem, type_size(l.ty, layout), l.rec_index,
+                                 sv(l.length), sv(l.ad), fields,
+                                 c.allocations):
             return False
-        rec = l.rec_field
-        rec_size = type_size(rec.fty, layout)
-        node = sv(l.ad)
-        for k in range(ell):
-            if (node, node + bs - 1) not in c.allocations:
-                return False
-            nxt = read_le(c.mem, node + rec.off, rec_size)
-            if k < ell - 1:
-                if nxt is None:
-                    return False
-                node = nxt
     return True

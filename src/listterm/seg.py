@@ -27,6 +27,7 @@ from .absdom import (
     PointsTo,
     StateOrErr,
     Value,
+    alpha_rename,
     is_satisfiable,
     state_formula,
     value_key,
@@ -694,12 +695,16 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
 # Driver
 # --------------------------------------------------------------------------
 
+# Merges at one position before merging widens (stage 1) and before it
+# keeps only the shape (stage 2).
+WIDEN_AFTER = 3
+SHAPE_ONLY_AFTER = 6
+
+
 @dataclass
 class BuildConfig:
     max_nodes: int = 10_000
     max_merges_per_position: int = 8
-    widen_after: int = 3
-    shape_only_after: int = 6
 
 
 def build_seg(prog: Program, engine: Optional[Entailment] = None,
@@ -781,8 +786,8 @@ def build_seg(prog: Program, engine: Optional[Entailment] = None,
                     incomplete = True
                     break
                 n_merges = merge_count.get(s.pos, 0)
-                stage = (2 if n_merges >= config.shape_only_after
-                         else 1 if n_merges >= config.widen_after else 0)
+                stage = (2 if n_merges >= SHAPE_ONLY_AFTER
+                         else 1 if n_merges >= WIDEN_AFTER else 0)
                 merged, mu_old, mu_new = merge_states(
                     seg.states[partner], s, prog, engine, widen_stage=stage)
                 merge_count[s.pos] = n_merges + 1
@@ -838,16 +843,15 @@ def _rename_value(v: Value, ren: Dict[SymVar, SymVar]) -> Value:
     return ren.get(v, v) if isinstance(v, SymVar) else v
 
 
+def _renamed(st: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
+    return alpha_rename(st, {v: w for v, w in ren.items() if v in st.sym_vars})
+
+
 def to_dot(seg: Seg) -> str:
-    from .absdom import alpha_rename
     ren = _canonical_renaming(seg)
     lines = ["digraph seg {", "  node [shape=box, fontsize=9];"]
     for i, st in enumerate(seg.states):
-        if isinstance(st, ErrState):
-            label = "ERR"
-        else:
-            label = str(alpha_rename(st, {v: w for v, w in ren.items()
-                                          if v in st.sym_vars}))
+        label = "ERR" if isinstance(st, ErrState) else str(_renamed(st, ren))
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{i}: {label}"];')
     styles = {EVALUATION: "solid", REFINEMENT: "dashed",
@@ -864,17 +868,14 @@ def to_dot(seg: Seg) -> str:
 
 
 def to_json(seg: Seg) -> str:
-    from .absdom import alpha_rename
     ren = _canonical_renaming(seg)
     nodes = []
     for i, st in enumerate(seg.states):
         if isinstance(st, ErrState):
             nodes.append({"id": i, "err": True})
         else:
-            r = alpha_rename(st, {v: w for v, w in ren.items()
-                                  if v in st.sym_vars})
             nodes.append({"id": i, "err": False, "pos": str(st.pos),
-                          "state": str(r)})
+                          "state": str(_renamed(st, ren))})
     edges = []
     for e in seg.edges:
         item = {"src": e.src, "dst": e.dst, "kind": e.kind}

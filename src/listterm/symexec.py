@@ -7,10 +7,12 @@ complementary.  When no rule's memory-safety side conditions can be proven,
 the successor is the absorbing error state.
 
 Rule priority where several could match: stores try list extension before
-the plain store rule; getelementptr tries the list traversal family before
-plain pointer arithmetic (and within the family, the list-splitting
-variants before the plain ones whenever a second summary ends at the
-traversed list's root); loads try allocated memory before list summaries.
+the plain store rule; getelementptr tries list traversal before plain
+pointer arithmetic; loads try allocated memory before list summaries.
+Traversal is one rule: the head node leaves the summary, joining a second
+summary that ends at the traversed list's root if there is one and
+becoming plain memory otherwise, and the summary moves on to its second
+node, or dissolves when its length is 1.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ def _kb_add(s: AbstractState, *atoms: Atom) -> Formula:
     return s.kb.and_(Formula.conj(atoms))
 
 
+def _covered(s: AbstractState, f: Formula, engine: Entailment, ad: Term,
+             size: int) -> bool:
+    """Do the ``size`` bytes at ``ad`` lie inside one allocation?"""
+    return any(
+        engine.holds(f, Atom.le(a.lo, ad), Atom.le(ad + size - 1, a.hi))
+        for a in s.al)
+
+
+def _disjoint(f: Formula, engine: Entailment, p: PointsTo, lo: Term,
+              hi: Term, prog: Program) -> bool:
+    """Is points-to entry ``p`` provably disjoint from the bytes [lo, hi]?"""
+    addr = Term.of(p.addr)
+    end = addr + type_size(p.ty, prog.layout) - 1
+    return engine.holds(f, (Atom.lt(end, lo), Atom.lt(hi, addr)))
+
+
 # --------------------------------------------------------------------------
 # load
 # --------------------------------------------------------------------------
@@ -66,11 +84,7 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
         return None
     f = state_formula(s, engine)
     ad_t = value_term(ad)
-    size = type_size(ins.ty, prog.layout)
-    covered = any(
-        engine.holds(f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
-        for a in s.al)
-    if not covered:
+    if not _covered(s, f, engine, ad_t, type_size(ins.ty, prog.layout)):
         return None
     for p in s.pt:
         if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
@@ -106,10 +120,6 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
 # store
 # --------------------------------------------------------------------------
 
-def _disjoint_goal(lo1: Term, hi1: Term, lo2: Term, hi2: Term):
-    return (Atom.lt(hi1, lo2), Atom.lt(hi2, lo1))
-
-
 def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
                      engine: Entailment) -> Optional[AbstractState]:
     ad = s.lv_of(ins.addr)
@@ -119,22 +129,16 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
     f = state_formula(s, engine)
     ad_t = value_term(ad)
     size = type_size(ins.ty, prog.layout)
-    covered = any(
-        engine.holds(f, Atom.le(a.lo, ad_t), Atom.le(ad_t + size - 1, a.hi))
-        for a in s.al)
-    if not covered:
+    if not _covered(s, f, engine, ad_t, size):
         return None
 
     new_pt: List[PointsTo] = []
     target_addr: Optional[Value] = None
     for p in s.pt:
-        p_size = type_size(p.ty, prog.layout)
         if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
             target_addr = p.addr  # replaced below
             continue
-        if engine.holds(f, _disjoint_goal(
-                Term.of(p.addr), Term.of(p.addr) + p_size - 1,
-                ad_t, ad_t + size - 1)):
+        if _disjoint(f, engine, p, ad_t, ad_t + size - 1, prog):
             new_pt.append(p)
         # Possibly-overlapping entries are dropped: their content is unknown.
     kb = s.kb
@@ -203,12 +207,8 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                                         ty=l.ty, fields=new_fields,
                                         rec_index=j)
                 lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
-                kept_pt = [
-                    p for p in s.pt
-                    if engine.holds(f, _disjoint_goal(
-                        Term.of(p.addr),
-                        Term.of(p.addr) + type_size(p.ty, prog.layout) - 1,
-                        lo_t, hi_t))]
+                kept_pt = [p for p in s.pt
+                           if _disjoint(f, engine, p, lo_t, hi_t, prog)]
                 new_li = [x for x in s.li if x != l] + [new_inv]
                 return s.replace_components(
                     pos=prog.successor(s.pos),
@@ -277,130 +277,61 @@ def _split_partner(s: AbstractState, l: ListInvariant,
     return None
 
 
-def _traverse_long(s: AbstractState, ins, l: ListInvariant, acc: int,
-                   prog: Program, engine: Entailment) -> AbstractState:
-    """Main traversal (length provably >= 2): the head node becomes plain
-    allocated memory; the summary advances to the second node."""
-    j = l.rec_index
-    size = type_size(l.ty, prog.layout)
-    v_start = fresh_var("start")
-    v_end = fresh_var("end")
-    starts = [fresh_var(f"f{i}") for i in range(1, len(l.fields) + 1)]
-    w_start = fresh_var("head")
-    w_len = fresh_var("len")
+def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
+              partner: Optional[ListInvariant], long: bool,
+              prog: Program) -> AbstractState:
+    """List traversal: the head node leaves summary ``l``.  It joins
+    ``partner`` (a summary ending at ``l``'s root) or, without one, becomes
+    plain memory: an allocation plus one points-to entry per field.  With
+    ``long`` (length provably >= 2) ``l`` moves on to its second node;
+    otherwise it dissolves and its first and last values coincide."""
+    atoms: List[Atom] = []
+    al, pt = list(s.al), list(s.pt)
+    li = [x for x in s.li if x != l and x != partner]
+    if partner is None:
+        v_start = fresh_var("start")
+        v_end = fresh_var("end")
+        starts = [fresh_var(f"f{i}") for i in range(1, len(l.fields) + 1)]
+        size = type_size(l.ty, prog.layout)
+        atoms += [Atom.eq(v_start, l.ad),
+                  Atom.eq(v_end, Term.of(v_start) + size - 1)]
+        al.append(Allocation(v_start, v_end))
+    else:
+        u_len = fresh_var("len")
+        atoms.append(Atom.eq(u_len, Term.of(partner.length) + 1))
+        li.append(ListInvariant(
+            ad=partner.ad, length=u_len, ty=partner.ty,
+            fields=tuple(replace(f1, last=fl.first)
+                         for f1, fl in zip(partner.fields, l.fields)),
+            rec_index=l.rec_index))
+    head = value_term(l.rec_field.first)
+    if long:
+        w_start = fresh_var("head")
+        w_len = fresh_var("len")
+        atoms += [Atom.eq(w_start, head),
+                  Atom.eq(w_len, Term.of(l.length) - 1)]
+        head = Term.of(w_start)
     w_start_j = fresh_var(ins.dst)
-    new_firsts = [fresh_var(f"w{i}") for i in range(1, len(l.fields) + 1)]
-    atoms = [
-        Atom.eq(v_start, l.ad),
-        Atom.eq(v_end, Term.of(v_start) + size - 1),
-        Atom.eq(w_start, value_term(l.rec_field.first)),
-        Atom.eq(w_len, Term.of(l.length) - 1),
-        Atom.eq(w_start_j, Term.of(w_start) + l.fields[acc - 1].off),
-    ]
-    new_pt = list(s.pt)
-    for st, fld in zip(starts, l.fields):
-        atoms.append(Atom.eq(st, Term.of(l.ad) + fld.off))
-        new_pt.append(PointsTo(st, fld.fty, fld.first))
-    new_inv = ListInvariant(
-        ad=w_start, length=w_len, ty=l.ty,
-        fields=tuple(replace(fld, first=w)
-                     for w, fld in zip(new_firsts, l.fields)),
-        rec_index=j)
+    atoms.append(Atom.eq(w_start_j, head + l.fields[acc - 1].off))
+    if long:
+        li.append(ListInvariant(
+            ad=w_start, length=w_len, ty=l.ty,
+            fields=tuple(replace(fld, first=fresh_var(f"w{i}"))
+                         for i, fld in enumerate(l.fields, start=1)),
+            rec_index=l.rec_index))
+    for i, fld in enumerate(l.fields):
+        if partner is None:
+            atoms.append(Atom.eq(starts[i], Term.of(l.ad) + fld.off))
+            pt.append(PointsTo(starts[i], fld.fty, fld.first))
+        if not long:
+            atoms.append(Atom.eq(value_term(fld.first), value_term(fld.last)))
     return s.replace_components(
         pos=prog.successor(s.pos),
         lv=s.bind(ins.dst, w_start_j),
-        al=list(s.al) + [Allocation(v_start, v_end)],
-        pt=new_pt,
-        li=[x for x in s.li if x != l] + [new_inv],
-        kb=s.kb.and_(Formula.conj(atoms)))
-
-
-def _traverse_last(s: AbstractState, ins, l: ListInvariant, acc: int,
-                   prog: Program, engine: Entailment) -> AbstractState:
-    """Traversal of a length-1 summary: it dissolves into plain memory."""
-    size = type_size(l.ty, prog.layout)
-    v_start = fresh_var("start")
-    v_end = fresh_var("end")
-    starts = [fresh_var(f"f{i}") for i in range(1, len(l.fields) + 1)]
-    w_start_j = fresh_var(ins.dst)
-    atoms = [
-        Atom.eq(v_start, l.ad),
-        Atom.eq(v_end, Term.of(v_start) + size - 1),
-        Atom.eq(w_start_j,
-                value_term(l.rec_field.first) + l.fields[acc - 1].off),
-    ]
-    new_pt = list(s.pt)
-    for st, fld in zip(starts, l.fields):
-        atoms.append(Atom.eq(st, Term.of(l.ad) + fld.off))
-        atoms.append(Atom.eq(value_term(fld.first), value_term(fld.last)))
-        new_pt.append(PointsTo(st, fld.fty, fld.first))
-    return s.replace_components(
-        pos=prog.successor(s.pos),
-        lv=s.bind(ins.dst, w_start_j),
-        al=list(s.al) + [Allocation(v_start, v_end)],
-        pt=new_pt,
-        li=[x for x in s.li if x != l],
-        kb=s.kb.and_(Formula.conj(atoms)))
-
-
-def _traverse_split(s: AbstractState, ins, l: ListInvariant,
-                    l1: ListInvariant, acc: int, prog: Program,
-                    engine: Entailment) -> AbstractState:
-    """Split traversal (length >= 2): the head moves from the traversed
-    summary into the prefix summary instead of becoming plain memory."""
-    j = l.rec_index
-    u_len = fresh_var("len")
-    w_start = fresh_var("head")
-    w_len = fresh_var("len")
-    w_start_j = fresh_var(ins.dst)
-    new_firsts = [fresh_var(f"w{i}") for i in range(1, len(l.fields) + 1)]
-    new_l1 = ListInvariant(
-        ad=l1.ad, length=u_len, ty=l1.ty,
-        fields=tuple(replace(f1, last=fl.first)
-                     for f1, fl in zip(l1.fields, l.fields)),
-        rec_index=j)
-    new_l2 = ListInvariant(
-        ad=w_start, length=w_len, ty=l.ty,
-        fields=tuple(replace(fld, first=w)
-                     for w, fld in zip(new_firsts, l.fields)),
-        rec_index=j)
-    atoms = [
-        Atom.eq(u_len, Term.of(l1.length) + 1),
-        Atom.eq(w_start, value_term(l.rec_field.first)),
-        Atom.eq(w_len, Term.of(l.length) - 1),
-        Atom.eq(w_start_j, Term.of(w_start) + l.fields[acc - 1].off),
-    ]
-    return s.replace_components(
-        pos=prog.successor(s.pos),
-        lv=s.bind(ins.dst, w_start_j),
-        li=[x for x in s.li if x not in (l, l1)] + [new_l1, new_l2],
-        kb=s.kb.and_(Formula.conj(atoms)))
-
-
-def _traverse_split_last(s: AbstractState, ins, l: ListInvariant,
-                         l1: ListInvariant, acc: int, prog: Program,
-                         engine: Entailment) -> AbstractState:
-    """Split traversal of a length-1 summary: it is absorbed entirely into
-    the prefix summary."""
-    u_len = fresh_var("len")
-    w_start_j = fresh_var(ins.dst)
-    new_l1 = ListInvariant(
-        ad=l1.ad, length=u_len, ty=l1.ty,
-        fields=tuple(replace(f1, last=fl.first)
-                     for f1, fl in zip(l1.fields, l.fields)),
-        rec_index=l.rec_index)
-    atoms = [
-        Atom.eq(u_len, Term.of(l1.length) + 1),
-        Atom.eq(w_start_j,
-                value_term(l.rec_field.first) + l.fields[acc - 1].off),
-    ]
-    for fld in l.fields:
-        atoms.append(Atom.eq(value_term(fld.first), value_term(fld.last)))
-    return s.replace_components(
-        pos=prog.successor(s.pos),
-        lv=s.bind(ins.dst, w_start_j),
-        li=[x for x in s.li if x not in (l, l1)] + [new_l1],
-        kb=s.kb.and_(Formula.conj(atoms)))
+        al=al,
+        pt=pt,
+        li=li,
+        kb=_kb_add(s, *atoms))
 
 
 def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
@@ -448,16 +379,8 @@ def _step_gep(s: AbstractState, ins, prog: Program,
                 s.replace_components(kb=_kb_add(s, Atom.ge(l.length, 2))),
                 s.replace_components(kb=_kb_add(s, Atom.eq(l.length, 1))))
         partner = _split_partner(s, l, engine)
-        if long:
-            nxt = (_traverse_split(s, ins, l, partner, acc, prog, engine)
-                   if partner is not None
-                   else _traverse_long(s, ins, l, acc, prog, engine))
-        else:
-            nxt = (_traverse_split_last(s, ins, l, partner, acc, prog,
-                                        engine)
-                   if partner is not None
-                   else _traverse_last(s, ins, l, acc, prog, engine))
-        return StepResult.eval_to(nxt)
+        return StepResult.eval_to(
+            _traverse(s, ins, l, acc, partner, long, prog))
     plain = rule_getelementptr_plain(s, ins, prog, engine)
     return StepResult.eval_to(plain if plain is not None else ERR)
 
@@ -561,9 +484,7 @@ def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
         if not engine.holds(f, Atom.eq(value_term(ptr), alloc.lo)):
             continue
         lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
-        kept = [p for p in s.pt if engine.holds(f, _disjoint_goal(
-            Term.of(p.addr), Term.of(p.addr) + type_size(p.ty, prog.layout) - 1,
-            lo_t, hi_t))]
+        kept = [p for p in s.pt if _disjoint(f, engine, p, lo_t, hi_t, prog)]
         return s.replace_components(pos=prog.successor(s.pos),
                                     al=[a for a in s.al if a != alloc],
                                     pt=kept)

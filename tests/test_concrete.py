@@ -165,6 +165,9 @@ def test_format_trace_lines():
 
 # --- chain predicate ---------------------------------------------------------
 
+NODES = [(1408, 1423), (1216, 1231)]  # the nodes of two_node_memory
+
+
 def two_node_memory():
     """Two 16-byte nodes: 1408 -> 1216 -> null, values 5 then 0."""
     mem = {}
@@ -183,15 +186,15 @@ def two_node_memory():
 def test_li_predicate_worked_example():
     mem = two_node_memory()
     assert eval_li_predicate(mem, 16, 2, 2,
-                             1408, [(0, 4, 5, 0), (8, 8, 1216, 0)])
+                             1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
 
 
 def test_li_predicate_wrong_length():
     mem = two_node_memory()
     assert not eval_li_predicate(mem, 16, 2, 1,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)])
+                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
     assert not eval_li_predicate(mem, 16, 2, 3,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)])
+                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
 
 
 def test_li_predicate_base_case_requires_equal_ends():
@@ -200,9 +203,10 @@ def test_li_predicate_base_case_requires_equal_ends():
         mem[a] = 0
     for i, b in enumerate(encode_le(9, 4)):
         mem[100 + i] = b
-    assert eval_li_predicate(mem, 16, 2, 1, 100, [(0, 4, 9, 9), (8, 8, 0, 0)])
+    assert eval_li_predicate(mem, 16, 2, 1, 100, [(0, 4, 9, 9), (8, 8, 0, 0)],
+                             [(100, 115)])
     assert not eval_li_predicate(mem, 16, 2, 1, 100,
-                                 [(0, 4, 9, 8), (8, 8, 0, 0)])
+                                 [(0, 4, 9, 8), (8, 8, 0, 0)], [(100, 115)])
 
 
 def test_li_predicate_rejects_overlap():
@@ -213,14 +217,39 @@ def test_li_predicate_rejects_overlap():
     for i, b in enumerate(encode_le(100, 8)):
         mem[108 + i] = b
     assert not eval_li_predicate(mem, 16, 2, 2, 100,
-                                 [(0, 4, 0, 0), (8, 8, 100, 0)])
+                                 [(0, 4, 0, 0), (8, 8, 100, 0)], [(100, 115)])
 
 
 def test_li_predicate_undefined_byte():
     mem = two_node_memory()
     del mem[1220]
     assert not eval_li_predicate(mem, 16, 2, 2,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)])
+                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
+
+
+def long_chain(n, start=1000):
+    """Memory and allocations of an n-node list at start, start + 24, ...;
+    node k holds payload k and points at node k + 1, the last at null."""
+    addrs = [start + 24 * k for k in range(n)]
+    mem, allocations = {}, []
+    for k, ad in enumerate(addrs):
+        nxt = addrs[k + 1] if k + 1 < n else 0
+        node = encode_le(k, 4) + encode_le(0, 4) + encode_le(nxt, 8)
+        mem.update((ad + i, b) for i, b in enumerate(node))
+        allocations.append((ad, ad + 15))
+    return addrs, mem, allocations
+
+
+def test_li_predicate_walks_a_long_chain():
+    """Far deeper than Python's recursion limit; every node must be
+    allocated."""
+    addrs, mem, allocations = long_chain(3000)
+    fields = [(0, 4, 0, 2999), (8, 8, addrs[1], 0)]
+    nodes = set(allocations)
+    assert eval_li_predicate(mem, 16, 2, 3000, addrs[0], fields, nodes)
+    assert not eval_li_predicate(mem, 16, 2, 2999, addrs[0], fields, nodes)
+    nodes.remove(allocations[-1])
+    assert not eval_li_predicate(mem, 16, 2, 3000, addrs[0], fields, nodes)
 
 
 # --- representation ----------------------------------------------------------
@@ -311,6 +340,14 @@ def test_represents_requires_node_allocations():
     c.allocations.remove((1216, 1231))
     s = list_state()
     assert not represents(c, s, load("straight_line.ll").layout)
+
+
+def test_represents_a_long_list():
+    addrs, mem, allocations = long_chain(3000)
+    mem.update((40 + i, b) for i, b in enumerate(encode_le(addrs[0], 8)))
+    c = ConcreteState(ProgramPosition("b", 0), asgn={"root": 40},
+                      allocations=allocations + [(40, 47)], mem=mem)
+    assert represents(c, list_state(), load("straight_line.ll").layout)
 
 
 def test_concrete_step_does_not_mutate_input():

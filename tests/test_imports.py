@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every import sits at module level."""
 
 from __future__ import annotations
 
@@ -26,4 +27,17 @@ def test_no_unused_imports_in_the_package():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def nested_imports(tree: ast.Module):
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in tree.body)
+
+
+def test_imports_only_at_module_level():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in nested_imports(ast.parse(path.read_text()))]
     assert found == []

@@ -18,12 +18,14 @@ from collections import Counter
 
 import pytest
 
-from listterm.absdom import AbstractState, ErrState, state_formula
+from listterm.absdom import (AbstractState, ErrState, LIField, ListInvariant,
+                             state_formula)
 from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
                           nondet_stream)
 from listterm.concrete import run_concrete
-from listterm.ir import AggType, ProgramPosition, Ret, parse_program
-from listterm.logic import Atom, Entailment, Formula, Term, Verdict
+from listterm.ir import (I32, AggType, ProgramPosition, PtrType, Ret,
+                         parse_program)
+from listterm.logic import Atom, Entailment, Formula, Term, Verdict, fresh_var
 from listterm.seg import (GENERALIZATION, build_seg, check_generalization,
                           find_list)
 from listterm.symexec import EVALUATION, REFINEMENT, is_return, step
@@ -264,6 +266,128 @@ def test_return_position_is_recognized_and_not_stepped():
     assert is_return(s, prog)
     with pytest.raises(ValueError):
         step(s, prog, eng)
+
+
+# --- list traversal: the four (partner, length) shapes --------------------------
+
+TRAVERSE = """\
+    list = type { i32, list* }
+    define i32 @main() {
+    entry:
+      p = getelementptr list, list* cur, i32 0, i32 1
+      ret i32 0
+    }
+    """
+
+
+def traversal_state(long, partner):
+    """``cur`` holds the chain value of the summary's head node, so the
+    field address lands in its second node.  With ``partner`` a prefix
+    summary ends at the traversed summary's root."""
+    prog = parse(TRAVERSE)
+    ptr = PtrType(AggType("list"))
+    a, n, v, v_last, nx, nx_last = (fresh_var(h) for h in
+                                    ("a", "n", "v", "vl", "nx", "nxl"))
+    li = [ListInvariant(a, n, AggType("list"),
+                        (LIField(0, I32, v, v_last),
+                         LIField(8, ptr, nx, nx_last)), 2)]
+    kb = [Atom.ge(n, 2) if long else Atom.eq(n, 1)]
+    pre = None
+    if partner:
+        b, m, u, u_last, ub = (fresh_var(h) for h in
+                               ("b", "m", "u", "ul", "ub"))
+        pre = ListInvariant(b, m, AggType("list"),
+                            (LIField(0, I32, u, u_last),
+                             LIField(8, ptr, ub, a)), 2)
+        li.append(pre)
+        kb.append(Atom.ge(m, 1))
+    s = AbstractState.make(prog.entry_position, lv={"cur": nx}, li=li,
+                           kb=Formula.conj(kb))
+    eng = Entailment()
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION and len(r.successors) == 1
+    t = r.successors[0]
+    assert not isinstance(t, ErrState)
+    assert t.pos == ProgramPosition("entry", 1)
+    return eng, s, t, li[0], pre
+
+
+def holds(eng, s, *atoms):
+    return eng.holds(state_formula(s, eng), *atoms)
+
+
+def assert_head_became_memory(eng, s, t, l):
+    """The head node is a 16-byte allocation at the old root holding the
+    head's field values."""
+    assert len(t.al) == len(s.al) + 1
+    new = t.al[-1]
+    assert holds(eng, t, Atom.eq(new.lo, l.ad),
+                 Atom.eq(new.hi, Term.of(l.ad) + 15))
+    assert len(t.pt) == 2
+    for fld in l.fields:
+        entry = next(p for p in t.pt if p.value == fld.first)
+        assert entry.ty == fld.fty
+        assert holds(eng, t, Atom.eq(entry.addr, Term.of(l.ad) + fld.off))
+
+
+def assert_dissolved(eng, t, l):
+    for fld in l.fields:
+        assert holds(eng, t, Atom.eq(fld.first, fld.last))
+
+
+def assert_absorbed(eng, t, l, pre):
+    """The prefix summary grew by the head node and ends at its values."""
+    grown = next(x for x in t.li if x.ad == pre.ad)
+    assert holds(eng, t, Atom.eq(grown.length, Term.of(pre.length) + 1))
+    assert [f.last for f in grown.fields] == [f.first for f in l.fields]
+    assert [f.first for f in grown.fields] == [f.first for f in pre.fields]
+    assert t.al == () and t.pt == ()
+
+
+def assert_advanced(eng, t, l, pre):
+    """The summary now starts at the second node, one node shorter."""
+    rest = next(x for x in t.li if pre is None or x.ad != pre.ad)
+    assert holds(eng, t, Atom.eq(rest.ad, l.rec_field.first),
+                 Atom.eq(rest.length, Term.of(l.length) - 1),
+                 Atom.ge(rest.length, 1))
+    assert [f.last for f in rest.fields] == [f.last for f in l.fields]
+
+
+def assert_destination(eng, t, l):
+    assert holds(eng, t, Atom.eq(dict(t.lv)["p"],
+                                 Term.of(l.rec_field.first) + 8))
+
+
+def test_traversal_of_long_summary_advances_it():
+    eng, s, t, l, _ = traversal_state(long=True, partner=False)
+    assert len(t.li) == 1
+    assert_advanced(eng, t, l, None)
+    assert_head_became_memory(eng, s, t, l)
+    assert_destination(eng, t, l)
+
+
+def test_traversal_of_length_one_summary_dissolves_it():
+    eng, s, t, l, _ = traversal_state(long=False, partner=False)
+    assert t.li == ()
+    assert_head_became_memory(eng, s, t, l)
+    assert_dissolved(eng, t, l)
+    assert_destination(eng, t, l)
+
+
+def test_split_traversal_of_long_summary_moves_head_into_prefix():
+    eng, s, t, l, pre = traversal_state(long=True, partner=True)
+    assert len(t.li) == 2
+    assert_absorbed(eng, t, l, pre)
+    assert_advanced(eng, t, l, pre)
+    assert_destination(eng, t, l)
+
+
+def test_split_traversal_of_length_one_summary_is_absorbed_by_prefix():
+    eng, s, t, l, pre = traversal_state(long=False, partner=True)
+    assert len(t.li) == 1
+    assert_absorbed(eng, t, l, pre)
+    assert_dissolved(eng, t, l)
+    assert_destination(eng, t, l)
 
 
 # --- flagship program landmarks -------------------------------------------------
