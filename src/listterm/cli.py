@@ -26,14 +26,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .absdom import ErrState
 from .concrete import FuelExhausted, Trace, format_trace, represents, run_concrete
 from .ir import GepByte, GepField, ParseError, Program, Store, parse_program
-from .its import export_its, extract_its, prove_termination
+from .its import ITS, export_its, extract_its, prove_termination
 from .logic import Entailment
 from .seg import (
     COMPLETE,
     CONTAINS_ERR,
     EVALUATION,
     GENERALIZATION,
-    BuildConfig,
+    MAX_MERGES,
+    MAX_NODES,
     Edge,
     Seg,
     build_seg,
@@ -100,8 +101,8 @@ class Settings:
                                    None, int)
             return default if value is None else value
 
-        self.max_nodes = number("max_nodes", 10_000)
-        self.max_merges = number("max_merges", 8)
+        self.max_nodes = number("max_nodes", MAX_NODES)
+        self.max_merges = number("max_merges", MAX_MERGES)
         self.fuel = number("fuel", 10_000)
         self.seed = number("seed", None)
         for key, value in (("max_nodes", self.max_nodes),
@@ -111,13 +112,6 @@ class Settings:
             if value < 0:
                 raise ValueError(f"{key} must not be negative, got {value}")
 
-    def engine(self) -> Entailment:
-        return Entailment(smt_cmd=self.smt)
-
-    def build_config(self) -> BuildConfig:
-        return BuildConfig(max_nodes=self.max_nodes,
-                           max_merges_per_position=self.max_merges)
-
 
 def _load(args: argparse.Namespace) -> Tuple[Settings, Program]:
     """The settings and the parsed program of a command; raises ParseError,
@@ -125,6 +119,13 @@ def _load(args: argparse.Namespace) -> Tuple[Settings, Program]:
     settings = Settings(args)
     with open(args.file, "r", encoding="utf-8") as fh:
         return settings, parse_program(fh.read())
+
+
+def _build(prog: Program, settings: Settings) -> Tuple[Entailment, Seg]:
+    """The engine of a new analysis and the graph it built."""
+    engine = Entailment(smt_cmd=settings.smt)
+    return engine, build_seg(prog, engine, max_nodes=settings.max_nodes,
+                             max_merges=settings.max_merges)
 
 
 def _merge_count(seg: Seg) -> int:
@@ -136,8 +137,8 @@ def _merge_count(seg: Seg) -> int:
 
 
 def _rank_str(rank) -> str:
-    """Human-readable ranking function with run-independent variable names
-    (symbolic variable ids depend on a process-global counter)."""
+    """Human-readable ranking function; variables are named by their hints,
+    ordered by hint and then id."""
     parts = []
     for v, coeff in sorted(rank.coeffs, key=lambda vc: (vc[0].hint,
                                                         vc[0].id)):
@@ -153,10 +154,11 @@ def _rank_str(rank) -> str:
     return "".join(parts)
 
 
-def analysis_report(prog: Program, settings: Settings) -> dict:
-    engine = settings.engine()
+def analysis_report(prog: Program, settings: Settings
+                    ) -> Tuple[dict, Seg, Optional[ITS], float]:
+    """(report, graph, transition system if extracted, seconds taken)."""
     t0 = time.monotonic()
-    seg = build_seg(prog, engine, settings.build_config())
+    engine, seg = _build(prog, settings)
     certificates = []
     if seg.outcome == CONTAINS_ERR:
         verdict, code = VERDICT_ERR, EXIT_ERR_STATE
@@ -222,15 +224,14 @@ def cmd_analyze(args: argparse.Namespace, settings: Settings,
 
 def cmd_graph(args: argparse.Namespace, settings: Settings,
               prog: Program) -> int:
-    seg = build_seg(prog, settings.engine(), settings.build_config())
+    _, seg = _build(prog, settings)
     sys.stdout.write(to_json(seg) if args.json else to_dot(seg))
     return EXIT_PROVED
 
 
 def cmd_its(args: argparse.Namespace, settings: Settings,
             prog: Program) -> int:
-    engine = settings.engine()
-    seg = build_seg(prog, engine, settings.build_config())
+    engine, seg = _build(prog, settings)
     if seg.outcome != COMPLETE:
         print(f"graph not complete: {seg.outcome}", file=sys.stderr)
         return EXIT_ERR_STATE if seg.outcome == CONTAINS_ERR else EXIT_UNKNOWN
@@ -292,8 +293,7 @@ def classify_eval_edge(seg: Seg, prog: Program, src: int, dst: int) -> str:
     return OTHER
 
 
-def match_trace(trace: Trace, seg: Seg, prog: Program,
-                engine: Optional[Entailment] = None
+def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
                 ) -> Tuple[Counter, List[Tuple[int, str, int, int]]]:
     """Follow a concrete run through the graph and check every followed edge.
 
@@ -381,7 +381,7 @@ def match_trace(trace: Trace, seg: Seg, prog: Program,
 
 
 def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
-                       fuel: int, engine: Optional[Entailment] = None):
+                       fuel: int, engine: Entailment):
     """(runs, [(seed, first unrepresented step)], fuel_exhausted) over the
     given seeds."""
     violations = []
@@ -402,8 +402,7 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
 
 def cmd_check(args: argparse.Namespace, settings: Settings,
               prog: Program) -> int:
-    engine = settings.engine()
-    seg = build_seg(prog, engine, settings.build_config())
+    engine, seg = _build(prog, settings)
     base = settings.seed if settings.seed is not None else 0
     seeds = [base + i for i in range(args.runs)]
     runs, violations, exhausted = differential_check(

@@ -457,7 +457,7 @@ def _solve_sigma(s: AbstractState, svars: Tuple[SymVar, ...],
 
 
 def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
-               engine: Optional[Entailment] = None) -> bool:
+               engine: Entailment) -> bool:
     """Is the concrete state an instance of the abstract state?
 
     Builds the instantiation structurally (program variables anchor it,
@@ -468,7 +468,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     """
     if isinstance(s, ErrState):
         return True  # ERR makes no claims; everything is an instance
-    formula = state_formula(s, engine or Entailment())
+    formula = state_formula(s, engine)
     svars = s.sym_vars
 
     lv = s.lv_map()

@@ -87,14 +87,6 @@ class DataLayout:
         raise KeyError(f"unknown aggregate {name!r}")
 
 
-def _align(ty: IrType, layout: "DataLayout", aggs: Dict[str, Tuple[IrType, ...]]) -> int:
-    if isinstance(ty, IntType):
-        return _INT_SIZES[ty.width]
-    if isinstance(ty, PtrType):
-        return layout.ptr_size
-    return max(_align(f, layout, aggs) for f in aggs[ty.name])
-
-
 def type_size(ty: IrType, layout: DataLayout) -> int:
     """Byte size of a type under the given layout."""
     if isinstance(ty, IntType):
@@ -315,19 +307,18 @@ def _build_layout(aggs: Dict[str, Tuple[IrType, ...]]) -> DataLayout:
     layout = DataLayout(8, tuple(sorted(_INT_SIZES.items())), (), ())
     offsets: Dict[str, Tuple[int, ...]] = {}
     sizes: Dict[str, int] = {}
-    # Aggregates may only nest through pointers, so one pass suffices.
+    # Aggregates may only nest through pointers, so one pass suffices and
+    # every field (an integer or a pointer) is aligned to its size.
     for name, fields in aggs.items():
         off = 0
         offs: List[int] = []
         max_al = 1
         for f in fields:
-            if isinstance(f, AggType):
-                raise ParseError(f"nested aggregate by value in {name!r}", 0)
-            al = _align(f, layout, aggs)
+            al = type_size(f, layout)
             max_al = max(max_al, al)
             off = (off + al - 1) // al * al
             offs.append(off)
-            off += type_size(f, layout)
+            off += al
         total = (off + max_al - 1) // max_al * max_al
         offsets[name] = tuple(offs)
         sizes[name] = total
@@ -465,6 +456,8 @@ def parse_program(text: str) -> Program:
     """Parse IR source text into an immutable :class:`Program`."""
     aggs: Dict[str, Tuple[IrType, ...]] = {}
     blocks: Dict[str, List[Instruction]] = {}
+    # The line of each block's label, then of each of its instructions.
+    lines: Dict[str, List[int]] = {}
     order: List[str] = []
     current: Optional[str] = None
     in_main = False
@@ -485,6 +478,9 @@ def parse_program(text: str) -> Program:
                            for p in body.split(",") if p.strip())
             if not fields:
                 raise ParseError(f"aggregate {name!r} has no fields", lineno)
+            if any(isinstance(f, AggType) for f in fields):
+                raise ParseError(f"nested aggregate by value in {name!r}",
+                                 lineno)
             aggs[name] = fields
             continue
 
@@ -492,6 +488,7 @@ def parse_program(text: str) -> Program:
             if saw_main:
                 raise ParseError("duplicate @main", lineno)
             in_main = saw_main = True
+            main_line = lineno
             continue
 
         if line == "}":
@@ -510,6 +507,7 @@ def parse_program(text: str) -> Program:
             if name in blocks:
                 raise ParseError(f"duplicate block label {name!r}", lineno)
             blocks[name] = []
+            lines[name] = [lineno]
             order.append(name)
             current = name
             continue
@@ -517,28 +515,31 @@ def parse_program(text: str) -> Program:
         if current is None:
             raise ParseError("instruction before any block label", lineno)
         blocks[current].append(_parse_instruction(line, aggs, lineno))
+        lines[current].append(lineno)
 
     if not saw_main:
         raise ParseError("no @main function found", len(text.splitlines()) or 1)
     if not order:
-        raise ParseError("@main has no blocks", 1)
+        raise ParseError("@main has no blocks", main_line)
 
     for name in order:
-        body = blocks[name]
+        body, at = blocks[name], lines[name][1:]
         if not body:
-            raise ParseError(f"block {name!r} is empty", 1)
+            raise ParseError(f"block {name!r} is empty", lines[name][0])
         if not isinstance(body[-1], TERMINATORS):
-            raise ParseError(f"block {name!r} does not end in a terminator", 1)
-        for ins in body[:-1]:
+            raise ParseError(f"block {name!r} does not end in a terminator",
+                             at[-1])
+        for ins, lineno in zip(body[:-1], at):
             if isinstance(ins, TERMINATORS):
                 raise ParseError(
-                    f"terminator in the middle of block {name!r}", 1)
-        for ins in body:
+                    f"terminator in the middle of block {name!r}", lineno)
+        for ins, lineno in zip(body, at):
             for tgt in ((ins.block,) if isinstance(ins, Br) else
                         (ins.then_block, ins.else_block)
                         if isinstance(ins, BrCond) else ()):
                 if tgt not in blocks:
-                    raise ParseError(f"unknown branch target {tgt!r}", 1)
+                    raise ParseError(f"unknown branch target {tgt!r}",
+                                     lineno)
 
     multi = []
     for name, fields in aggs.items():

@@ -1,7 +1,9 @@
 """Symbolic variables, linear integer arithmetic, and entailment checking.
 
 All reasoning in the analyzer goes through an :class:`Entailment` engine
-(:meth:`Entailment.holds` for one implied fact).  The other modules share
+(:meth:`Entailment.holds` for one implied fact).  One engine serves one
+analysis: it issues the analysis's fresh variables, with ids unique only
+within it, and owns its caches.  The other modules share
 this module's equality reasoning: :class:`OffsetClosure` answers constant
 offsets between variables without the engine, :func:`propagate_equalities`
 solves equalities under a partial assignment, and :func:`clause_sexpr`
@@ -36,7 +38,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, order=True)
 class SymVar:
-    """A symbolic variable with a globally unique ordinal and a cosmetic hint."""
+    """A symbolic variable: an id, unique within one analysis, and a
+    cosmetic hint.  Equal id and hint make the same variable."""
 
     id: int
     hint: str = "v"
@@ -47,15 +50,6 @@ class SymVar:
 
     def __repr__(self) -> str:
         return self.name
-
-
-_GLOBAL_GEN = itertools.count(1)
-
-
-def fresh_var(hint: str = "v") -> SymVar:
-    """Issue a fresh variable from the process-wide counter; ids strictly
-    increase."""
-    return SymVar(next(_GLOBAL_GEN), hint)
 
 
 Value = Union[SymVar, int]
@@ -806,16 +800,22 @@ def _relevant_clauses(clauses: Sequence[Clause], seed_vars: set,
 
 
 class Entailment:
-    """Entailment engine with memoization and optional external SMT fallback."""
+    """Entailment engine with memoization and optional external SMT fallback;
+    the context of one analysis, whose fresh variables it issues."""
 
     def __init__(self, smt_cmd: Optional[str] = None, effort: int = 10_000):
         self.smt_cmd = smt_cmd
         self.effort = effort
+        self._ids = itertools.count(1)
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
         # absdom.state_formula's results, per abstract state.
         self.state_formulas: Dict[object, Formula] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
+
+    def fresh(self, hint: str = "v") -> SymVar:
+        """A new variable; ids count up from 1 within this engine."""
+        return SymVar(next(self._ids), hint)
 
     def holds(self, premise: Formula, *parts: Union[Atom, Clause, Formula]
               ) -> bool:

@@ -33,8 +33,7 @@ from .absdom import (
     value_key,
 )
 from .ir import AggType, Program, recursive_index, type_size
-from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
-                    fresh_var)
+from .logic import Atom, Entailment, Formula, OffsetClosure, SymVar, Term
 from .symexec import EVALUATION, REFINEMENT, is_return, step
 
 GENERALIZATION = "generalization"
@@ -70,9 +69,6 @@ class Seg:
                  inst: Optional[Dict[SymVar, Value]] = None) -> None:
         packed = tuple(sorted(inst.items())) if inst is not None else None
         self.edges.append(Edge(src, dst, kind, packed))
-
-    def out_edges(self, node: int) -> List[Edge]:
-        return [e for e in self.edges if e.src == node]
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +247,7 @@ class _Merger:
                 and not force_var:
             merged: Value = v1
         else:
-            merged = fresh_var(hint)
+            merged = self.engine.fresh(hint)
             self.mu1[merged] = v1
             self.mu2[merged] = v2
         self.pair_index[key] = merged
@@ -309,7 +305,7 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
                 continue
             m_hi = M.pair(a1.hi, a2_hit.hi, m_lo.hint + "_end")
             if not isinstance(m_hi, SymVar):
-                m_hi_var = fresh_var(m_lo.hint + "_end")
+                m_hi_var = engine.fresh(m_lo.hint + "_end")
                 M.mu1[m_hi_var] = a1.hi
                 M.mu2[m_hi_var] = a2_hit.hi
                 m_hi = m_hi_var
@@ -700,17 +696,13 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
 WIDEN_AFTER = 3
 SHAPE_ONLY_AFTER = 6
 
-
-@dataclass
-class BuildConfig:
-    max_nodes: int = 10_000
-    max_merges_per_position: int = 8
+# Default caps: graph states, and merges at one position.
+MAX_NODES = 10_000
+MAX_MERGES = 8
 
 
-def build_seg(prog: Program, engine: Optional[Entailment] = None,
-              config: Optional[BuildConfig] = None) -> Seg:
-    engine = engine or Entailment()
-    config = config or BuildConfig()
+def build_seg(prog: Program, engine: Entailment, *, max_nodes: int = MAX_NODES,
+              max_merges: int = MAX_MERGES) -> Seg:
     seg = Seg()
     root_state = AbstractState.make(prog.entry_position)
     seg.add_state(root_state)
@@ -748,7 +740,7 @@ def build_seg(prog: Program, engine: Optional[Entailment] = None,
         return idx
 
     while work:
-        if len(seg.states) > config.max_nodes:
+        if len(seg.states) > max_nodes:
             incomplete = True
             break
         node = work.popleft()
@@ -782,7 +774,7 @@ def build_seg(prog: Program, engine: Optional[Entailment] = None,
                     partner = old
                     break
             if partner is not None:
-                if merge_count.get(s.pos, 0) >= config.max_merges_per_position:
+                if merge_count.get(s.pos, 0) >= max_merges:
                     incomplete = True
                     break
                 n_merges = merge_count.get(s.pos, 0)
@@ -820,7 +812,8 @@ def build_seg(prog: Program, engine: Optional[Entailment] = None,
 # --------------------------------------------------------------------------
 
 def _canonical_renaming(seg: Seg) -> Dict[SymVar, SymVar]:
-    """Stable names independent of the global fresh-variable counter."""
+    """Names numbered densely by first appearance in the graph; the
+    engine's ids have gaps (not every fresh variable ends up in a state)."""
     ren: Dict[SymVar, SymVar] = {}
     counter = 1
     for st in seg.states:

@@ -1,10 +1,10 @@
 """One step of symbolic execution: the dispatcher and every inference rule.
 
-Rules are pure functions from an abstract state to successor states (plus
-fresh-variable allocation).  A step result is either a single evaluation
-successor or a two-way refinement whose knowledge-base additions are
-complementary.  When no rule's memory-safety side conditions can be proven,
-the successor is the absorbing error state.
+Rules are pure functions from an abstract state to successor states, whose
+fresh variables come from the analysis's engine.  A step result is either
+a single evaluation successor or a two-way refinement whose knowledge-base
+additions are complementary.  When no rule's memory-safety side conditions
+can be proven, the successor is the absorbing error state.
 
 Rule priority where several could match: stores try list extension before
 the plain store rule; getelementptr tries list traversal before plain
@@ -33,7 +33,7 @@ from .absdom import (
     value_term,
 )
 from .ir import Program, ProgramPosition, type_size
-from .logic import Atom, Entailment, Formula, Term, fresh_var
+from .logic import Atom, Entailment, Formula, Term
 
 EVALUATION = "evaluation"
 REFINEMENT = "refinement"
@@ -88,7 +88,7 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
         return None
     for p in s.pt:
         if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
-            w = fresh_var(ins.dst)
+            w = engine.fresh(ins.dst)
             return s.replace_components(
                 pos=prog.successor(s.pos),
                 lv=s.bind(ins.dst, w),
@@ -108,7 +108,7 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
             if fld.fty != ins.ty:
                 continue
             if engine.holds(f, Atom.eq(ad_t, Term.of(l.ad) + fld.off)):
-                w = fresh_var(ins.dst)
+                w = engine.fresh(ins.dst)
                 return s.replace_components(
                     pos=prog.successor(s.pos),
                     lv=s.bind(ins.dst, w),
@@ -144,7 +144,7 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
     kb = s.kb
     if target_addr is None:
         if isinstance(ad, int):
-            target_addr = fresh_var("addr")
+            target_addr = engine.fresh("addr")
             kb = _kb_add(s, Atom.eq(target_addr, ad))
         else:
             target_addr = ad
@@ -197,8 +197,8 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                     if not engine.holds(f, Atom.eq(head_vals[j], l.ad)):
                         continue
                 # All side conditions hold: extend the summary.
-                new_len = fresh_var("len")
-                stored = fresh_var(f"v{m}")
+                new_len = engine.fresh("len")
+                stored = engine.fresh(f"v{m}")
                 head_vals[m] = stored
                 new_fields = tuple(
                     replace(fld, first=head_vals[i])
@@ -278,8 +278,8 @@ def _split_partner(s: AbstractState, l: ListInvariant,
 
 
 def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
-              partner: Optional[ListInvariant], long: bool,
-              prog: Program) -> AbstractState:
+              partner: Optional[ListInvariant], long: bool, prog: Program,
+              engine: Entailment) -> AbstractState:
     """List traversal: the head node leaves summary ``l``.  It joins
     ``partner`` (a summary ending at ``l``'s root) or, without one, becomes
     plain memory: an allocation plus one points-to entry per field.  With
@@ -289,15 +289,16 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
     al, pt = list(s.al), list(s.pt)
     li = [x for x in s.li if x != l and x != partner]
     if partner is None:
-        v_start = fresh_var("start")
-        v_end = fresh_var("end")
-        starts = [fresh_var(f"f{i}") for i in range(1, len(l.fields) + 1)]
+        v_start = engine.fresh("start")
+        v_end = engine.fresh("end")
+        starts = [engine.fresh(f"f{i}")
+                  for i in range(1, len(l.fields) + 1)]
         size = type_size(l.ty, prog.layout)
         atoms += [Atom.eq(v_start, l.ad),
                   Atom.eq(v_end, Term.of(v_start) + size - 1)]
         al.append(Allocation(v_start, v_end))
     else:
-        u_len = fresh_var("len")
+        u_len = engine.fresh("len")
         atoms.append(Atom.eq(u_len, Term.of(partner.length) + 1))
         li.append(ListInvariant(
             ad=partner.ad, length=u_len, ty=partner.ty,
@@ -306,17 +307,17 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
             rec_index=l.rec_index))
     head = value_term(l.rec_field.first)
     if long:
-        w_start = fresh_var("head")
-        w_len = fresh_var("len")
+        w_start = engine.fresh("head")
+        w_len = engine.fresh("len")
         atoms += [Atom.eq(w_start, head),
                   Atom.eq(w_len, Term.of(l.length) - 1)]
         head = Term.of(w_start)
-    w_start_j = fresh_var(ins.dst)
+    w_start_j = engine.fresh(ins.dst)
     atoms.append(Atom.eq(w_start_j, head + l.fields[acc - 1].off))
     if long:
         li.append(ListInvariant(
             ad=w_start, length=w_len, ty=l.ty,
-            fields=tuple(replace(fld, first=fresh_var(f"w{i}"))
+            fields=tuple(replace(fld, first=engine.fresh(f"w{i}"))
                          for i, fld in enumerate(l.fields, start=1)),
             rec_index=l.rec_index))
     for i, fld in enumerate(l.fields):
@@ -359,7 +360,7 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
         except IndexError:
             return None
         target = value_term(pa) + off
-    w = fresh_var(ins.dst)
+    w = engine.fresh(ins.dst)
     return s.replace_components(
         pos=prog.successor(s.pos),
         lv=s.bind(ins.dst, w),
@@ -380,7 +381,7 @@ def _step_gep(s: AbstractState, ins, prog: Program,
                 s.replace_components(kb=_kb_add(s, Atom.eq(l.length, 1))))
         partner = _split_partner(s, l, engine)
         return StepResult.eval_to(
-            _traverse(s, ins, l, acc, partner, long, prog))
+            _traverse(s, ins, l, acc, partner, long, prog, engine))
     plain = rule_getelementptr_plain(s, ins, prog, engine)
     return StepResult.eval_to(plain if plain is not None else ERR)
 
@@ -463,8 +464,8 @@ def rule_malloc(s: AbstractState, ins: ir.Malloc, prog: Program,
     size = s.lv_of(ins.size)
     if not isinstance(size, int) or size < 1:
         return ERR
-    v = fresh_var(ins.dst)
-    v_end = fresh_var(f"{ins.dst}_end")
+    v = engine.fresh(ins.dst)
+    v_end = engine.fresh(f"{ins.dst}_end")
     return s.replace_components(
         pos=prog.successor(s.pos),
         lv=s.bind(ins.dst, v),
@@ -530,7 +531,7 @@ def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
         b = s.lv_of(ins.rhs)
         if a is None or b is None:
             return StepResult.eval_to(ERR)
-        w = fresh_var(ins.dst)
+        w = engine.fresh(ins.dst)
         return StepResult.eval_to(s.replace_components(
             pos=prog.successor(s.pos),
             lv=s.bind(ins.dst, w),
@@ -547,7 +548,7 @@ def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
         return StepResult.eval_to(rule_malloc(s, ins, prog, engine))
 
     if isinstance(ins, ir.NondetInt):
-        w = fresh_var(ins.dst)
+        w = engine.fresh(ins.dst)
         return StepResult.eval_to(s.replace_components(
             pos=prog.successor(s.pos),
             lv=s.bind(ins.dst, w),

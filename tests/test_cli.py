@@ -279,25 +279,24 @@ def test_config_beats_env_for_smt_command(tmp_path, monkeypatch):
     assert Settings(args).smt == "file-solver"
 
 
-def test_explicit_zero_limits_are_kept(tmp_path):
-    path = str(CORPUS / "count_up.ll")
-    args = build_parser().parse_args(
-        ["analyze", path, "--max-nodes", "0", "--max-merges", "0",
-         "--fuel", "0"])
-    settings = Settings(args)
-    assert (settings.max_nodes, settings.max_merges, settings.fuel) == (0, 0, 0)
-    config = settings.build_config()
-    assert (config.max_nodes, config.max_merges_per_position) == (0, 0)
-
+def test_explicit_zero_limits_are_kept(capsys, tmp_path):
+    """An explicit 0, from a flag or the config file, is a limit that
+    stops the work; it is not replaced by the default."""
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text("max_nodes=0\nmax_merges=0\nfuel=0\n")
-    from_file = Settings(build_parser().parse_args(
-        ["analyze", path, "--config", str(cfg)]))
-    assert (from_file.max_nodes, from_file.max_merges, from_file.fuel) == (0, 0, 0)
-
-    defaults = Settings(build_parser().parse_args(["analyze", path]))
-    assert (defaults.max_nodes, defaults.max_merges, defaults.fuel) == (
-        10_000, 8, 10_000)
+    for command, flags, config, code in [
+            ("analyze", [], None, EXIT_PROVED),
+            ("analyze", ["--max-nodes", "0"], None, EXIT_UNKNOWN),
+            ("analyze", ["--max-merges", "0"], None, EXIT_UNKNOWN),
+            ("analyze", [], "max_nodes=0\n", EXIT_UNKNOWN),
+            ("analyze", [], "max_merges=0\n", EXIT_UNKNOWN),
+            ("run", [], None, EXIT_PROVED),
+            ("run", ["--fuel", "0"], None, EXIT_UNKNOWN),
+            ("run", [], "fuel=0\n", EXIT_UNKNOWN)]:
+        if config is not None:
+            cfg.write_text(config)
+            flags = flags + ["--config", cfg]
+        got = cli(capsys, command, CORPUS / "count_up.ll", *flags)[0]
+        assert got == code, (command, flags, config)
 
 
 @pytest.mark.parametrize("config, args", [

@@ -258,14 +258,18 @@ def sv(i, hint="v"):
     return SymVar(i, hint)
 
 
+def is_instance(c, s):
+    """Does ``s`` represent ``c``, asked of a new engine?"""
+    return represents(c, s, load("straight_line.ll").layout, Entailment())
+
+
 def test_err_represents_everything():
     prog = load("straight_line.ll")
     c = ConcreteState(prog.entry_position)
-    assert represents(c, ERR, prog.layout)
+    assert is_instance(c, ERR)
 
 
 def test_represents_simple_allocation_and_pt():
-    prog = load("straight_line.ll")
     lo, hi, val = sv(1, "lo"), sv(2, "hi"), sv(3, "x")
     c = ConcreteState(ProgramPosition("entry", 0),
                       asgn={"p": 1},
@@ -278,15 +282,15 @@ def test_represents_simple_allocation_and_pt():
         al=[Allocation(lo, hi)],
         pt=[PointsTo(lo, I32, val)],
         kb=Formula.conj([Atom.eq(hi, Term.of(lo) + 3), Atom.eq(val, 7)]))
-    assert represents(c, s, prog.layout)
+    assert is_instance(c, s)
     # Mismatched stored value is rejected.
     bad = s.replace_components(kb=Formula.conj(
         [Atom.eq(hi, Term.of(lo) + 3), Atom.eq(val, 8)]))
-    assert not represents(c, bad, prog.layout)
+    assert not is_instance(c, bad)
     # LV domain mismatch is rejected.
     c2 = ConcreteState(c.pos, asgn={"p": 1, "q": 2},
                        allocations=c.allocations, mem=c.mem)
-    assert not represents(c2, s, prog.layout)
+    assert not is_instance(c2, s)
 
 
 def concrete_two_node_list():
@@ -323,23 +327,23 @@ def list_state(extra_kb=()):
 def test_represents_list_invariant_walks_chain():
     c = concrete_two_node_list()
     s = list_state()
-    assert represents(c, s, load("straight_line.ll").layout)
+    assert is_instance(c, s)
 
 
 def test_represents_rejects_contradicted_length():
     x_len = sv(4, "x_len")
     c = concrete_two_node_list()
     s = list_state(extra_kb=[Atom.eq(x_len, 3)])
-    assert not represents(c, s, load("straight_line.ll").layout)
+    assert not is_instance(c, s)
     s2 = list_state(extra_kb=[Atom.eq(x_len, 2)])
-    assert represents(c, s2, load("straight_line.ll").layout)
+    assert is_instance(c, s2)
 
 
 def test_represents_requires_node_allocations():
     c = concrete_two_node_list()
     c.allocations.remove((1216, 1231))
     s = list_state()
-    assert not represents(c, s, load("straight_line.ll").layout)
+    assert not is_instance(c, s)
 
 
 def test_represents_a_long_list():
@@ -347,7 +351,7 @@ def test_represents_a_long_list():
     mem.update((40 + i, b) for i, b in enumerate(encode_le(addrs[0], 8)))
     c = ConcreteState(ProgramPosition("b", 0), asgn={"root": 40},
                       allocations=allocations + [(40, 47)], mem=mem)
-    assert represents(c, list_state(), load("straight_line.ll").layout)
+    assert is_instance(c, list_state())
 
 
 def test_concrete_step_does_not_mutate_input():

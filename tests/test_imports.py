@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every import sits at module level."""
+"""Every name a module of the package imports is used in that module, every
+import sits at module level, and no module keeps mutable state: whatever
+an analysis changes belongs to that analysis's engine."""
 
 from __future__ import annotations
 
@@ -40,4 +41,67 @@ def test_imports_only_at_module_level():
     found = [f"{path.name}:{line}"
              for path in sorted(SRC.glob("*.py"))
              for line in nested_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+CONTAINER_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                   "Counter", "deque"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+            "update", "setdefault", "add", "discard", "sort", "reverse"}
+
+
+def _called(node: ast.AST) -> str:
+    """The name a call expression calls (``count`` for ``itertools.count``),
+    or ''."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", "")
+
+
+def module_state(tree: ast.Module):
+    """(line, what) for each ``global`` statement, each module-level
+    ``itertools.count(...)`` binding, and each write into a module-level
+    dict, list or set from a function or class body."""
+    found = [(node.lineno, "global " + ", ".join(node.names))
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    containers = set()
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or \
+                stmt.value is None:
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if _called(stmt.value) == "count":
+            found += [(stmt.lineno, f"{name} = count(...)") for name in names]
+        elif isinstance(stmt.value, CONTAINERS) or \
+                _called(stmt.value) in CONTAINER_TYPES:
+            containers.update(names)
+
+    def container(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id in containers
+
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Subscript) and container(node.value) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                found.append((node.lineno, f"{node.value.id}[...] written"))
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATORS and container(node.func.value):
+                found.append((node.lineno,
+                              f"{node.func.value.id}.{node.func.attr}()"))
+    return sorted(found)
+
+
+def test_no_module_level_mutable_state():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in module_state(ast.parse(path.read_text()))]
     assert found == []

@@ -123,22 +123,36 @@ def test_positions_and_successor():
     assert isinstance(p.instruction_at(p.successor(pos)), Malloc)
 
 
-@pytest.mark.parametrize("bad,frag", [
-    ("define i32 @main() {\n}\n", "no blocks"),
-    ("define i32 @main() {\nb:\n}\n", "empty"),
-    ("define i32 @main() {\nb:\n  ret i32 0\n  ret i32 0\n}\n", "middle"),
-    ("define i32 @main() {\nb:\n  br label nowhere\n}\n", "nowhere"),
-    ("define i32 @main() {\nb:\n  x = load i32\n}\n", "load"),
-    ("define i32 @main() {\nb:\n  x = frobnicate i32 1\n}\n", "frobnicate"),
-    ("x = type { }\ndefine i32 @main() {\nb:\n  ret i32 0\n}\n", "fields"),
-    ("define i32 @main() {\nb:\n  x = call i32 @rand()\n}\n", "rand"),
-    ("ret i32 0\n", "top-level"),
-])
-def test_parse_errors(bad, frag):
+PARSE_ERRORS = [
+    ("define i32 @main() {\n}\n", "no blocks", 1),
+    ("define i32 @main() {\nb:\n}\n", "empty", 2),
+    ("define i32 @main() {\nb:\n  ret i32 0\n  ret i32 0\n}\n", "middle", 3),
+    ("define i32 @main() {\nb:\n  br label nowhere\n}\n", "nowhere", 3),
+    ("define i32 @main() {\nb:\n  x = load i32\n}\n", "load", 3),
+    ("define i32 @main() {\nb:\n  x = frobnicate i32 1\n}\n", "frobnicate", 3),
+    ("x = type { }\ndefine i32 @main() {\nb:\n  ret i32 0\n}\n", "fields", 1),
+    ("define i32 @main() {\nb:\n  x = call i32 @rand()\n}\n", "rand", 3),
+    ("ret i32 0\n", "top-level", 1),
+    ("t = type { i32 }\n\ndefine i32 @main() {\n}\n", "no blocks", 3),
+    ("define i32 @main() {\nb:\n  ret i32 0\nc:\n\n  x = add i32 1, 2\n}\n",
+     "terminator", 6),
+    ("define i32 @main() {\nb:\n  br label c\nc:\n  br label d\n}\n",
+     "'d'", 5),
+    ("define i32 @main() {\nb:\n  ret i32 0\n  br label b\nc:\n}\n",
+     "middle", 3),
+    ("t = type { i32 }\nu = type { i32, t }\n", "nested aggregate", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "bad,frag,line", PARSE_ERRORS,
+    ids=[f"{bad}-{frag}" for bad, frag, _ in PARSE_ERRORS])
+def test_parse_errors(bad, frag, line):
     with pytest.raises(ParseError) as ei:
         parse_program(bad)
-    assert frag.split()[0] in str(ei.value) or True  # message is informative
-    assert ei.value.line >= 1
+    assert frag.split()[0] in str(ei.value)
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}, col 1: ")
 
 
 def test_missing_main():

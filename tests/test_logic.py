@@ -24,7 +24,6 @@ from listterm.logic import (
     Verdict,
     brute_force_valid,
     eval_formula,
-    fresh_var,
     propagate_equalities,
     rename_formula,
     smtlib_script,
@@ -165,7 +164,7 @@ def test_entails_cache_and_counters():
 
 def test_effort_bound_degrades_gracefully():
     eng = Entailment(effort=1)
-    vs = [fresh_var() for _ in range(8)]
+    vs = [eng.fresh() for _ in range(8)]
     atoms = [Atom.le(vs[i], vs[i + 1]) for i in range(7)]
     p = Formula.conj(atoms)
     # Tiny budget: must answer (possibly NOT_PROVEN) without error.
@@ -175,7 +174,7 @@ def test_effort_bound_degrades_gracefully():
 
 def test_effort_exhaustion_is_counted():
     eng = Entailment(effort=1)
-    vs = [fresh_var() for _ in range(8)]
+    vs = [eng.fresh() for _ in range(8)]
     p = Formula.conj([Atom.le(vs[i], vs[i + 1]) for i in range(7)])
     assert eng.exhausted == 0
     assert eng.entails(p, Formula.of(Atom.le(vs[0], vs[7]))) is Verdict.NOT_PROVEN
@@ -188,12 +187,13 @@ def test_effort_exhaustion_is_counted():
 
 def test_rename_formula_alpha_invariance():
     a, b = V[:2]
-    x, y = fresh_var("x"), fresh_var("y")
+    eng = Entailment()
+    x, y = eng.fresh("x"), eng.fresh("y")
     p = Formula.conj([Atom.lt(a, b)])
     g = Formula.of(Atom.le(a, b))
     ren = {a: x, b: y}
-    assert Entailment().entails(rename_formula(p, ren),
-                                rename_formula(g, ren)) is Verdict.VALID
+    assert eng.entails(rename_formula(p, ren),
+                       rename_formula(g, ren)) is Verdict.VALID
 
 
 def test_smtlib_script_well_formed():
@@ -383,7 +383,7 @@ def test_propagate_equalities_to_fixpoint():
     assert known == {a: 4, b: 7, c: 3}
 
 
-def test_fresh_vars_strictly_increase():
-    a = fresh_var()
-    b = fresh_var()
-    assert b.id > a.id
+def test_fresh_vars_count_up_per_engine():
+    a, b = Entailment(), Entailment()
+    assert [a.fresh(), a.fresh("x"), b.fresh("x")] == [
+        SymVar(1, "v"), SymVar(2, "x"), SymVar(1, "x")]

@@ -23,7 +23,6 @@ from listterm.seg import (
     CONTAINS_ERR,
     GENERALIZATION,
     INCOMPLETE,
-    BuildConfig,
     build_seg,
     can_merge,
     check_generalization,
@@ -311,15 +310,28 @@ def test_build_seg_has_loop_closing_edge():
 
 
 def test_build_seg_node_cap_gives_incomplete():
-    seg = build_seg(load("count_up.ll"), Entailment(),
-                    BuildConfig(max_nodes=5))
+    seg = build_seg(load("count_up.ll"), Entailment(), max_nodes=5)
     assert seg.outcome == INCOMPLETE
 
 
 def test_build_seg_merge_cap_gives_incomplete():
-    seg = build_seg(load("count_up.ll"), Entailment(),
-                    BuildConfig(max_merges_per_position=0))
+    seg = build_seg(load("count_up.ll"), Entailment(), max_merges=0)
     assert seg.outcome == INCOMPLETE
+
+
+def test_analyses_in_one_process_are_isolated():
+    """Variable ids belong to one analysis: after an unrelated analysis,
+    two engines build the flagship's graph with the same states, ids
+    included, each starting from id 1."""
+    build_seg(load("count_up.ll"), Entailment())
+    prog = load("build_traverse_ptr.ll")
+    graphs = []
+    for _ in range(2):
+        seg = build_seg(prog, Entailment())
+        assert min(v.id for st in seg.states if not isinstance(st, ErrState)
+                   for v in st.sym_vars) == 1
+        graphs.append(seg.states)
+    assert graphs[0] == graphs[1]
 
 
 def test_build_seg_root_is_entry():

@@ -25,7 +25,7 @@ from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
 from listterm.concrete import run_concrete
 from listterm.ir import (I32, AggType, ProgramPosition, PtrType, Ret,
                          parse_program)
-from listterm.logic import Atom, Entailment, Formula, Term, Verdict, fresh_var
+from listterm.logic import Atom, Entailment, Formula, Term, Verdict
 from listterm.seg import (GENERALIZATION, build_seg, check_generalization,
                           find_list)
 from listterm.symexec import EVALUATION, REFINEMENT, is_return, step
@@ -285,8 +285,9 @@ def traversal_state(long, partner):
     field address lands in its second node.  With ``partner`` a prefix
     summary ends at the traversed summary's root."""
     prog = parse(TRAVERSE)
+    eng = Entailment()
     ptr = PtrType(AggType("list"))
-    a, n, v, v_last, nx, nx_last = (fresh_var(h) for h in
+    a, n, v, v_last, nx, nx_last = (eng.fresh(h) for h in
                                     ("a", "n", "v", "vl", "nx", "nxl"))
     li = [ListInvariant(a, n, AggType("list"),
                         (LIField(0, I32, v, v_last),
@@ -294,7 +295,7 @@ def traversal_state(long, partner):
     kb = [Atom.ge(n, 2) if long else Atom.eq(n, 1)]
     pre = None
     if partner:
-        b, m, u, u_last, ub = (fresh_var(h) for h in
+        b, m, u, u_last, ub = (eng.fresh(h) for h in
                                ("b", "m", "u", "ul", "ub"))
         pre = ListInvariant(b, m, AggType("list"),
                             (LIField(0, I32, u, u_last),
@@ -303,7 +304,6 @@ def traversal_state(long, partner):
         kb.append(Atom.ge(m, 1))
     s = AbstractState.make(prog.entry_position, lv={"cur": nx}, li=li,
                            kb=Formula.conj(kb))
-    eng = Entailment()
     r = step(s, prog, eng)
     assert r.edge_kind == EVALUATION and len(r.successors) == 1
     t = r.successors[0]
@@ -434,7 +434,8 @@ def test_loop_counter_starts_at_zero(flagship):
 def test_undecided_loop_test_refines_into_complementary_states(flagship):
     prog, eng, seg = flagship
     first = min(nodes_at(seg, "cmpF", 1))
-    kids = [e.dst for e in seg.out_edges(first) if e.kind == REFINEMENT]
+    kids = [e.dst for e in seg.edges
+            if e.src == first and e.kind == REFINEMENT]
     assert len(kids) == 2
     base = set(seg.states[first].kb.atoms())
     extras = [next(iter(set(seg.states[d].kb.atoms()) - base)) for d in kids]
