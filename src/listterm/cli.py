@@ -387,13 +387,12 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
     violations = []
     exhausted = 0
     for seed in seeds:
-        try:
-            trace = run_concrete(prog, nondet_stream(seed), fuel=fuel)
-        except FuelExhausted:
-            # Still check a short prefix of the diverging run.
+        trace = run_concrete(prog, nondet_stream(seed), fuel=fuel,
+                             partial=True)
+        if not trace.final.halted:
+            # Check only a short prefix of the diverging run.
             exhausted += 1
-            trace = run_concrete(prog, nondet_stream(seed), fuel=256,
-                                 partial=True)
+            trace = Trace(trace.states[:257], trace.instructions[:256])
         bad = match_trace(trace, seg, prog, engine)[1]
         if bad:
             violations.append((seed, bad[0][0]))

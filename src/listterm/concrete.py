@@ -2,24 +2,35 @@
 representation checker that ties concrete runs to abstract states.
 
 The interpreter executes the same IR fragment the analyzer handles, with
-byte-exact little-endian memory.  It is the test oracle: randomized runs are
-replayed against symbolic execution graphs, checking at every prefix that
-the concrete state is represented by the abstract state on the matching
-path.
+byte-exact little-endian memory; a step shares the variables, memory and
+allocation list of the state before it unless it changes them.  It is the
+test oracle: randomized runs are replayed against symbolic execution graphs,
+checking at every prefix that the concrete state is represented by the
+abstract state on the matching path.
+
+The representation check compiles each abstract state once into the
+equality classes of its state formula and a plan that binds them: program
+variables first, then points-to values read at bound addresses, then list
+summaries placed by walking their recursive field from the root.  Where the
+bound values leave a summary's root or end open, every placement the heap
+allows is tried, so the extent is read off the heap rather than guessed
+(the model-checking view of Brotherston, Gorogiannis, Kanovich & Rowe,
+POPL 2016) and list lengths have no bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+from typing import (Container, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Tuple, Union)
 
 from . import ir
-from .absdom import AbstractState, ErrState, StateOrErr, state_formula
+from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
+                     Value, state_formula)
 from .ir import DataLayout, Instruction, Program, ProgramPosition, type_size
-from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
-                    eval_formula, propagate_equalities)
+from .logic import EQ, LE, Atom, Entailment, Formula, OffsetClosure, SymVar
 
 
 # --------------------------------------------------------------------------
@@ -27,30 +38,25 @@ from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
 # --------------------------------------------------------------------------
 
 def encode_le(value: int, size: int) -> Tuple[int, ...]:
-    return tuple((value >> (8 * i)) & 0xFF for i in range(size))
+    return tuple((value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
 
 
 def decode_le(bs: Iterable[int]) -> int:
-    total = 0
-    for i, b in enumerate(bs):
-        total += b << (8 * i)
-    return total
+    return int.from_bytes(bytes(bs), "little")
 
 
 def read_le(mem: Mapping[int, int], addr: int, size: int) -> Optional[int]:
-    bs = []
-    for a in range(addr, addr + size):
-        if a not in mem:
-            return None
-        bs.append(mem[a])
-    return decode_le(bs)
+    try:
+        return decode_le(map(mem.__getitem__, range(addr, addr + size)))
+    except KeyError:
+        return None
 
 
 # --------------------------------------------------------------------------
 # Concrete states and stepping
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ConcreteState:
     pos: ProgramPosition
     asgn: Dict[str, int] = field(default_factory=dict)
@@ -59,13 +65,11 @@ class ConcreteState:
     halted: bool = False
     error: bool = False
 
-    def clone(self) -> "ConcreteState":
-        return ConcreteState(self.pos, dict(self.asgn),
-                             list(self.allocations), dict(self.mem),
-                             self.halted, self.error)
-
     def allocated(self, lo: int, hi: int) -> bool:
-        return any(alo <= lo and hi <= ahi for alo, ahi in self.allocations)
+        for alo, ahi in self.allocations:
+            if alo <= lo and hi <= ahi:
+                return True
+        return False
 
 
 class FuelExhausted(Exception):
@@ -99,141 +103,130 @@ def _malloc_address(c: ConcreteState, size: int) -> int:
         a += 1
 
 
+def _fail(n: ConcreteState) -> ConcreteState:
+    n.error = n.halted = True
+    return n
+
+
+_ICMP = {"eq": operator.eq, "ne": operator.ne,
+         "ult": operator.lt, "ule": operator.le, "ugt": operator.gt,
+         "uge": operator.ge, "slt": operator.lt, "sle": operator.le,
+         "sgt": operator.gt, "sge": operator.ge}
+
+
 def concrete_step(c: ConcreteState, prog: Program,
                   nondet: Iterator[int]) -> ConcreteState:
-    """Execute one instruction; returns a fresh state, never mutating ``c``."""
-    assert not c.halted and not c.error
-    n = c.clone()
-    ins = prog.instruction_at(c.pos)
-    nxt = prog.successor(c.pos)
-    layout = prog.layout
+    """Execute one instruction; returns a fresh state, never mutating ``c``.
 
-    def err() -> ConcreteState:
-        n.error = True
-        n.halted = True
-        return n
+    The new state shares ``asgn``, ``mem`` and ``allocations`` with ``c``
+    unless the instruction changes them, which copies them first, so a
+    state must not be mutated once a step has been taken from it.  A failing
+    instruction leaves the position where it is."""
+    assert not c.halted and not c.error
+    n = ConcreteState(c.pos, c.asgn, c.allocations, c.mem)
+    ins = prog.instruction_at(c.pos)
+    layout = prog.layout
 
     if isinstance(ins, ir.Load):
         addr = _operand_value(c, ins.addr)
         size = type_size(ins.ty, layout)
         if addr is None or not c.allocated(addr, addr + size - 1):
-            return err()
+            return _fail(n)
         val = read_le(c.mem, addr, size)
         if val is None:
-            return err()
-        n.asgn[ins.dst] = val
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: val}
 
-    if isinstance(ins, ir.Store):
+    elif isinstance(ins, ir.Store):
         addr = _operand_value(c, ins.addr)
         val = _operand_value(c, ins.value)
         size = type_size(ins.ty, layout)
         if addr is None or val is None or not c.allocated(addr, addr + size - 1):
-            return err()
-        for i, b in enumerate(encode_le(val, size)):
-            n.mem[addr + i] = b
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.mem = dict(c.mem)
+        n.mem.update(zip(range(addr, addr + size), encode_le(val, size)))
 
-    if isinstance(ins, ir.GepByte):
+    elif isinstance(ins, ir.GepByte):
         base = _operand_value(c, ins.base)
         off = _operand_value(c, ins.offset)
         if base is None or off is None:
-            return err()
-        n.asgn[ins.dst] = base + off
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: base + off}
 
-    if isinstance(ins, ir.GepField):
+    elif isinstance(ins, ir.GepField):
         base = _operand_value(c, ins.base)
         idx = _operand_value(c, ins.index)
         if base is None or idx is None:
-            return err()
+            return _fail(n)
         try:
             off = ir.field_offset(ins.agg, idx + 1, layout)
         except IndexError:
-            return err()
-        n.asgn[ins.dst] = base + off
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: base + off}
 
-    if isinstance(ins, ir.Icmp):
+    elif isinstance(ins, ir.Icmp):
         a = _operand_value(c, ins.lhs)
         b = _operand_value(c, ins.rhs)
         if a is None or b is None:
-            return err()
-        result = {
-            "eq": a == b, "ne": a != b,
-            "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
-            "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-        }[ins.pred]
-        n.asgn[ins.dst] = int(result)
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: int(_ICMP[ins.pred](a, b))}
 
-    if isinstance(ins, ir.BrCond):
+    elif isinstance(ins, ir.BrCond):
         cond = _operand_value(c, ins.cond)
         if cond not in (0, 1):
-            return err()
-        n.pos = ProgramPosition(
+            return _fail(n)
+        n.pos = prog.position(
             ins.then_block if cond == 1 else ins.else_block, 0)
         return n
 
-    if isinstance(ins, ir.Br):
-        n.pos = ProgramPosition(ins.block, 0)
+    elif isinstance(ins, ir.Br):
+        n.pos = prog.position(ins.block, 0)
         return n
 
-    if isinstance(ins, ir.Add):
+    elif isinstance(ins, ir.Add):
         a = _operand_value(c, ins.lhs)
         b = _operand_value(c, ins.rhs)
         if a is None or b is None:
-            return err()
-        n.asgn[ins.dst] = a + b
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: a + b}
 
-    if isinstance(ins, ir.Bitcast):
+    elif isinstance(ins, ir.Bitcast):
         v = _operand_value(c, ins.src)
         if v is None:
-            return err()
-        n.asgn[ins.dst] = v
-        n.pos = nxt
-        return n
+            return _fail(n)
+        n.asgn = {**c.asgn, ins.dst: v}
 
-    if isinstance(ins, ir.Malloc):
+    elif isinstance(ins, ir.Malloc):
         size = _operand_value(c, ins.size)
         if size is None or size < 1:
-            return err()
+            return _fail(n)
         a = _malloc_address(c, size)
-        n.allocations.append((a, a + size - 1))
-        for addr in range(a, a + size):
-            n.mem[addr] = 0
-        n.asgn[ins.dst] = a
-        n.pos = nxt
-        return n
+        n.allocations = c.allocations + [(a, a + size - 1)]
+        n.mem = dict(c.mem)
+        n.mem.update((addr, 0) for addr in range(a, a + size))
+        n.asgn = {**c.asgn, ins.dst: a}
 
-    if isinstance(ins, ir.NondetInt):
-        n.asgn[ins.dst] = next(nondet)
-        n.pos = nxt
-        return n
+    elif isinstance(ins, ir.NondetInt):
+        n.asgn = {**c.asgn, ins.dst: next(nondet)}
 
-    if isinstance(ins, ir.Free):
+    elif isinstance(ins, ir.Free):
         addr = _operand_value(c, ins.ptr)
-        for i, (lo, hi) in enumerate(c.allocations):
-            if lo == addr:
-                del n.allocations[i]
-                for a in range(lo, hi + 1):
-                    n.mem.pop(a, None)
-                n.pos = nxt
-                return n
-        return err()
+        i = next((i for i, (lo, _) in enumerate(c.allocations) if lo == addr),
+                 None)
+        if i is None:
+            return _fail(n)
+        lo, hi = c.allocations[i]
+        n.allocations = c.allocations[:i] + c.allocations[i + 1:]
+        n.mem = {a: b for a, b in c.mem.items() if not lo <= a <= hi}
 
-    if isinstance(ins, ir.Ret):
+    elif isinstance(ins, ir.Ret):
         n.halted = True
         return n
 
-    raise TypeError(f"unknown instruction {ins!r}")
+    else:
+        raise TypeError(f"unknown instruction {ins!r}")
+    n.pos = prog.successor(c.pos)
+    return n
 
 
 def run_concrete(prog: Program, nondet: Iterator[int],
@@ -246,15 +239,13 @@ def run_concrete(prog: Program, nondet: Iterator[int],
     instrs: List[Instruction] = []
     for _ in range(fuel):
         if c.halted:
-            return Trace(states, instrs)
+            break
         instrs.append(prog.instruction_at(c.pos))
         c = concrete_step(c, prog, nondet)
         states.append(c)
-    if c.halted:
-        return Trace(states, instrs)
-    if partial:
-        return Trace(states, instrs)
-    raise FuelExhausted(f"no halt within {fuel} steps")
+    if not c.halted and not partial:
+        raise FuelExhausted(f"no halt within {fuel} steps")
+    return Trace(states, instrs)
 
 
 def format_trace(t: Trace, prog: Program) -> str:
@@ -273,6 +264,28 @@ def format_trace(t: Trace, prog: Program) -> str:
 # The linked-list memory predicate
 # --------------------------------------------------------------------------
 
+def walk_chain(mem: Mapping[int, int], bs: int, rec: int, ad: int,
+               fields: List[Tuple[int, int]],
+               allocations: Container[Tuple[int, int]]
+               ) -> Iterator[Tuple[int, List[int]]]:
+    """The nodes of the chain from ``ad`` with their field values, following
+    field ``rec`` (0-based) of ``fields``, (offset, byte size) pairs.  The
+    chain goes on while the next node is one of the (start, end) ranges in
+    ``allocations``, is ``bs`` bytes long, has every byte defined and
+    misses the footprints of the nodes before it."""
+    used: set = set()
+    while (ad, ad + bs - 1) in allocations:
+        foot = range(ad, ad + bs)
+        if not used.isdisjoint(foot) or not all(map(mem.__contains__, foot)):
+            return
+        values = [read_le(mem, ad + off, size) for off, size in fields]
+        if None in values:
+            return
+        yield ad, values
+        used.update(foot)
+        ad = values[rec]
+
+
 def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
                       ad: int, fields: List[Tuple[int, int, int, int]],
                       allocations: Container[Tuple[int, int]]) -> bool:
@@ -283,319 +296,307 @@ def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
     value); ``j`` is the 1-based index of the chain field.  Node footprints
     must be pairwise disjoint; intermediate elements' field values are read
     off the memory itself.  Every node must be one of the (start, end)
-    ranges in ``allocations``.
+    ranges in ``allocations``.  The representation oracle applies this
+    predicate through :func:`walk_chain`, to every prefix of a walk at once.
     """
     if ell < 1:
         return False
-    used: set = set()
-    values = [first for _off, _size, first, _last in fields]
-    while True:
-        foot = range(ad, ad + bs)
-        if any(a not in mem or a in used for a in foot):
-            return False
-        if (ad, ad + bs - 1) not in allocations:
-            return False
-        for (off, size, _first, _last), value in zip(fields, values):
-            if read_le(mem, ad + off, size) != value:
-                return False
-        ell -= 1
-        if ell == 0:
-            return all(value == last for (_off, _size, _first, last), value
-                       in zip(fields, values))
-        used.update(foot)
-        ad = values[j - 1]
-        values = [read_le(mem, ad + off, size)
-                  for off, size, _first, _last in fields]
-        if None in values:
-            return False
+    nodes = list(itertools.islice(walk_chain(
+        mem, bs, j - 1, ad, [f[:2] for f in fields], allocations), ell))
+    return len(nodes) == ell and nodes[0][1] == [f[2] for f in fields] \
+        and nodes[-1][1] == [f[3] for f in fields]
 
 
 # --------------------------------------------------------------------------
 # Representation of concrete states by abstract states
 # --------------------------------------------------------------------------
 
-def _solve_sigma(s: AbstractState, svars: Tuple[SymVar, ...],
-                 seed: Dict[SymVar, int],
-                 layout: DataLayout, c: ConcreteState,
-                 formula: Formula,
-                 probe: bool = False,
-                 shift: int = 0) -> Optional[Dict[SymVar, int]]:
-    """Extend a partial instantiation to all of the state's variables using
-    conjunctive KB equalities, points-to values read from memory, and
-    list-chain walking.  Returns None when some variable stays free.
+# A value compiled against a state's equality classes: (class, offset) is
+# the class's value plus the offset.  Integer literals are offsets from the
+# class of the constant 0.
+Ref = Tuple[int, int]
+Terms = Tuple[Tuple[int, int], ...]  # (class, coefficient) pairs
+# A compiled atom ``const + sum(coeff * class value) REL 0``.
+CAtom = Tuple[str, int, Terms]
+CClause = Tuple[CAtom, ...]
+LEN, LAST, FREE = range(3)  # how a walk finds a summary's end
 
-    With ``probe`` the partial map is returned before witness values are
-    invented, exposing which variables stay structurally undetermined."""
-    sigma = dict(seed)
-    eqs = [a for a in formula.atoms() if a.rel == "="]
-    propagate_equalities(eqs, sigma)
 
-    # Points-to entries whose address is known fix their value (and vice
-    # versa nothing: values do not determine addresses).
-    for p in s.pt:
-        if p.addr in sigma and isinstance(p.value, SymVar) \
-                and p.value not in sigma:
-            got = read_le(c.mem, sigma[p.addr], type_size(p.ty, layout))
-            if got is not None:
-                sigma[p.value] = got
-                propagate_equalities(eqs, sigma)
+@dataclass(frozen=True)
+class _Walk:
+    """Plan step: place one list summary on the heap.
 
-    # List invariants: walk the concrete chain from the root address.
-    for l in s.li:
-        if l.ad not in sigma:
-            continue
-        bs = type_size(l.ty, layout)
-        sizes = [type_size(f.fty, layout) for f in l.fields]
-        # First-element field values.
-        for f, size in zip(l.fields, sizes):
-            if isinstance(f.first, SymVar) and f.first not in sigma:
-                got = read_le(c.mem, sigma[l.ad] + f.off, size)
-                if got is not None:
-                    sigma[f.first] = got
-        propagate_equalities(eqs, sigma)
-        # Walk the chain to find the length and the last-element values,
-        # stopping when the rec field matches the (known) last rec value or
-        # when the chain leaves allocated memory.
-        rec = l.rec_field
-        rec_size = sizes[l.rec_index - 1]
-        stop = sigma.get(rec.last) if isinstance(rec.last, SymVar) \
-            else rec.last
-        want_len = sigma.get(l.length)
-        # A walk must not run into the footprint of a sibling summary.
-        other_roots = {sigma[l2.ad] for l2 in s.li
-                       if l2 is not l and l2.ad in sigma}
-        node = sigma[l.ad]
-        count = 1
-        visited = {node}
-        while True:
-            nxt = read_le(c.mem, node + rec.off, rec_size)
-            if nxt is None:
-                break
-            if want_len is not None and count == want_len:
-                break
-            if want_len is None and stop is not None and nxt == stop:
-                break
-            if want_len is None and nxt in other_roots:
-                break
-            if nxt == 0 or nxt in visited:
-                break
-            node = nxt
-            visited.add(node)
-            count += 1
-        if l.length not in sigma:
-            sigma[l.length] = count
-        for f, size in zip(l.fields, sizes):
-            if isinstance(f.last, SymVar) and f.last not in sigma:
-                got = read_le(c.mem, node + f.off, size)
-                if got is not None:
-                    sigma[f.last] = got
-        # A materialized copy of the summary's last element shares its
-        # field-value variables with the summary's lasts; anchor its
-        # points-to addresses at the node the walk ended on.
-        for p in s.pt:
-            if not isinstance(p.addr, SymVar) or p.addr in sigma:
-                continue
-            for f in l.fields:
-                if isinstance(f.last, SymVar) and p.value == f.last:
-                    sigma[p.addr] = node + f.off
-                    break
-        propagate_equalities(eqs, sigma)
+    The root is known, or (``find``) it is any node-sized allocation whose
+    fields hold the known first values.  From the root the walk follows the
+    chain :func:`walk_chain` accepts.  The summary ends at the node the
+    known length reaches (LEN); else at a node whose recursive field holds
+    the known last value (LAST); else at any node, trying first the one
+    before a sibling summary's root in ``stops`` (FREE).  The end node gives
+    the last values, and the addresses of the points-to entries that
+    materialize it (``anchors``)."""
 
-    if probe:
-        return sigma
+    root: Ref
+    find: bool
+    node_size: int
+    fields: Tuple[Tuple[int, int, Ref, Ref], ...]  # offset, size, first, last
+    rec: int                                       # index of the rec field
+    length: Ref
+    mode: int
+    stops: Tuple[Ref, ...]
+    anchors: Tuple[Tuple[Ref, int], ...]           # address, field offset
 
-    # Leftover variables no longer tied to the program state (stale facts
-    # about rebound variables) are existential: pick a witness from their
-    # unit-coefficient bounds and let the formula check validate it.  Vars
-    # linked to the witness by an equality chain translate their bounds
-    # onto it, so a whole affine-connected class is assigned consistently.
+
+@dataclass(frozen=True)
+class _Plan:
+    """An abstract state compiled for :func:`represents`."""
+
+    names: FrozenSet[str]              # the program variables
+    lv: Tuple[Tuple[str, Ref], ...]
+    init: Tuple[Optional[int], ...]    # class values before any binding
+    # Walks, and reads of a points-to value at a bound address as
+    # (address, size, value).
+    steps: Tuple[Union[Tuple[Ref, int, Ref], _Walk], ...]
+    # checks[i]: the clauses decided once steps[:i] have run; the last
+    # entry holds those that need witnesses.
+    checks: Tuple[Tuple[CClause, ...], ...]
+    # Classes no step binds, in variable order: (class, offset of its first
+    # variable x, bounds ``k * x + const + terms <= 0`` as (k, const, terms)).
+    witnesses: Tuple[Tuple[int, int, Tuple[Tuple[int, int, Terms], ...]], ...]
+    al: Tuple[Tuple[Ref, Ref], ...]
+    pt: Tuple[Tuple[Ref, int, Ref], ...]  # the points-to entries no step reads
+
+
+def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
+    """Order the state's bindings so that each concrete state needs one
+    pass: program variables first, then points-to reads and summary walks
+    as soon as their addresses are bound, with every clause checked at the
+    first step that binds all of its classes."""
     closure = OffsetClosure(formula)
-    for _ in range(4):
-        free = [v for v in svars if v not in sigma]
-        if not free:
-            break
-        for v in free:
-            if v in sigma:
-                continue  # solved by a propagation round below
-            lo = hi = None
-            for a in formula.atoms():
-                if a.rel != "<=":
-                    continue
-                coeff = 0
-                rest = a.term.const
-                usable = True
-                for w, cc in a.term.coeffs:
-                    if w in sigma:
-                        rest += cc * sigma[w]
-                        continue
-                    d = closure.diff(w, v)  # w = v + d
-                    if d is None:
-                        usable = False
-                        break
-                    coeff += cc
-                    rest += cc * d
-                if not usable or coeff == 0:
-                    continue
-                # coeff*v + rest <= 0
-                if coeff > 0:
-                    hi_here = (-rest) // coeff
-                    hi = hi_here if hi is None else min(hi, hi_here)
-                else:
-                    lo_here = -((-rest) // (-coeff))
-                    lo = lo_here if lo is None else max(lo, lo_here)
-            if hi is not None:
-                sigma[v] = lo if lo is not None else hi
-            else:
-                # Unbounded above: shifting clear of concrete memory keeps
-                # stale allocation extents disjoint from live allocations.
-                sigma[v] = (lo if lo is not None else 0) + shift
-            propagate_equalities(eqs, sigma)
+    index: Dict[SymVar, int] = {}
 
-    if any(v not in sigma for v in svars):
-        return None
-    return sigma
+    def ref(v: Value) -> Ref:
+        root, off = closure.find(v)
+        return index.setdefault(root, len(index)), off
+
+    zero = ref(0)  # the constant 0's class, whose value is -zero[1]
+    lv = tuple((x, ref(v)) for x, v in s.lv)
+    bound = {zero[0]} | {r[0] for _, r in lv}
+    known = [frozenset(bound)]  # the classes bound before each step
+    steps: List[Union[Tuple[Ref, int, Ref], _Walk]] = []
+    pts, lis = list(s.pt), list(s.li)
+
+    def is_bound(v: Value) -> bool:
+        return ref(v)[0] in bound
+
+    def mode(l: ListInvariant) -> int:
+        return LEN if is_bound(l.length) else \
+            LAST if is_bound(l.rec_field.last) else FREE
+
+    def rank(l: ListInvariant):  # sure walks first, guessed roots last
+        return (not is_bound(l.ad), mode(l),
+                -sum(is_bound(f.first) for f in l.fields))
+
+    while True:
+        p = next((p for p in pts if is_bound(p.addr)), None)
+        if p is not None:
+            pts.remove(p)
+            steps.append((ref(p.addr), type_size(p.ty, layout), ref(p.value)))
+            bound.add(ref(p.value)[0])
+        elif lis:
+            l = min(lis, key=rank)
+            lis.remove(l)
+            lasts = {f.last: f.off for f in reversed(l.fields)  # first wins
+                     if isinstance(f.last, SymVar)}
+            anchors = [p for p in pts if p.value in lasts]
+            steps.append(_Walk(
+                root=ref(l.ad), find=not is_bound(l.ad),
+                node_size=type_size(l.ty, layout),
+                fields=tuple((f.off, type_size(f.fty, layout), ref(f.first),
+                              ref(f.last)) for f in l.fields),
+                rec=l.rec_index - 1, length=ref(l.length), mode=mode(l),
+                stops=tuple(ref(o.ad) for o in s.li
+                            if o is not l and is_bound(o.ad)),
+                anchors=tuple((ref(p.addr), lasts[p.value])
+                              for p in anchors)))
+            bound.update(ref(v)[0] for v in [l.ad, l.length] + [
+                p.addr for p in anchors] + [f.first for f in l.fields]
+                + [f.last for f in l.fields])
+        else:
+            break
+        known.append(frozenset(bound))
+
+    def catom(a: Atom) -> CAtom:
+        const, coeffs = a.term.const, {}
+        for v, k in a.term.coeffs:
+            cls, off = ref(v)
+            const += k * off
+            coeffs[cls] = coeffs.get(cls, 0) + k
+        const -= coeffs.pop(zero[0], 0) * zero[1]
+        return a.rel, const, tuple((c, k) for c, k in coeffs.items() if k)
+
+    checks: List[List[CClause]] = [[] for _ in range(len(steps) + 2)]
+    for clause in formula.clauses:
+        alts = [catom(a) for a in clause]
+        if any(not terms and _holds(rel, const) for rel, const, terms in alts):
+            continue  # true under every binding, e.g. an equality's class
+        alts = [a for a in alts if a[2]]
+        classes = {c for _, _, terms in alts for c, _ in terms}
+        at = next((i for i, k in enumerate(known) if classes <= k),
+                  len(steps) + 1)
+        checks[at].append(tuple(alts))
+
+    # Variables no step binds are existential (stale facts about rebound
+    # variables): each class takes a witness from its unit-coefficient
+    # bounds over bound classes and classes that took one before it, and
+    # the checks validate the choice.
+    witnesses = []
+    upper = [(a[1], dict(a[2])) for a in map(catom, (
+        c[0] for c in formula.clauses if len(c) == 1 and c[0].rel == LE))]
+    for cls, off in map(ref, s.sym_vars):
+        if cls not in bound:
+            bound.add(cls)
+            witnesses.append((cls, off, tuple(
+                (t[cls], const - t[cls] * off,
+                 tuple((c, k) for c, k in t.items() if c != cls))
+                for const, t in upper if t.get(cls) and t.keys() <= bound)))
+
+    init: List[Optional[int]] = [None] * len(index)
+    init[zero[0]] = -zero[1]
+    return _Plan(
+        names=frozenset(x for x, _ in s.lv), lv=lv, init=tuple(init),
+        steps=tuple(steps), checks=tuple(tuple(c) for c in checks),
+        witnesses=tuple(witnesses),
+        al=tuple((ref(a.lo), ref(a.hi)) for a in s.al),
+        pt=tuple((ref(p.addr), type_size(p.ty, layout), ref(p.value))
+                 for p in pts))
+
+
+def _holds(rel: str, value: int) -> bool:
+    if rel == LE:
+        return value <= 0
+    return value == 0 if rel == EQ else value != 0
+
+
+def _value(val: List[Optional[int]], r: Ref) -> int:
+    return val[r[0]] + r[1]
+
+
+def _bind(val: List[Optional[int]], r: Ref, x: Optional[int]) -> bool:
+    """Make ``r`` equal ``x`` by binding its class, or check that it does."""
+    if x is None:
+        return False
+    cls, off = r
+    if val[cls] is None:
+        val[cls] = x - off
+        return True
+    return val[cls] + off == x
+
+
+def _satisfied(clauses: Iterable[CClause], val: List[Optional[int]]) -> bool:
+    for clause in clauses:
+        for rel, const, terms in clause:
+            for c, k in terms:
+                const += k * val[c]
+            if _holds(rel, const):
+                break
+        else:
+            return False
+    return True
+
+
+def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
+             ) -> Iterator[List[Optional[int]]]:
+    """The bindings for every placement of the summary the heap allows."""
+    roots = [lo for lo, hi in c.allocations if hi - lo + 1 == w.node_size] \
+        if w.find else [_value(val, w.root)]
+    allocations, fields = set(c.allocations), [f[:2] for f in w.fields]
+    for root in roots:
+        v = list(val)
+        chain = walk_chain(c.mem, w.node_size, w.rec, root, fields,
+                           allocations)
+        head = next(chain, None)
+        if head is None or not _bind(v, w.root, root) or not all(
+                _bind(v, f[2], x) for f, x in zip(w.fields, head[1])):
+            continue
+        nodes = [head, *chain]
+        nexts = [values[w.rec] for _, values in nodes]
+        if w.mode == LEN:
+            n = _value(v, w.length)
+            ends = [n - 1] if 1 <= n <= len(nodes) else []
+        elif w.mode == LAST:
+            target = _value(v, w.fields[w.rec][3])
+            ends = [k for k, x in enumerate(nexts) if x == target]
+        else:
+            stops = {_value(v, r) for r in w.stops}
+            first = next((k for k, x in enumerate(nexts) if x in stops),
+                         len(nodes) - 1)
+            ends = [first] + [k for k in range(len(nodes)) if k != first]
+        for k in ends:
+            (end, values), v2 = nodes[k], list(v)
+            if _bind(v2, w.length, k + 1) and all(
+                    _bind(v2, f[3], x) for f, x in zip(w.fields, values)) \
+                    and all(_bind(v2, addr, end + off)
+                            for addr, off in w.anchors):
+                yield v2
+
+
+def _search(plan: _Plan, i: int, val: List[Optional[int]],
+            c: ConcreteState) -> bool:
+    """Run the plan from step ``i``, trying each placement a walk allows."""
+    if not _satisfied(plan.checks[i], val):
+        return False
+    if i < len(plan.steps):
+        step = plan.steps[i]
+        if isinstance(step, _Walk):
+            return any(_search(plan, i + 1, v, c)
+                       for v in _extents(step, val, c))
+        addr, size, value = step
+        return _bind(val, value, read_le(c.mem, _value(val, addr), size)) \
+            and _search(plan, i + 1, val, c)
+    for cls, off, bounds in plan.witnesses:  # the least x, else the most
+        rests = [(k, const + sum(kk * val[cc] for cc, kk in terms))
+                 for k, const, terms in bounds]  # k * x + rest <= 0
+        los = [-(-rest // -k) for k, rest in rests if k < 0]
+        his = [-rest // k for k, rest in rests if k > 0]
+        val[cls] = (max(los) if los else min(his) if his else 0) - off
+    # Walks placed every summary on a chain the list predicate accepts.
+    allocations = set(c.allocations)
+    return _satisfied(plan.checks[-1], val) and all(
+        (_value(val, lo), _value(val, hi)) in allocations
+        for lo, hi in plan.al) and all(
+        read_le(c.mem, _value(val, addr), size) == _value(val, value)
+        for addr, size, value in plan.pt)
 
 
 def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
                engine: Entailment) -> bool:
     """Is the concrete state an instance of the abstract state?
 
-    Builds the instantiation structurally (program variables anchor it,
-    equalities and the heap propagate it) and then checks: variable-domain
-    equality, the state formula under the instantiation, allocation images,
-    points-to contents, and the chain predicate with chained per-element
-    allocations for every list summary.
+    The state is compiled once per engine (:func:`_compile`).  The program
+    variables bind the first classes, and points-to reads and summary walks
+    bind the rest off the heap; each clause of the state formula is checked
+    as soon as its classes are bound.  A walk places a summary only on a
+    chain the list predicate accepts (:func:`walk_chain`), and one whose
+    root or end the bound values leave open is tried at every placement the
+    heap allows.  Classes that nothing binds take witnesses; then the
+    remaining clauses, the allocation images and the points-to entries no
+    step read are checked.
+
+    No bound remains, on list lengths or on the number of placements tried:
+    both are finite, read off the heap.  True is always an instance; only a
+    witness choice is heuristic, so False is final unless a class that no
+    program variable, memory cell or walk determines needed another value.
     """
     if isinstance(s, ErrState):
         return True  # ERR makes no claims; everything is an instance
-    formula = state_formula(s, engine)
-    svars = s.sym_vars
-
-    lv = s.lv_map()
-    if set(lv) != set(c.asgn):
+    plan = engine.state_plans.get(s)
+    if plan is None:
+        plan = _compile(s, state_formula(s, engine), layout)
+        engine.state_plans[s] = plan
+    if plan.names != c.asgn.keys():
         return False
-    seed: Dict[SymVar, int] = {}
-    for x, v in lv.items():
-        if isinstance(v, int):
-            if c.asgn[x] != v:
-                return False
-        elif v in seed:
-            if seed[v] != c.asgn[x]:
-                return False
-        else:
-            seed[v] = c.asgn[x]
-
-    clear = max((hi for _, hi in c.allocations), default=0) + 64
-    for shift in (0, clear):
-        sigma = _solve_sigma(s, svars, seed, layout, c, formula,
-                             shift=shift)
-        if sigma is not None and _check_instance(c, s, layout, sigma,
-                                                 formula):
-            return True
-
-    # Values propagated purely from the program-variable assignment are the
-    # same under every instantiation, so a conflict among them is final.
-    # This rejects wrong-branch candidates without the enumeration below.
-    if not _seed_consistent(seed, formula):
-        return False
-
-    # The chain walk guesses each summary's extent greedily, which can go
-    # wrong when several summaries carve up one chain and their boundary
-    # variables are not solved yet, and a summary's root can be a stale
-    # variable with no equality left to pin it down.  Both spaces are tiny
-    # (short chains, few node-sized allocations), so enumerate.
-    if not s.li:
-        return False
-    probe = _solve_sigma(s, svars, seed, layout, c, formula, probe=True)
-    root_choices: List[List] = []
-    for l in s.li:
-        if isinstance(l.ad, SymVar) and l.ad not in probe:
-            size = type_size(l.ty, layout)
-            root_choices.append([lo for lo, hi in c.allocations
-                                 if hi - lo + 1 == size])
-        else:
-            root_choices.append([None])
-    roots = [l.ad for l in s.li]
-    lengths = [l.length for l in s.li if isinstance(l.length, SymVar)
-               and l.length not in seed]
-    length_combos = [()] if not lengths else \
-        list(itertools.product(range(1, 7), repeat=len(lengths)))
-    attempts = 0
-    for root_combo in itertools.product(*root_choices):
-        for len_combo in length_combos:
-            if root_combo == (None,) * len(root_combo) and not len_combo:
-                continue  # the primary attempt above
-            attempts += 1
-            if attempts > 4096:
-                return False
-            seeded = dict(seed)
-            for v, lo in zip(roots, root_combo):
-                if lo is not None:
-                    seeded[v] = lo
-            seeded.update(zip(lengths, len_combo))
-            for shift in (0, clear):
-                sigma = _solve_sigma(s, svars, seeded, layout, c, formula,
-                                     shift=shift)
-                if sigma is not None and _check_instance(c, s, layout,
-                                                         sigma, formula):
-                    return True
-    return False
-
-
-def _seed_consistent(seed: Dict[SymVar, int], formula: Formula) -> bool:
-    """Can any instantiation extending the seed satisfy the formula?  Only
-    constraints fully determined by the seed (under equality propagation)
-    are checked, so False is definitive while True is inconclusive."""
-    sigma = dict(seed)
-    propagate_equalities([a for a in formula.atoms() if a.rel == "="], sigma)
-
-    def known(a: Atom) -> bool:
-        return all(w in sigma for w, _ in a.term.coeffs)
-
-    def holds(a: Atom) -> bool:
-        val = a.term.const + sum(cc * sigma[w] for w, cc in a.term.coeffs)
-        if a.rel == "<=":
-            return val <= 0
-        if a.rel == "=":
-            return val == 0
-        return val != 0
-
-    for a in formula.atoms():
-        if known(a) and not holds(a):
+    val = list(plan.init)
+    for x, r in plan.lv:
+        if not _bind(val, r, c.asgn[x]):
             return False
-    for clause in formula.clauses:
-        alts = list(clause)
-        if all(known(alt) for alt in alts) \
-                and not any(holds(alt) for alt in alts):
-            return False
-    return True
-
-
-def _check_instance(c: ConcreteState, s, layout: DataLayout,
-                    sigma: Dict[SymVar, int], formula: Formula) -> bool:
-    if not eval_formula(sigma, formula):
-        return False
-
-    def sv(v) -> int:
-        return v if isinstance(v, int) else sigma[v]
-
-    # Allocations: each abstract allocation is a concrete allocation.
-    for a in s.al:
-        if (sv(a.lo), sv(a.hi)) not in c.allocations:
-            return False
-
-    # Points-to contents.
-    for p in s.pt:
-        got = read_le(c.mem, sv(p.addr), type_size(p.ty, layout))
-        if got is None or got != sv(p.value):
-            return False
-
-    # List summaries: the chain predicate over allocated nodes.
-    for l in s.li:
-        fields = [(f.off, type_size(f.fty, layout), sv(f.first), sv(f.last))
-                  for f in l.fields]
-        if not eval_li_predicate(c.mem, type_size(l.ty, layout), l.rec_index,
-                                 sv(l.length), sv(l.ad), fields,
-                                 c.allocations):
-            return False
-    return True
+    return _search(plan, 0, val, c)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 
@@ -241,12 +242,21 @@ class Program:
                 return fs
         raise KeyError(f"unknown aggregate {name!r}")
 
+    @cached_property
+    def _positions(self) -> Dict[Tuple[str, int], ProgramPosition]:
+        # Shared position objects: a concrete run allocates none per step.
+        return {(n, i): ProgramPosition(n, i)
+                for n, body in self.blocks for i in range(len(body) + 1)}
+
+    def position(self, block: str, index: int) -> ProgramPosition:
+        return self._positions[block, index]
+
     @property
     def entry_position(self) -> ProgramPosition:
-        return ProgramPosition(self.entry, 0)
+        return self.position(self.entry, 0)
 
     def successor(self, pos: ProgramPosition) -> ProgramPosition:
-        return ProgramPosition(pos.block, pos.index + 1)
+        return self.position(pos.block, pos.index + 1)
 
 
 def recursive_index(prog: Program, name: str) -> Optional[int]:

@@ -5,9 +5,8 @@ All reasoning in the analyzer goes through an :class:`Entailment` engine
 analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share
 this module's equality reasoning: :class:`OffsetClosure` answers constant
-offsets between variables without the engine, :func:`propagate_equalities`
-solves equalities under a partial assignment, and :func:`clause_sexpr`
-prints SMT-LIB.
+offsets between variables without the engine, and its classes are the ones
+the representation oracle binds; :func:`clause_sexpr` prints SMT-LIB.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal.  When every atom of the refutation is a
@@ -379,41 +378,23 @@ class OffsetClosure:
         self.parent[rx] = ry
         self.offset[rx] = oy + d - ox
 
-    def _node(self, v: Value) -> Tuple[SymVar, int]:
+    def find(self, v: Value) -> Tuple[SymVar, int]:
+        """(representative, offset) with ``v = representative + offset``;
+        integers are offsets from the representative of 0."""
         if isinstance(v, int):
             root, off = self._find(self._CONST)
             return root, off + v
         return self._find(v)
 
     def diff(self, a: Value, b: Value) -> Optional[int]:
-        ra, oa = self._node(a)
-        rb, ob = self._node(b)
+        ra, oa = self.find(a)
+        rb, ob = self.find(b)
         if ra != rb:
             return None
         return oa - ob
 
     def const(self, a: Value) -> Optional[int]:
         return self.diff(a, 0)
-
-
-def propagate_equalities(eqs: Sequence[Atom],
-                         known: Dict[SymVar, int]) -> None:
-    """Extend the partial assignment ``known`` in place: each equality of
-    ``eqs`` is solved once all but one of its variables is known, to a
-    fixpoint.  A variable whose solution is not an integer stays unknown."""
-    changed = True
-    while changed:
-        changed = False
-        for a in eqs:
-            unknown = [(v, c) for v, c in a.term.coeffs if v not in known]
-            if len(unknown) != 1:
-                continue
-            v, c = unknown[0]
-            rest = a.term.const + sum(cc * known[w] for w, cc in a.term.coeffs
-                                      if w in known)
-            if rest % c == 0:
-                known[v] = -rest // c
-                changed = True
 
 
 class Verdict(enum.Enum):
@@ -810,6 +791,8 @@ class Entailment:
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
         # absdom.state_formula's results, per abstract state.
         self.state_formulas: Dict[object, Formula] = {}
+        # concrete.represents's compiled states.
+        self.state_plans: Dict[object, object] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
 

@@ -16,6 +16,7 @@ from listterm.absdom import (
     ListInvariant,
     PointsTo,
 )
+from listterm.cli import TRAV, match_trace
 from listterm.concrete import (
     ConcreteState,
     FuelExhausted,
@@ -37,6 +38,7 @@ from listterm.ir import (
     parse_program,
 )
 from listterm.logic import Atom, Entailment, Formula, SymVar
+from listterm.seg import build_seg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 LIST = AggType("list")
@@ -352,6 +354,98 @@ def test_represents_a_long_list():
     c = ConcreteState(ProgramPosition("b", 0), asgn={"root": 40},
                       allocations=allocations + [(40, 47)], mem=mem)
     assert is_instance(c, list_state())
+
+
+def overlapping_summaries(extra_kb=()):
+    """Three summaries over one chain, in the shape the search loop of
+    build_search_value reaches: the second starts at the first's last node
+    (its first values are the first's last values), and the third is the
+    second without its head, whose address ``q`` holds."""
+    r1, a, v1, n1, x1, x2 = (sv(i, h) for i, h in enumerate(
+        ("r1", "a", "v1", "n1", "x1", "x2"), start=1))
+    r2, b, y1, h, b3, w1, w2, old = (sv(i, h) for i, h in enumerate(
+        ("r2", "b", "y1", "h", "b3", "w1", "w2", "old"), start=7))
+    from listterm.logic import Term
+    kb = [Atom.eq(b, Term.of(b3) + 1), Atom.eq(h, x2),
+          # A stale length, as the search loop leaves one behind.
+          Atom.eq(old, Term.of(a) - 1), Atom.ge(old, 1)] + list(extra_kb)
+    return AbstractState.make(
+        ProgramPosition("b", 0), lv={"p": r1, "q": h},
+        li=[ListInvariant(r1, a, LIST, (LIField(0, I32, v1, x1),
+                                        LIField(8, LISTP, n1, x2)), 2),
+            ListInvariant(r2, b, LIST, (LIField(0, I32, x1, y1),
+                                        LIField(8, LISTP, x2, 0)), 2),
+            ListInvariant(h, b3, LIST, (LIField(0, I32, w1, y1),
+                                        LIField(8, LISTP, w2, 0)), 2)],
+        kb=Formula.conj(kb))
+
+
+def nine_node_chain():
+    """The chain split 2 / 8 / 7 over nodes 0-1, 1-8 and 2-8."""
+    addrs, mem, allocations = long_chain(9)
+    return ConcreteState(ProgramPosition("b", 0),
+                         asgn={"p": addrs[0], "q": addrs[2]},
+                         allocations=allocations, mem=mem)
+
+
+def test_represents_overlapping_summaries_with_a_long_middle():
+    assert is_instance(nine_node_chain(), overlapping_summaries())
+
+
+@pytest.mark.parametrize("contradiction", [
+    lambda a, b, b3: Atom.eq(b, 7),
+    lambda a, b, b3: Atom.eq(a, b3),
+    lambda a, b, b3: Atom.ge(b, 9),
+], ids=["middle-length", "equal-lengths", "middle-at-least-9"])
+def test_represents_overlapping_summaries_rejects_contradicted_lengths(
+        contradiction):
+    a, b, b3 = sv(2, "a"), sv(8, "b"), sv(11, "b3")
+    s = overlapping_summaries([contradiction(a, b, b3)])
+    assert not is_instance(nine_node_chain(), s)
+
+
+def test_represents_tries_every_end_of_an_open_summary():
+    """With neither its length nor its last values bound, the first summary
+    could end before the second one's root; its length bound rules that
+    end out, and a later one on the same chain fits."""
+    r1, a, v1, n1, x1, x2 = (sv(i, h) for i, h in enumerate(
+        ("r1", "a", "v1", "n1", "x1", "x2"), start=1))
+    r2, b, w1, w2, y1 = (sv(i, h) for i, h in enumerate(
+        ("r2", "b", "w1", "w2", "y1"), start=7))
+    s = AbstractState.make(
+        ProgramPosition("b", 0), lv={"p": r1, "q": r2},
+        li=[ListInvariant(r1, a, LIST, (LIField(0, I32, v1, x1),
+                                        LIField(8, LISTP, n1, x2)), 2),
+            ListInvariant(r2, b, LIST, (LIField(0, I32, w1, y1),
+                                        LIField(8, LISTP, w2, 0)), 2)],
+        kb=Formula.conj([Atom.ge(a, 3)]))
+    addrs, mem, allocations = long_chain(5)
+    c = ConcreteState(ProgramPosition("b", 0),
+                      asgn={"p": addrs[0], "q": addrs[1]},
+                      allocations=allocations, mem=mem)
+    assert is_instance(c, s)
+    assert not is_instance(c, s.replace_components(
+        kb=Formula.conj([Atom.ge(a, 6)])))
+
+
+@pytest.fixture(scope="module")
+def search_graph():
+    prog = load("build_search_value.ll")
+    engine = Entailment()
+    return prog, build_seg(prog, engine), engine
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_search_scans_a_long_list_without_violations(search_graph, n):
+    """An n-node list whose values 0..n-1 never hit the target 9, so the
+    search walks all of it; one summary then spans n - 1 nodes."""
+    prog, seg, engine = search_graph
+    trace = run_concrete(prog, itertools.chain([n, 9],
+                                               itertools.cycle(range(9))))
+    assert trace.final.halted and not trace.final.error
+    counts, violations = match_trace(trace, seg, prog, engine)
+    assert violations == []
+    assert counts[TRAV] == 2 * n - 2
 
 
 def test_concrete_step_does_not_mutate_input():

@@ -24,7 +24,6 @@ from listterm.logic import (
     Verdict,
     brute_force_valid,
     eval_formula,
-    propagate_equalities,
     rename_formula,
     smtlib_script,
 )
@@ -370,17 +369,6 @@ def test_offset_closure_differences_are_entailed(data):
             if d is not None:
                 derived.append(Atom.eq(Term.of(a) - Term.of(b), d))
     assert brute_force_valid(f, Formula.of(*derived), 8), f"{f}: {derived}"
-
-
-def test_propagate_equalities_to_fixpoint():
-    a, b, c, d = V
-    eqs = [Atom.eq(Term.of(c), Term.of(b) - Term.of(a)),
-           Atom.eq(b, Term.of(a) + 3),
-           Atom.eq(Term.of(d).scale(2), c)]
-    known = {a: 4}
-    propagate_equalities(eqs, known)
-    # 2d = 3 has no integer solution, so d stays unknown.
-    assert known == {a: 4, b: 7, c: 3}
 
 
 def test_fresh_vars_count_up_per_engine():
