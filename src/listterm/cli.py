@@ -383,14 +383,17 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
 def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
                        fuel: int, engine: Entailment):
     """(runs, [(seed, first unrepresented step)], fuel_exhausted) over the
-    given seeds."""
+    given seeds.  A run that does not halt within ``fuel`` steps is
+    checked on its first 256 steps only."""
     violations = []
     exhausted = 0
     for seed in seeds:
-        trace = run_concrete(prog, nondet_stream(seed), fuel=fuel,
-                             partial=True)
-        if not trace.final.halted:
-            # Check only a short prefix of the diverging run.
+        try:
+            trace = run_concrete(prog, nondet_stream(seed),
+                                 fuel=max(fuel, 256))
+        except FuelExhausted as e:
+            trace = e.trace
+        if not trace.final.halted or len(trace.instructions) > fuel:
             exhausted += 1
             trace = Trace(trace.states[:257], trace.instructions[:256])
         bad = match_trace(trace, seg, prog, engine)[1]

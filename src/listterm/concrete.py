@@ -10,27 +10,24 @@ abstract state on the matching path.
 
 The representation check compiles each abstract state once into the
 equality classes of its state formula and a plan that binds them: program
-variables first, then points-to values read at bound addresses, then list
-summaries placed by walking their recursive field from the root.  Where the
-bound values leave a summary's root or end open, every placement the heap
-allows is tried, so the extent is read off the heap rather than guessed
-(the model-checking view of Brotherston, Gorogiannis, Kanovich & Rowe,
-POPL 2016) and list lengths have no bound.
+variables first, then solved equalities, points-to reads and list summaries
+walked along their recursive field, each placement the heap allows tried in
+turn.  Extents are read off the heap, not guessed (Brotherston, Gorogiannis,
+Kanovich & Rowe, POPL 2016), and list lengths have no bound.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import (Container, Dict, FrozenSet, Iterable, Iterator, List,
-                    Mapping, Optional, Tuple, Union)
+from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, Union)
 
 from . import ir
 from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
 from .ir import DataLayout, Instruction, Program, ProgramPosition, type_size
-from .logic import EQ, LE, Atom, Entailment, Formula, OffsetClosure, SymVar
+from .logic import EQ, LE, NE, Atom, Entailment, Formula, OffsetClosure, SymVar
 
 
 # --------------------------------------------------------------------------
@@ -38,7 +35,7 @@ from .logic import EQ, LE, Atom, Entailment, Formula, OffsetClosure, SymVar
 # --------------------------------------------------------------------------
 
 def encode_le(value: int, size: int) -> Tuple[int, ...]:
-    return tuple((value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+    return tuple((value >> (8 * i)) & 0xFF for i in range(size))
 
 
 def decode_le(bs: Iterable[int]) -> int:
@@ -66,14 +63,16 @@ class ConcreteState:
     error: bool = False
 
     def allocated(self, lo: int, hi: int) -> bool:
-        for alo, ahi in self.allocations:
-            if alo <= lo and hi <= ahi:
-                return True
-        return False
+        return any(alo <= lo and hi <= ahi for alo, ahi in self.allocations)
 
 
 class FuelExhausted(Exception):
-    """Raised when a concrete run does not halt within its step budget."""
+    """Raised when a concrete run does not halt within its step budget;
+    ``trace`` is the run up to there."""
+
+    def __init__(self, message: str, trace: "Trace"):
+        super().__init__(message)
+        self.trace = trace
 
 
 @dataclass
@@ -106,12 +105,6 @@ def _malloc_address(c: ConcreteState, size: int) -> int:
 def _fail(n: ConcreteState) -> ConcreteState:
     n.error = n.halted = True
     return n
-
-
-_ICMP = {"eq": operator.eq, "ne": operator.ne,
-         "ult": operator.lt, "ule": operator.le, "ugt": operator.gt,
-         "uge": operator.ge, "slt": operator.lt, "sle": operator.le,
-         "sgt": operator.gt, "sge": operator.ge}
 
 
 def concrete_step(c: ConcreteState, prog: Program,
@@ -169,7 +162,12 @@ def concrete_step(c: ConcreteState, prog: Program,
         b = _operand_value(c, ins.rhs)
         if a is None or b is None:
             return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: int(_ICMP[ins.pred](a, b))}
+        result = {
+            "eq": a == b, "ne": a != b,
+            "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
+            "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
+        }[ins.pred]
+        n.asgn = {**c.asgn, ins.dst: int(result)}
 
     elif isinstance(ins, ir.BrCond):
         cond = _operand_value(c, ins.cond)
@@ -239,13 +237,13 @@ def run_concrete(prog: Program, nondet: Iterator[int],
     instrs: List[Instruction] = []
     for _ in range(fuel):
         if c.halted:
-            break
+            return Trace(states, instrs)
         instrs.append(prog.instruction_at(c.pos))
         c = concrete_step(c, prog, nondet)
         states.append(c)
-    if not c.halted and not partial:
-        raise FuelExhausted(f"no halt within {fuel} steps")
-    return Trace(states, instrs)
+    if c.halted or partial:
+        return Trace(states, instrs)
+    raise FuelExhausted(f"no halt within {fuel} steps", Trace(states, instrs))
 
 
 def format_trace(t: Trace, prog: Program) -> str:
@@ -296,9 +294,7 @@ def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
     value); ``j`` is the 1-based index of the chain field.  Node footprints
     must be pairwise disjoint; intermediate elements' field values are read
     off the memory itself.  Every node must be one of the (start, end)
-    ranges in ``allocations``.  The representation oracle applies this
-    predicate through :func:`walk_chain`, to every prefix of a walk at once.
-    """
+    ranges in ``allocations``."""
     if ell < 1:
         return False
     nodes = list(itertools.islice(walk_chain(
@@ -319,58 +315,52 @@ Terms = Tuple[Tuple[int, int], ...]  # (class, coefficient) pairs
 # A compiled atom ``const + sum(coeff * class value) REL 0``.
 CAtom = Tuple[str, int, Terms]
 CClause = Tuple[CAtom, ...]
-LEN, LAST, FREE = range(3)  # how a walk finds a summary's end
 
 
 @dataclass(frozen=True)
 class _Walk:
-    """Plan step: place one list summary on the heap.
-
-    The root is known, or (``find``) it is any node-sized allocation whose
-    fields hold the known first values.  From the root the walk follows the
-    chain :func:`walk_chain` accepts.  The summary ends at the node the
-    known length reaches (LEN); else at a node whose recursive field holds
-    the known last value (LAST); else at any node, trying first the one
-    before a sibling summary's root in ``stops`` (FREE).  The end node gives
-    the last values, and the addresses of the points-to entries that
-    materialize it (``anchors``)."""
+    """Plan step: place one list summary on the heap (:func:`_extents`)."""
 
     root: Ref
-    find: bool
+    find: bool                                     # the root is not bound
     node_size: int
     fields: Tuple[Tuple[int, int, Ref, Ref], ...]  # offset, size, first, last
     rec: int                                       # index of the rec field
     length: Ref
-    mode: int
-    stops: Tuple[Ref, ...]
-    anchors: Tuple[Tuple[Ref, int], ...]           # address, field offset
+    anchors: Tuple[Tuple[Ref, int], ...]  # the last node's pt: address, offset
+
+
+@dataclass(frozen=True)
+class _Solve:
+    """Plan step: bind class ``cls`` to the least value the rows
+    ``k * cls + const + terms <= 0`` over bound classes allow, else the
+    greatest, else ``default``: an equality's two rows leave one value."""
+
+    cls: int
+    rows: Tuple[Tuple[int, int, Terms], ...]
+    default: int = 0
 
 
 @dataclass(frozen=True)
 class _Plan:
     """An abstract state compiled for :func:`represents`."""
 
-    names: FrozenSet[str]              # the program variables
     lv: Tuple[Tuple[str, Ref], ...]
     init: Tuple[Optional[int], ...]    # class values before any binding
-    # Walks, and reads of a points-to value at a bound address as
-    # (address, size, value).
-    steps: Tuple[Union[Tuple[Ref, int, Ref], _Walk], ...]
-    # checks[i]: the clauses decided once steps[:i] have run; the last
-    # entry holds those that need witnesses.
+    # In binding order: walks, solved classes, and reads of a points-to
+    # value at a bound address as (address, size, value).
+    steps: Tuple[Union[Tuple[Ref, int, Ref], _Walk, _Solve], ...]
+    # checks[i]: the clauses decided once steps[:i] have run.
     checks: Tuple[Tuple[CClause, ...], ...]
-    # Classes no step binds, in variable order: (class, offset of its first
-    # variable x, bounds ``k * x + const + terms <= 0`` as (k, const, terms)).
-    witnesses: Tuple[Tuple[int, int, Tuple[Tuple[int, int, Terms], ...]], ...]
     al: Tuple[Tuple[Ref, Ref], ...]
     pt: Tuple[Tuple[Ref, int, Ref], ...]  # the points-to entries no step reads
 
 
 def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
-    """Order the state's bindings so that each concrete state needs one
-    pass: program variables first, then points-to reads and summary walks
-    as soon as their addresses are bound, with every clause checked at the
-    first step that binds all of its classes."""
+    """Order the state's bindings: program variables; then equalities
+    solved for their one unbound class, points-to reads and summary walks
+    as their inputs get bound; then witnesses for the classes left.  Each
+    clause is checked at the first step that binds all of its classes."""
     closure = OffsetClosure(formula)
     index: Dict[SymVar, int] = {}
 
@@ -379,51 +369,6 @@ def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
         return index.setdefault(root, len(index)), off
 
     zero = ref(0)  # the constant 0's class, whose value is -zero[1]
-    lv = tuple((x, ref(v)) for x, v in s.lv)
-    bound = {zero[0]} | {r[0] for _, r in lv}
-    known = [frozenset(bound)]  # the classes bound before each step
-    steps: List[Union[Tuple[Ref, int, Ref], _Walk]] = []
-    pts, lis = list(s.pt), list(s.li)
-
-    def is_bound(v: Value) -> bool:
-        return ref(v)[0] in bound
-
-    def mode(l: ListInvariant) -> int:
-        return LEN if is_bound(l.length) else \
-            LAST if is_bound(l.rec_field.last) else FREE
-
-    def rank(l: ListInvariant):  # sure walks first, guessed roots last
-        return (not is_bound(l.ad), mode(l),
-                -sum(is_bound(f.first) for f in l.fields))
-
-    while True:
-        p = next((p for p in pts if is_bound(p.addr)), None)
-        if p is not None:
-            pts.remove(p)
-            steps.append((ref(p.addr), type_size(p.ty, layout), ref(p.value)))
-            bound.add(ref(p.value)[0])
-        elif lis:
-            l = min(lis, key=rank)
-            lis.remove(l)
-            lasts = {f.last: f.off for f in reversed(l.fields)  # first wins
-                     if isinstance(f.last, SymVar)}
-            anchors = [p for p in pts if p.value in lasts]
-            steps.append(_Walk(
-                root=ref(l.ad), find=not is_bound(l.ad),
-                node_size=type_size(l.ty, layout),
-                fields=tuple((f.off, type_size(f.fty, layout), ref(f.first),
-                              ref(f.last)) for f in l.fields),
-                rec=l.rec_index - 1, length=ref(l.length), mode=mode(l),
-                stops=tuple(ref(o.ad) for o in s.li
-                            if o is not l and is_bound(o.ad)),
-                anchors=tuple((ref(p.addr), lasts[p.value])
-                              for p in anchors)))
-            bound.update(ref(v)[0] for v in [l.ad, l.length] + [
-                p.addr for p in anchors] + [f.first for f in l.fields]
-                + [f.last for f in l.fields])
-        else:
-            break
-        known.append(frozenset(bound))
 
     def catom(a: Atom) -> CAtom:
         const, coeffs = a.term.const, {}
@@ -434,7 +379,82 @@ def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
         const -= coeffs.pop(zero[0], 0) * zero[1]
         return a.rel, const, tuple((c, k) for c, k in coeffs.items() if k)
 
-    checks: List[List[CClause]] = [[] for _ in range(len(steps) + 2)]
+    lv = tuple((x, ref(v)) for x, v in s.lv)
+    bound = {zero[0]} | {r[0] for _, r in lv}
+    known = [frozenset(bound)]  # the classes bound before each step
+    steps: List[Union[Tuple[Ref, int, Ref], _Walk, _Solve]] = []
+    pts, lis = list(s.pt), list(s.li)
+    eqs = []  # the equalities the classes did not absorb
+    bounds = []  # (const, terms) of the atoms ``const + terms <= 0``
+    for rel, const, t in map(catom, formula.atoms()):
+        if rel == EQ:
+            eqs.append(t)
+            bounds.append((-const, tuple((c, -k) for c, k in t)))
+        if rel != NE:
+            bounds.append((const, t))
+
+    def add(step, classes: Iterable[int]) -> None:
+        steps.append(step)
+        bound.update(classes)
+        known.append(frozenset(bound))
+
+    def only_unbound(terms: Terms) -> Optional[int]:
+        free = [c for c, _ in terms if c not in bound]
+        return free[0] if len(free) == 1 else None
+
+    def solve(cls: int, default: int = 0) -> None:
+        add(_Solve(cls, tuple(
+            (dict(t)[cls], const, tuple(x for x in t if x[0] != cls))
+            for const, t in bounds if only_unbound(t) == cls), default), [cls])
+
+    def solve_equalities() -> None:
+        while (cls := next((c for c in map(only_unbound, eqs)
+                            if c is not None), None)) is not None:
+            solve(cls)
+
+    def is_bound(v: Value) -> bool:
+        return ref(v)[0] in bound
+
+    def rank(l: ListInvariant):  # sure walks first, guessed roots last
+        return (not is_bound(l.ad), not is_bound(l.length),
+                not is_bound(l.rec_field.last),
+                -sum(is_bound(f.first) for f in l.fields))
+
+    while True:
+        solve_equalities()
+        if (p := next((p for p in pts if is_bound(p.addr)), None)) is not None:
+            pts.remove(p)
+            add((ref(p.addr), type_size(p.ty, layout), ref(p.value)),
+                [ref(p.value)[0]])
+        elif lis:
+            l = min(lis, key=rank)
+            lis.remove(l)
+            lasts = {f.last: f.off for f in reversed(l.fields)  # first wins
+                     if isinstance(f.last, SymVar)}
+            anchors = [p for p in pts if p.value in lasts]
+            add(_Walk(
+                root=ref(l.ad), find=not is_bound(l.ad),
+                node_size=type_size(l.ty, layout),
+                fields=tuple((f.off, type_size(f.fty, layout), ref(f.first),
+                              ref(f.last)) for f in l.fields),
+                rec=l.rec_index - 1, length=ref(l.length),
+                anchors=tuple((ref(p.addr), lasts[p.value])
+                              for p in anchors)),
+                (ref(v)[0] for v in [l.ad, l.length] + [
+                    p.addr for p in anchors] + [f.first for f in l.fields]
+                 + [f.last for f in l.fields]))
+        else:
+            break
+
+    # Variables no step binds are existential (stale facts about rebound
+    # variables): each class takes a witness from its bounds over bound
+    # classes, and the checks validate the choice.
+    for cls, off in map(ref, s.sym_vars):
+        if cls not in bound:
+            solve(cls, -off)
+            solve_equalities()
+
+    checks: List[List[CClause]] = [[] for _ in known]
     for clause in formula.clauses:
         alts = [catom(a) for a in clause]
         if any(not terms and _holds(rel, const) for rel, const, terms in alts):
@@ -442,30 +462,14 @@ def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
         alts = [a for a in alts if a[2]]
         classes = {c for _, _, terms in alts for c, _ in terms}
         at = next((i for i, k in enumerate(known) if classes <= k),
-                  len(steps) + 1)
+                  len(steps))
         checks[at].append(tuple(alts))
-
-    # Variables no step binds are existential (stale facts about rebound
-    # variables): each class takes a witness from its unit-coefficient
-    # bounds over bound classes and classes that took one before it, and
-    # the checks validate the choice.
-    witnesses = []
-    upper = [(a[1], dict(a[2])) for a in map(catom, (
-        c[0] for c in formula.clauses if len(c) == 1 and c[0].rel == LE))]
-    for cls, off in map(ref, s.sym_vars):
-        if cls not in bound:
-            bound.add(cls)
-            witnesses.append((cls, off, tuple(
-                (t[cls], const - t[cls] * off,
-                 tuple((c, k) for c, k in t.items() if c != cls))
-                for const, t in upper if t.get(cls) and t.keys() <= bound)))
 
     init: List[Optional[int]] = [None] * len(index)
     init[zero[0]] = -zero[1]
     return _Plan(
-        names=frozenset(x for x, _ in s.lv), lv=lv, init=tuple(init),
+        lv=lv, init=tuple(init),
         steps=tuple(steps), checks=tuple(tuple(c) for c in checks),
-        witnesses=tuple(witnesses),
         al=tuple((ref(a.lo), ref(a.hi)) for a in s.al),
         pt=tuple((ref(p.addr), type_size(p.ty, layout), ref(p.value))
                  for p in pts))
@@ -492,6 +496,14 @@ def _bind(val: List[Optional[int]], r: Ref, x: Optional[int]) -> bool:
     return val[cls] + off == x
 
 
+def _solve(val: List[Optional[int]], st: _Solve) -> None:
+    rests = [(k, const + sum(kk * val[c] for c, kk in terms))
+             for k, const, terms in st.rows]  # k * x + rest <= 0
+    los = [-(-rest // -k) for k, rest in rests if k < 0]
+    his = [-rest // k for k, rest in rests if k > 0]
+    val[st.cls] = max(los) if los else min(his) if his else st.default
+
+
 def _satisfied(clauses: Iterable[CClause], val: List[Optional[int]]) -> bool:
     for clause in clauses:
         for rel, const, terms in clause:
@@ -506,7 +518,13 @@ def _satisfied(clauses: Iterable[CClause], val: List[Optional[int]]) -> bool:
 
 def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
              ) -> Iterator[List[Optional[int]]]:
-    """The bindings for every placement of the summary the heap allows."""
+    """The bindings for every placement of the summary the heap allows.
+
+    The root is bound, or (``find``) it is any node-sized allocation whose
+    fields hold the bound first values.  From the root the summary follows
+    the chain :func:`walk_chain` accepts and may end at any of its nodes
+    that agrees with the bound length and last values.  The end node gives
+    the length, the last values and the addresses of the ``anchors``."""
     roots = [lo for lo, hi in c.allocations if hi - lo + 1 == w.node_size] \
         if w.find else [_value(val, w.root)]
     allocations, fields = set(c.allocations), [f[:2] for f in w.fields]
@@ -518,21 +536,8 @@ def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
         if head is None or not _bind(v, w.root, root) or not all(
                 _bind(v, f[2], x) for f, x in zip(w.fields, head[1])):
             continue
-        nodes = [head, *chain]
-        nexts = [values[w.rec] for _, values in nodes]
-        if w.mode == LEN:
-            n = _value(v, w.length)
-            ends = [n - 1] if 1 <= n <= len(nodes) else []
-        elif w.mode == LAST:
-            target = _value(v, w.fields[w.rec][3])
-            ends = [k for k, x in enumerate(nexts) if x == target]
-        else:
-            stops = {_value(v, r) for r in w.stops}
-            first = next((k for k, x in enumerate(nexts) if x in stops),
-                         len(nodes) - 1)
-            ends = [first] + [k for k in range(len(nodes)) if k != first]
-        for k in ends:
-            (end, values), v2 = nodes[k], list(v)
+        for k, (end, values) in enumerate(itertools.chain([head], chain)):
+            v2 = list(v)
             if _bind(v2, w.length, k + 1) and all(
                     _bind(v2, f[3], x) for f, x in zip(w.fields, values)) \
                     and all(_bind(v2, addr, end + off)
@@ -543,22 +548,19 @@ def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
 def _search(plan: _Plan, i: int, val: List[Optional[int]],
             c: ConcreteState) -> bool:
     """Run the plan from step ``i``, trying each placement a walk allows."""
-    if not _satisfied(plan.checks[i], val):
-        return False
-    if i < len(plan.steps):
+    for i in range(i, len(plan.steps)):
+        if not _satisfied(plan.checks[i], val):
+            return False
         step = plan.steps[i]
         if isinstance(step, _Walk):
             return any(_search(plan, i + 1, v, c)
                        for v in _extents(step, val, c))
-        addr, size, value = step
-        return _bind(val, value, read_le(c.mem, _value(val, addr), size)) \
-            and _search(plan, i + 1, val, c)
-    for cls, off, bounds in plan.witnesses:  # the least x, else the most
-        rests = [(k, const + sum(kk * val[cc] for cc, kk in terms))
-                 for k, const, terms in bounds]  # k * x + rest <= 0
-        los = [-(-rest // -k) for k, rest in rests if k < 0]
-        his = [-rest // k for k, rest in rests if k > 0]
-        val[cls] = (max(los) if los else min(his) if his else 0) - off
+        if isinstance(step, _Solve):
+            _solve(val, step)
+        else:
+            addr, size, value = step
+            if not _bind(val, value, read_le(c.mem, _value(val, addr), size)):
+                return False
     # Walks placed every summary on a chain the list predicate accepts.
     allocations = set(c.allocations)
     return _satisfied(plan.checks[-1], val) and all(
@@ -572,20 +574,21 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
                engine: Entailment) -> bool:
     """Is the concrete state an instance of the abstract state?
 
-    The state is compiled once per engine (:func:`_compile`).  The program
-    variables bind the first classes, and points-to reads and summary walks
-    bind the rest off the heap; each clause of the state formula is checked
-    as soon as its classes are bound.  A walk places a summary only on a
-    chain the list predicate accepts (:func:`walk_chain`), and one whose
-    root or end the bound values leave open is tried at every placement the
-    heap allows.  Classes that nothing binds take witnesses; then the
-    remaining clauses, the allocation images and the points-to entries no
-    step read are checked.
+    The state is compiled once per engine (:func:`_compile`).  Program
+    variables, equalities solved for their one unbound class, points-to
+    reads and summary walks bind the classes off the heap, and each clause
+    of the state formula is checked as soon as its classes are bound.  A
+    walk places a summary only on a chain the list predicate accepts
+    (:func:`walk_chain`) and tries every placement the heap allows.
+    Classes that nothing binds take witnesses, which equalities extend;
+    then the allocation images and the points-to entries no step read are
+    checked.
 
     No bound remains, on list lengths or on the number of placements tried:
     both are finite, read off the heap.  True is always an instance; only a
     witness choice is heuristic, so False is final unless a class that no
-    program variable, memory cell or walk determines needed another value.
+    program variable, memory cell, walk or equality determines needed
+    another value.
     """
     if isinstance(s, ErrState):
         return True  # ERR makes no claims; everything is an instance
@@ -593,10 +596,10 @@ def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
     if plan is None:
         plan = _compile(s, state_formula(s, engine), layout)
         engine.state_plans[s] = plan
-    if plan.names != c.asgn.keys():
-        return False
+    if len(plan.lv) != len(c.asgn):
+        return False  # names are checked as they bind
     val = list(plan.init)
     for x, r in plan.lv:
-        if not _bind(val, r, c.asgn[x]):
+        if not _bind(val, r, c.asgn.get(x)):
             return False
     return _search(plan, 0, val, c)

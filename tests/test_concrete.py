@@ -428,6 +428,55 @@ def test_represents_tries_every_end_of_an_open_summary():
         kb=Formula.conj([Atom.ge(a, 6)])))
 
 
+def sum_state(*kb, lv=("w",)):
+    """A state binding ``w`` (and optionally ``x`` to ``a``), whose stale
+    ``a`` and ``b`` only an equality ``w = a + b`` ties to it, as an
+    ``add`` of two reloaded variables leaves them."""
+    from listterm.logic import Term
+    w, a, b = sv(1, "w"), sv(2, "a"), sv(3, "b")
+    return AbstractState.make(
+        ProgramPosition("b", 0), lv=dict(zip(lv, (w, a))),
+        kb=Formula.conj([Atom.eq(w, Term.of(a) + b), Atom.ge(a, 1),
+                         Atom.ge(b, 5)] + [k(w, a, b) for k in kb]))
+
+
+def at(**asgn):
+    return ConcreteState(ProgramPosition("b", 0), asgn=asgn)
+
+
+def test_represents_solves_an_equality_over_stale_variables():
+    """``a`` takes its least value and the equality then solves ``b``;
+    giving ``b`` its own least value instead breaks ``w = a + b``."""
+    assert is_instance(at(w=10), sum_state())
+    assert not is_instance(at(w=5), sum_state())  # b = 4 < 5
+
+
+def test_represents_solves_an_equality_once_its_other_classes_are_bound():
+    s = sum_state(lv=("w", "x"))
+    assert is_instance(at(w=10, x=4), s)
+    assert not is_instance(at(w=10, x=6), s)  # b = 4 < 5
+
+
+def test_represents_solves_an_equality_with_a_non_unit_coefficient():
+    from listterm.logic import Term
+    s = sum_state(lambda w, a, b: Atom.eq(Term.of(b).scale(2), w))
+    assert is_instance(at(w=14), s)  # b = 7, then a = 7
+    assert not is_instance(at(w=15), s)  # no integer b
+    assert not is_instance(at(w=8), s)  # b = 4 < 5
+
+
+def test_represents_solves_equalities_before_the_next_witness():
+    """Once ``a`` takes its witness the equality fixes ``b``; only then does
+    ``c``, whose variable comes between them, take its least value."""
+    from listterm.logic import Term
+    w, a, c, b = (sv(i, h) for i, h in enumerate("wacb", start=1))
+    s = AbstractState.make(
+        ProgramPosition("b", 0), lv={"w": w},
+        kb=Formula.conj([Atom.eq(w, Term.of(a) + b), Atom.ge(a, 1),
+                         Atom.ge(c, b)]))
+    assert is_instance(at(w=10), s)  # a = 1, b = 9, c = 9
+
+
 @pytest.fixture(scope="module")
 def search_graph():
     prog = load("build_search_value.ll")
@@ -446,6 +495,35 @@ def test_search_scans_a_long_list_without_violations(search_graph, n):
     counts, violations = match_trace(trace, seg, prog, engine)
     assert violations == []
     assert counts[TRAV] == 2 * n - 2
+
+
+def checked_lengths(monkeypatch, name, fuel):
+    """Run differential_check on seed 0 of a corpus program; return its
+    result and the length of each trace it checked."""
+    from listterm import cli
+    prog, engine, checked = load(name), Entailment(), []
+    match = cli.match_trace
+    monkeypatch.setattr(cli, "match_trace", lambda trace, *rest: (
+        checked.append(len(trace.instructions)), match(trace, *rest))[1])
+    result = cli.differential_check(prog, build_seg(prog, engine), [0], fuel,
+                                    engine)
+    return result, checked
+
+
+@pytest.mark.parametrize("fuel", [10, 300, 10_000])
+def test_differential_check_checks_256_steps_of_a_diverging_run(
+        monkeypatch, fuel):
+    assert checked_lengths(monkeypatch, "cyclic_traverse.ll", fuel) == (
+        (1, [], 1), [256])
+
+
+def test_differential_check_counts_a_halt_past_the_fuel_as_exhausted(
+        monkeypatch):
+    steps = len(run_concrete(load("straight_line.ll"), stream()).instructions)
+    assert checked_lengths(monkeypatch, "straight_line.ll", 1) == (
+        (1, [], 1), [steps])
+    assert checked_lengths(monkeypatch, "straight_line.ll", steps) == (
+        (1, [], 0), [steps])
 
 
 def test_concrete_step_does_not_mutate_input():
