@@ -234,6 +234,58 @@ def test_merge_widening_drops_large_constants(build_only_seg):
     assert len(m2.kb.atoms()) <= len(m1.kb.atoms()) <= len(m0.kb.atoms())
 
 
+def with_padding_entry(s):
+    """``s`` plus a program variable ``q`` at the first node's padding
+    (start + 4) and an ``i32`` points-to entry there: an entry that lies
+    inside the chain's first node but is none of its fields."""
+    n1 = dict(s.lv)["p"]
+    x, w = sv(11, "x"), sv(12, "w")
+    return s.replace_components(
+        lv={"p": n1, "q": x},
+        pt=s.pt + (PointsTo(x, I32, w),),
+        kb=Formula.conj(list(s.kb.atoms()) +
+                        [Atom.eq(Term.of(x), Term.of(n1) + 4)])), x, w
+
+
+def test_merge_drops_entry_inside_summarized_node(build_only_seg):
+    prog, eng, _ = build_only_seg
+    s, _ = two_node_state(prog)
+    s, _, _ = with_padding_entry(s)
+    merged, mu1, _ = merge_states(s, s, prog, eng)
+    assert len(merged.li) == 1 and merged.al == ()
+    q = dict(merged.lv)["q"]
+    assert mu1[q] == dict(s.lv)["q"]
+    # The padding entry is not a field of the chain, so it is not consumed
+    # with it; it is dropped because it is not provably outside the node.
+    assert not any(p.addr == q for p in merged.pt)
+
+
+def test_check_generalization_rejects_entry_inside_materialized_chain(
+        build_only_seg):
+    prog, eng, _ = build_only_seg
+    s, (n1, n2, v1, v2) = two_node_state(prog)
+    r, length = sv(21, "r"), sv(22, "len")
+    f1, l1, f2, l2 = sv(23, "f1"), sv(24, "l1"), sv(25, "f2"), sv(26, "l2")
+    inv = ListInvariant(ad=r, length=length, ty=LIST,
+                        fields=(LIField(0, I32, f1, l1),
+                                LIField(8, LISTP, f2, l2)),
+                        rec_index=2)
+    sbar = AbstractState.make(POS, lv={"p": r}, li=[inv],
+                              kb=Formula.conj([Atom.ge(length, 1)]))
+    mu = {r: n1, length: 2, f1: v1, l1: v2, f2: n2, l2: 0}
+    # Without the padding entry the concrete chain is an instance of the
+    # summary.
+    assert check_generalization(s, sbar, mu, prog, eng)
+    s_pad, x, w = with_padding_entry(s)
+    y, z = sv(27, "y"), sv(28, "z")
+    sbar_pad = sbar.replace_components(lv={"p": r, "q": y},
+                                       pt=[PointsTo(y, I32, z)])
+    mu_pad = {**mu, y: x, z: w}
+    # The older state keeps an entry whose image lies inside the chain the
+    # summary stands for, so the summary would overlap it.
+    assert not check_generalization(s_pad, sbar_pad, mu_pad, prog, eng)
+
+
 def test_can_merge_requires_equal_domains(build_only_seg):
     prog, eng, _ = build_only_seg
     s, _ = two_node_state(prog)
