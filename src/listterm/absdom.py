@@ -95,8 +95,16 @@ class ListInvariant:
     def rec_field(self) -> LIField:
         return self.fields[self.rec_index - 1]
 
+    @property
+    def firsts(self) -> Tuple[Value, ...]:
+        return tuple(f.first for f in self.fields)
+
+    @property
+    def lasts(self) -> Tuple[Value, ...]:
+        return tuple(f.last for f in self.fields)
+
     def __str__(self) -> str:
-        fs = ", ".join(str(f) for f in self.fields)
+        fs =", ".join(str(f) for f in self.fields)
         return f"{self.ad} ={self.ty}/{self.length}=> [{fs}]"
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import ir
 from .absdom import (
@@ -155,27 +155,16 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
                      tuple(values), tuple(entries))
 
 
-def _invariant_at(s: AbstractState, root: Value, ty: AggType,
-                  engine: Entailment) -> Optional[ListInvariant]:
+def _describe_list(s: AbstractState, root: Value, ty: AggType, prog: Program,
+                   engine: Entailment
+                   ) -> Optional[Union[ListInvariant, ListMatch]]:
+    """The ``ty`` list at ``root``: its summary, else its maximal concrete
+    chain, else None."""
     f = state_formula(s, engine)
     for l in s.li:
-        if l.ty != ty:
-            continue
-        if engine.holds(f, Atom.eq(root, l.ad)):
+        if l.ty == ty and engine.holds(f, Atom.eq(root, l.ad)):
             return l
-    return None
-
-
-def _describe_list(s: AbstractState, root: Value, ty: AggType, prog: Program,
-                   engine: Entailment):
-    """('inv', ListInvariant) or ('concrete', ListMatch) or None."""
-    inv = _invariant_at(s, root, ty, engine)
-    if inv is not None:
-        return ("inv", inv)
-    match = find_list(s, root, ty, prog, engine)
-    if match is not None:
-        return ("concrete", match)
-    return None
+    return find_list(s, root, ty, prog, engine)
 
 
 def _has_concrete_head_pointer(s: AbstractState, l: ListInvariant,
@@ -225,9 +214,9 @@ def can_merge(s: AbstractState, s2: AbstractState, prog: Program,
 class _Merger:
     """State shared while merging two same-position states."""
 
-    def __init__(self, s: AbstractState, s2: AbstractState, prog: Program,
+    def __init__(self, s: AbstractState, s2: AbstractState,
                  engine: Entailment):
-        self.s, self.s2, self.prog, self.engine = s, s2, prog, engine
+        self.engine = engine
         self.f1 = state_formula(s, engine)
         self.f2 = state_formula(s2, engine)
         self.cl1 = OffsetClosure(self.f1)
@@ -254,14 +243,17 @@ class _Merger:
         self.pairs.append((v1, v2, merged))
         return merged
 
-    def corresponding_var(self, a1: Value, a2: Value) -> Optional[Value]:
-        """Existing merged var whose images provably equal a1/a2."""
-        for v1, v2, m in self.pairs:
-            if isinstance(m, int):
-                continue
-            if _equal(self.cl1, self.f1, self.engine, a1, v1) and \
-                    _equal(self.cl2, self.f2, self.engine, a2, v2):
-                return m
+    def counterpart(self, a1: Value, candidates: List[Tuple[Value, object]]
+                    ) -> Optional[Tuple[SymVar, object]]:
+        """``(m, item)`` for the first ``(a2, item)`` of ``candidates`` for
+        which an existing merged variable ``m`` has images provably equal
+        to ``a1`` and ``a2``."""
+        for a2, item in candidates:
+            for v1, v2, m in self.pairs:
+                if isinstance(m, SymVar) and \
+                        _equal(self.cl1, self.f1, self.engine, a1, v1) and \
+                        _equal(self.cl2, self.f2, self.engine, a2, v2):
+                    return m, item
         return None
 
 
@@ -277,76 +269,43 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
     (allocation extents exempt); 2 keeps only structural atoms.
     """
     assert s.pos == s2.pos
-    M = _Merger(s, s2, prog, engine)
+    M = _Merger(s, s2, engine)
 
     # 1. Program variables anchor the correspondence.
-    lv = {}
-    for x in sorted(dict(s.lv)):
-        lv[x] = M.pair(s.lv_of(x), s2.lv_of(x), x)
+    lv = {x: M.pair(s.lv_of(x), s2.lv_of(x), x) for x in sorted(dict(s.lv))}
 
-    # 2. Close over memory components until no new pairs appear.
-    merged_al: List[Tuple[Allocation, Allocation, Allocation]] = []
-    merged_pt: List[Tuple[PointsTo, PointsTo, PointsTo]] = []
-    seen_al = set()
-    seen_pt = set()
+    # 2. Close over memory components until no new pairs appear.  Each maps
+    # a component of ``s`` to its counterpart in ``s2`` and the merged one.
+    merged_al: Dict[Allocation, Tuple[Allocation, Allocation]] = {}
+    merged_pt: Dict[PointsTo, Tuple[PointsTo, PointsTo]] = {}
     for _round in range(4):
         before = len(M.pairs)
         for a1 in s.al:
-            if a1 in seen_al:
-                continue
-            m_lo = None
-            a2_hit = None
-            for a2 in s2.al:
-                m_lo = M.corresponding_var(a1.lo, a2.lo)
-                if m_lo is not None:
-                    a2_hit = a2
-                    break
-            if m_lo is None or not isinstance(m_lo, SymVar):
-                continue
-            m_hi = M.pair(a1.hi, a2_hit.hi, m_lo.hint + "_end")
-            if not isinstance(m_hi, SymVar):
-                m_hi_var = engine.fresh(m_lo.hint + "_end")
-                M.mu1[m_hi_var] = a1.hi
-                M.mu2[m_hi_var] = a2_hit.hi
-                m_hi = m_hi_var
-            seen_al.add(a1)
-            merged_al.append((a1, a2_hit, Allocation(m_lo, m_hi)))
+            hit = None if a1 in merged_al else M.counterpart(
+                a1.lo, [(a2.lo, a2) for a2 in s2.al])
+            if hit is not None:
+                m_lo, a2 = hit
+                m_hi = M.pair(a1.hi, a2.hi, m_lo.hint + "_end")
+                merged_al[a1] = (a2, Allocation(m_lo, m_hi))
         for p1 in s.pt:
-            if p1 in seen_pt:
-                continue
-            m_addr = None
-            p2_hit = None
-            for p2 in s2.pt:
-                if p2.ty != p1.ty:
-                    continue
-                m_addr = M.corresponding_var(p1.addr, p2.addr)
-                if m_addr is not None:
-                    p2_hit = p2
-                    break
-            if m_addr is None or not isinstance(m_addr, SymVar):
-                continue
-            m_val = M.pair(p1.value, p2_hit.value, "val")
-            seen_pt.add(p1)
-            merged_pt.append((p1, p2_hit, PointsTo(m_addr, p1.ty, m_val)))
+            hit = None if p1 in merged_pt else M.counterpart(
+                p1.addr, [(p2.addr, p2) for p2 in s2.pt if p2.ty == p1.ty])
+            if hit is not None:
+                m_addr, p2 = hit
+                m_val = M.pair(p1.value, p2.value, "val")
+                merged_pt[p1] = (p2, PointsTo(m_addr, p1.ty, m_val))
         if len(M.pairs) == before:
             break
 
-    # 3. Lists: summarize corresponding chains/summaries.
+    # 3. Lists: summarize corresponding summaries or concrete chains.  Each
+    # side collects the concrete chains it gives up to a summary.
     merged_li: List[ListInvariant] = []
-    extra_atoms: List[Atom] = []
-    consumed_al_1: set = set()
-    consumed_al_2: set = set()
-    consumed_pt_1: set = set()
-    consumed_pt_2: set = set()
-    footprints_1: List[Tuple[Value, Value]] = []
-    footprints_2: List[Tuple[Value, Value]] = []
+    kb_atoms: List[Atom] = []
+    chains: Tuple[List[ListMatch], List[ListMatch]] = ([], [])
     agg_types = [AggType(name) for name, _ in prog.aggregates
                  if recursive_index(prog, name) is not None]
-    processed_roots = set()
-    consumed_starts_1 = set()
-    consumed_starts_2 = set()
     for v1, v2, m in list(M.pairs):
-        if not isinstance(m, SymVar) or m in processed_roots:
+        if not isinstance(m, SymVar):
             continue
         for ty in agg_types:
             d1 = _describe_list(s, v1, ty, prog, engine)
@@ -355,106 +314,53 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
             d2 = _describe_list(s2, v2, ty, prog, engine)
             if d2 is None:
                 continue
-            # Avoid re-summarizing a suffix of an already consumed chain.
-            if d1[0] == "concrete" and any(value_key(x) in consumed_starts_1
-                                           for x in d1[1].starts):
+            # Avoid re-summarizing a suffix of an already summarized chain.
+            if any(isinstance(d, ListMatch) and
+                   any(x in c.starts for c in cs for x in d.starts)
+                   for d, cs in zip((d1, d2), chains)):
                 continue
-            if d2[0] == "concrete" and any(value_key(x) in consumed_starts_2
-                                           for x in d2[1].starts):
-                continue
-            processed_roots.add(m)
-
-            def params(desc, st):
-                kind, obj = desc
-                if kind == "inv":
-                    return (obj.length, [f.first for f in obj.fields],
-                            [f.last for f in obj.fields], 1, obj)
-                return (obj.length, list(obj.firsts), list(obj.lasts),
-                        obj.length, obj)
-
-            len1, firsts1, lasts1, low1, obj1 = params(d1, s)
-            len2, firsts2, lasts2, low2, obj2 = params(d2, s2)
-            fields = prog.agg_fields(ty.name)
-            offs = prog.layout.offsets_of(ty.name)
-            x_len = M.pair(len1, len2, "len", force_var=True)
+            x_len = M.pair(d1.length, d2.length, "len", force_var=True)
             li_fields = []
-            for fty, off, a, b, c, d in zip(fields, offs, firsts1, firsts2,
-                                            lasts1, lasts2):
-                first = M.pair(a, b, "fst")
-                last = M.pair(c, d, "lst")
-                li_fields.append(LIField(off, fty, first, last))
+            for fty, off, a, b, c, d in zip(
+                    prog.agg_fields(ty.name), prog.layout.offsets_of(ty.name),
+                    d1.firsts, d2.firsts, d1.lasts, d2.lasts):
+                li_fields.append(LIField(off, fty, M.pair(a, b, "fst"),
+                                         M.pair(c, d, "lst")))
             merged_li.append(ListInvariant(
                 ad=m, length=x_len, ty=ty, fields=tuple(li_fields),
                 rec_index=recursive_index(prog, ty.name)))
-            lower = min(low1 if isinstance(low1, int) else 1,
-                        low2 if isinstance(low2, int) else 1)
-            extra_atoms.append(Atom.ge(x_len, lower))
-            # Consume concrete footprints so they leave AL/PT.
-            for desc, cons_pt, foots, starts_seen in (
-                    (d1, consumed_pt_1, footprints_1, consumed_starts_1),
-                    (d2, consumed_pt_2, footprints_2, consumed_starts_2)):
-                kind, obj = desc
-                if kind == "concrete":
-                    for lo, hi in zip(obj.starts, obj.ends):
-                        foots.append((lo, hi))
-                        starts_seen.add(value_key(lo))
-                    for k in range(obj.length):
-                        for p in obj.entries[k]:
-                            cons_pt.add(p)
-            if d1[0] == "concrete":
-                starts = set(d1[1].starts)
-                for a1, _a2, _mm in merged_al:
-                    if a1.lo in starts:
-                        consumed_al_1.add(a1)
-            if d2[0] == "concrete":
-                starts = set(d2[1].starts)
-                for _a1, a2, _mm in merged_al:
-                    if a2.lo in starts:
-                        consumed_al_2.add(a2)
+            # A summary has at least one node, a chain exactly its length.
+            lower = min(d.length if isinstance(d, ListMatch) else 1
+                        for d in (d1, d2))
+            kb_atoms.append(Atom.ge(x_len, lower))
+            for d, cs in zip((d1, d2), chains):
+                if isinstance(d, ListMatch):
+                    cs.append(d)
             break
 
-    # Also consume allocations matched by identity of concrete footprints
-    # even when they never made it into merged_al.
-    kept_al = [mm for a1, a2, mm in merged_al
-               if a1 not in consumed_al_1 and a2 not in consumed_al_2]
-    kept_pt = []
-    for p1, p2, mm in merged_pt:
-        if p1 in consumed_pt_1 or p2 in consumed_pt_2:
-            continue
-        ok = True
-        for lo, hi in footprints_1:
-            if not _provably_outside(M, 1, p1.addr, lo, hi):
-                ok = False
-                break
-        if ok:
-            for lo, hi in footprints_2:
-                if not _provably_outside(M, 2, p2.addr, lo, hi):
-                    ok = False
-                    break
-        if ok:
-            kept_pt.append(mm)
+    # The summarized nodes leave AL and PT, and so does every other entry
+    # that is not provably outside them.
+    def outside_nodes(f: Formula, p: PointsTo, cs: List[ListMatch]) -> bool:
+        return all(_outside(f, engine, p.addr, lo, hi)
+                   for c in cs for lo, hi in zip(c.starts, c.ends))
+
+    starts = [{x for c in cs for x in c.starts} for cs in chains]
+    entries = [{p for c in cs for node in c.entries for p in node}
+               for cs in chains]
+    kept_al = [mm for a1, (a2, mm) in merged_al.items()
+               if a1.lo not in starts[0] and a2.lo not in starts[1]]
+    kept_pt = [mm for p1, (p2, mm) in merged_pt.items()
+               if p1 not in entries[0] and p2 not in entries[1]
+               and outside_nodes(M.f1, p1, chains[0])
+               and outside_nodes(M.f2, p2, chains[1])]
 
     # 4. Knowledge base: atoms provable in both inputs under the images.
     # Only variables that occur in a component of the merged state matter;
     # anything else could never be bound by a later instantiation search.
-    component_vars = set()
-    for v in lv.values():
-        if isinstance(v, SymVar):
-            component_vars.add(v)
-    for mm in kept_al:
-        component_vars.update(x for x in (mm.lo, mm.hi)
-                              if isinstance(x, SymVar))
-    for mm in kept_pt:
-        component_vars.update(x for x in (mm.addr, mm.value)
-                              if isinstance(x, SymVar))
-    for l in merged_li:
-        li_vals = [l.ad, l.length]
-        for fl in l.fields:
-            li_vals.extend((fl.first, fl.last))
-        component_vars.update(x for x in li_vals if isinstance(x, SymVar))
-    kb_atoms = list(extra_atoms)
-    merged_vars = sorted((set(M.mu1) & set(M.mu2)) & component_vars)
-    al_end_pairs = {(mm.lo, mm.hi) for mm in kept_al}
+    shape = AbstractState.make(s.pos, lv=lv, al=kept_al, pt=kept_pt,
+                               li=merged_li)
+    merged_vars = shape.sym_vars
+    al_end_pairs = {(a.lo, a.hi) for a in shape.al}
 
     def keep_diff(x, y, d) -> bool:
         if widen_stage >= 2:
@@ -490,24 +396,14 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
                     engine.holds(M.f2, Atom.ge(M.mu2[x], 0)):
                 kb_atoms.append(Atom.ge(x, 0))
 
-    # Deduplicate while preserving order.
-    seen = set()
-    uniq = []
-    for a in kb_atoms:
-        if a not in seen:
-            seen.add(a)
-            uniq.append(a)
-
-    merged = AbstractState.make(
-        pos=s.pos, lv=lv, al=kept_al, pt=kept_pt, li=merged_li,
-        kb=Formula.conj(uniq))
+    merged = shape.replace_components(kb=Formula.conj(dict.fromkeys(kb_atoms)))
     return merged, M.mu1, M.mu2
 
 
-def _provably_outside(M: _Merger, side: int, addr: Value, lo: Value,
-                      hi: Value) -> bool:
-    f = M.f1 if side == 1 else M.f2
-    return M.engine.holds(f, (Atom.lt(addr, lo), Atom.gt(addr, hi)))
+def _outside(f: Formula, engine: Entailment, addr: Value, lo: Value,
+             hi: Value) -> bool:
+    """``addr`` provably lies outside ``[lo, hi]`` under ``f``."""
+    return engine.holds(f, (Atom.lt(addr, lo), Atom.gt(addr, hi)))
 
 
 # --------------------------------------------------------------------------
@@ -579,19 +475,16 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
             return False
         if not engine.holds(f, Atom.eq(match.length, img(lbar.length))):
             return False
-        if not all(engine.holds(f, Atom.eq(v, img(fb.first)))
-                   for v, fb in zip(match.firsts, lbar.fields)):
-            return False
-        if not all(engine.holds(f, Atom.eq(v, img(fb.last)))
-                   for v, fb in zip(match.lasts, lbar.fields)):
+        if not all(engine.holds(f, Atom.eq(v, img(vbar)))
+                   for v, vbar in zip(match.firsts + match.lasts,
+                                      lbar.firsts + lbar.lasts)):
             return False
         # Every points-to entry surviving in the older state must be
         # provably outside the materialized chain's footprint.
-        for pbar in sbar.pt:
-            addr = img(pbar.addr)
-            for lo, hi in zip(match.starts, match.ends):
-                if not engine.holds(f, (Atom.lt(addr, lo), Atom.gt(addr, hi))):
-                    return False
+        if not all(_outside(f, engine, img(pbar.addr), lo, hi)
+                   for pbar in sbar.pt
+                   for lo, hi in zip(match.starts, match.ends)):
+            return False
     return True
 
 
@@ -646,26 +539,13 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             root_i = img(lbar.ad)
             if root_i is None:
                 continue
-            needed = [lbar.length] + \
-                [fb.first for fb in lbar.fields if isinstance(fb.first, SymVar)] + \
-                [fb.last for fb in lbar.fields if isinstance(fb.last, SymVar)]
-            if all(v in mu for v in needed if isinstance(v, SymVar)):
+            bars = (lbar.length, *lbar.firsts, *lbar.lasts)
+            if all(v in mu for v in bars if isinstance(v, SymVar)):
                 continue
-            inv = _invariant_at(s, root_i, lbar.ty, engine)
-            if inv is not None:
-                pairs = [(lbar.length, inv.length)] + \
-                    [(fb.first, fl.first) for fb, fl in
-                     zip(lbar.fields, inv.fields)] + \
-                    [(fb.last, fl.last) for fb, fl in
-                     zip(lbar.fields, inv.fields)]
-            else:
-                match = find_list(s, root_i, lbar.ty, prog, engine)
-                if match is None:
-                    continue
-                pairs = [(lbar.length, match.length)] + \
-                    list(zip((fb.first for fb in lbar.fields), match.firsts)) + \
-                    list(zip((fb.last for fb in lbar.fields), match.lasts))
-            for vbar, v in pairs:
+            desc = _describe_list(s, root_i, lbar.ty, prog, engine)
+            if desc is None:
+                continue
+            for vbar, v in zip(bars, (desc.length, *desc.firsts, *desc.lasts)):
                 if isinstance(vbar, SymVar) and vbar not in mu:
                     mu[vbar] = v
                     progress = True
