@@ -167,7 +167,7 @@ def analysis_report(prog: Program, settings: Settings
         verdict, code = VERDICT_UNKNOWN, EXIT_UNKNOWN
         its = None
     else:
-        its = extract_its(seg, prog, engine)
+        its = extract_its(seg, engine)
         result = prove_termination(its, engine)
         if result.terminating:
             verdict, code = VERDICT_PROVED, EXIT_PROVED
@@ -235,7 +235,7 @@ def cmd_its(args: argparse.Namespace, settings: Settings,
     if seg.outcome != COMPLETE:
         print(f"graph not complete: {seg.outcome}", file=sys.stderr)
         return EXIT_ERR_STATE if seg.outcome == CONTAINS_ERR else EXIT_UNKNOWN
-    sys.stdout.write(export_its(extract_its(seg, prog, engine)))
+    sys.stdout.write(export_its(extract_its(seg, engine)))
     return EXIT_PROVED
 
 
@@ -259,7 +259,7 @@ def cmd_run(args: argparse.Namespace, settings: Settings,
         print("fuel exhausted", file=sys.stderr)
         return EXIT_UNKNOWN
     if args.trace:
-        sys.stdout.write(format_trace(trace, prog))
+        sys.stdout.write(format_trace(trace))
     final = trace.final
     print(f"halted={final.halted} error={final.error} "
           f"steps={len(trace.instructions)}")

@@ -246,7 +246,7 @@ def run_concrete(prog: Program, nondet: Iterator[int],
     raise FuelExhausted(f"no halt within {fuel} steps", Trace(states, instrs))
 
 
-def format_trace(t: Trace, prog: Program) -> str:
+def format_trace(t: Trace) -> str:
     lines = []
     for before, ins, after in zip(t.states, t.instructions, t.states[1:]):
         changed = {a: v for a, v in after.mem.items()

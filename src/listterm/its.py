@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .absdom import AbstractState, Value, state_formula
-from .ir import Program
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
                     clause_sexpr, term_sexpr)
 from .seg import COMPLETE, GENERALIZATION, Seg
@@ -147,7 +146,7 @@ def _guard_of(s: AbstractState, engine: Entailment) -> Formula:
     return Formula.conj(atoms)
 
 
-def extract_its(seg: Seg, prog: Program, engine: Entailment) -> ITS:
+def extract_its(seg: Seg, engine: Entailment) -> ITS:
     """Translate the cycles of a complete graph into integer transitions."""
     if seg.outcome != COMPLETE:
         raise ValueError("transition extraction needs a complete graph")

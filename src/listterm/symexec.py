@@ -224,8 +224,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
 # getelementptr: traversal family and the plain rule
 # --------------------------------------------------------------------------
 
-def _traversal_candidate(s: AbstractState, ins, prog: Program,
-                         engine: Entailment
+def _traversal_candidate(s: AbstractState, ins, engine: Entailment
                          ) -> Optional[Tuple[ListInvariant, int]]:
     """The summary being traversed plus the 1-based field the address
     computation lands in, if the base/offset side conditions of the
@@ -369,7 +368,7 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
 
 def _step_gep(s: AbstractState, ins, prog: Program,
               engine: Entailment) -> StepResult:
-    cand = _traversal_candidate(s, ins, prog, engine)
+    cand = _traversal_candidate(s, ins, engine)
     if cand is not None:
         l, acc = cand
         f = state_formula(s, engine)

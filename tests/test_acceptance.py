@@ -109,7 +109,7 @@ def flagship():
     eng = Entailment()
     t0 = time.monotonic()
     seg = build_seg(prog, eng)
-    its = extract_its(seg, prog, eng)
+    its = extract_its(seg, eng)
     result = prove_termination(its, eng)
     elapsed = time.monotonic() - t0
     # Later tests issue more queries on the same engine; keep the count.

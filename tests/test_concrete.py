@@ -159,7 +159,7 @@ def test_null_deref_errors():
 def test_format_trace_lines():
     prog = load("straight_line.ll")
     t = run_concrete(prog, stream())
-    text = format_trace(t, prog)
+    text = format_trace(t)
     lines = text.strip().splitlines()
     assert len(lines) == len(t.instructions)
     assert all(line.count("|") == 2 for line in lines)

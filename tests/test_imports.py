@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-import sits at module level, and no module keeps mutable state: whatever
-an analysis changes belongs to that analysis's engine."""
+parameter a function takes is read by it, every import sits at module
+level, and no module keeps mutable state: whatever an analysis changes
+belongs to that analysis's engine."""
 
 from __future__ import annotations
 
@@ -28,6 +29,42 @@ def test_no_unused_imports_in_the_package():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+# Parameters a function takes because it shares a dispatch signature.
+DISPATCH_PARAMETERS = {"cmd_": {"args", "settings", "prog"},
+                       "rule_": {"s", "ins", "prog", "engine"}}
+
+
+def unused_parameters(tree: ast.Module):
+    """(line, function, parameter) for each parameter that its function's
+    body never reads, apart from ``self``/``cls``, ``_``-prefixed names and
+    the dispatch signatures above."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        exempt = {"self", "cls"}.union(*(
+            params for prefix, params in DISPATCH_PARAMETERS.items()
+            if name.startswith(prefix)))
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + \
+            [p for p in (a.vararg, a.kwarg) if p is not None]
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        found += [(node.lineno, name, p.arg) for p in params
+                  if p.arg not in used and p.arg not in exempt
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_no_unused_parameters():
+    found = [f"{path.name}:{line}: {name}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name, param in unused_parameters(
+                 ast.parse(path.read_text()))]
     assert found == []
 
 

@@ -30,7 +30,7 @@ def pipeline(name):
     prog = load(name)
     eng = Entailment()
     seg = build_seg(prog, eng)
-    its = extract_its(seg, prog, eng)
+    its = extract_its(seg, eng)
     return prog, eng, seg, its
 
 
@@ -59,7 +59,7 @@ def make_loop(guard_atoms, update):
 def test_acyclic_graph_gives_empty_its():
     prog = load("straight_line.ll")
     eng = Entailment()
-    its = extract_its(build_seg(prog, eng), prog, eng)
+    its = extract_its(build_seg(prog, eng), eng)
     assert its.locations == {}
     assert its.transitions == []
 
@@ -69,7 +69,7 @@ def test_extract_requires_complete_graph():
     eng = Entailment()
     seg = build_seg(prog, eng)
     with pytest.raises(ValueError):
-        extract_its(seg, prog, eng)
+        extract_its(seg, eng)
 
 
 def test_count_up_has_two_transitions(count_up):
