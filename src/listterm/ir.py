@@ -71,7 +71,6 @@ class DataLayout:
     """
 
     ptr_size: int
-    int_sizes: Tuple[Tuple[int, int], ...]
     field_offsets: Tuple[Tuple[str, Tuple[int, ...]], ...]
     aggregate_sizes: Tuple[Tuple[str, int], ...]
 
@@ -314,7 +313,7 @@ def _parse_operand(text: str, line: int) -> Operand:
 
 
 def _build_layout(aggs: Dict[str, Tuple[IrType, ...]]) -> DataLayout:
-    layout = DataLayout(8, tuple(sorted(_INT_SIZES.items())), (), ())
+    layout = DataLayout(8, (), ())
     offsets: Dict[str, Tuple[int, ...]] = {}
     sizes: Dict[str, int] = {}
     # Aggregates may only nest through pointers, so one pass suffices and
@@ -332,8 +331,7 @@ def _build_layout(aggs: Dict[str, Tuple[IrType, ...]]) -> DataLayout:
         total = (off + max_al - 1) // max_al * max_al
         offsets[name] = tuple(offs)
         sizes[name] = total
-    return DataLayout(8, tuple(sorted(_INT_SIZES.items())),
-                      tuple(sorted(offsets.items())),
+    return DataLayout(8, tuple(sorted(offsets.items())),
                       tuple(sorted(sizes.items())))
 
 

@@ -149,7 +149,8 @@ class Atom:
         return self._hash
 
     @staticmethod
-    def _normalize(rel: str, t: Term) -> "Atom":
+    def make(rel: str, t: Term) -> "Atom":
+        """The normal form of ``t rel 0``."""
         coeffs = t.coeff_map()
         if not coeffs:
             # Ground atom: canonical representatives 0 <= 0 (true), 1 <= 0 (false).
@@ -179,24 +180,20 @@ class Atom:
         return Atom(LE, Term._make(-bound, {v: c // g for v, c in coeffs.items()}))
 
     @staticmethod
-    def make(rel: str, t: Term) -> "Atom":
-        return Atom._normalize(rel, t)
-
-    @staticmethod
     def eq(a, b) -> "Atom":
-        return Atom._normalize(EQ, Term.of(a) - Term.of(b))
+        return Atom.make(EQ, Term.of(a) - Term.of(b))
 
     @staticmethod
     def ne(a, b) -> "Atom":
-        return Atom._normalize(NE, Term.of(a) - Term.of(b))
+        return Atom.make(NE, Term.of(a) - Term.of(b))
 
     @staticmethod
     def le(a, b) -> "Atom":
-        return Atom._normalize(LE, Term.of(a) - Term.of(b))
+        return Atom.make(LE, Term.of(a) - Term.of(b))
 
     @staticmethod
     def lt(a, b) -> "Atom":
-        return Atom._normalize(LE, Term.of(a) - Term.of(b) + 1)
+        return Atom.make(LE, Term.of(a) - Term.of(b) + 1)
 
     @staticmethod
     def ge(a, b) -> "Atom":
@@ -218,7 +215,7 @@ class Atom:
         return self.term.vars()
 
     def substitute(self, subst: Mapping[SymVar, Term]) -> "Atom":
-        return Atom._normalize(self.rel, self.term.substitute(subst))
+        return Atom.make(self.rel, self.term.substitute(subst))
 
     def evaluate(self, assignment: Mapping[SymVar, int]) -> bool:
         val = self.term.evaluate(assignment)
