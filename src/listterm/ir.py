@@ -57,8 +57,7 @@ class AggType:
 
 IrType = Union[IntType, PtrType, AggType]
 
-I1, I8, I32, I64 = IntType(1), IntType(8), IntType(32), IntType(64)
-VOID_PTR = PtrType(I8)
+I8, I32 = IntType(8), IntType(32)
 
 _INT_SIZES = {1: 1, 8: 1, 32: 4, 64: 8}
 
@@ -224,7 +223,6 @@ class Program:
     blocks: Tuple[Tuple[str, Tuple[Instruction, ...]], ...]
     layout: DataLayout
     aggregates: Tuple[Tuple[str, Tuple[IrType, ...]], ...]
-    multi_recursive: Tuple[str, ...] = ()  # flagged, still accepted
 
     def block(self, name: str) -> Tuple[Instruction, ...]:
         for n, ins in self.blocks:
@@ -549,20 +547,11 @@ def parse_program(text: str) -> Program:
                     raise ParseError(f"unknown branch target {tgt!r}",
                                      lineno)
 
-    multi = []
-    for name, fields in aggs.items():
-        rec = [f for f in fields
-               if isinstance(f, PtrType) and isinstance(f.pointee, AggType)
-               and f.pointee.name == name]
-        if len(rec) > 1:
-            multi.append(name)
-
     return Program(
         entry=order[0],
         blocks=tuple((n, tuple(blocks[n])) for n in order),
         layout=_build_layout(aggs),
         aggregates=tuple(sorted(aggs.items())),
-        multi_recursive=tuple(multi),
     )
 
 

@@ -125,7 +125,7 @@ def _sccs(nodes: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
     return out
 
 
-def _cycle_nodes(seg: Seg) -> Tuple[Set[int], Dict[int, List[int]]]:
+def _cycle_nodes(seg: Seg) -> Set[int]:
     succ: Dict[int, List[int]] = {}
     for e in seg.edges:
         succ.setdefault(e.src, []).append(e.dst)
@@ -137,7 +137,7 @@ def _cycle_nodes(seg: Seg) -> Tuple[Set[int], Dict[int, List[int]]]:
     for comp in _sccs(nodes, succ):
         if len(comp) > 1 or comp[0] in self_loops:
             cyc.update(comp)
-    return cyc, succ
+    return cyc
 
 
 def _guard_of(s: AbstractState, engine: Entailment) -> Formula:
@@ -150,7 +150,7 @@ def extract_its(seg: Seg, engine: Entailment) -> ITS:
     """Translate the cycles of a complete graph into integer transitions."""
     if seg.outcome != COMPLETE:
         raise ValueError("transition extraction needs a complete graph")
-    cyc, succ_all = _cycle_nodes(seg)
+    cyc = _cycle_nodes(seg)
     its = ITS()
     if not cyc:
         return its

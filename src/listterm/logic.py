@@ -9,17 +9,23 @@ offsets between variables without the engine, and its classes are the ones
 the representation oracle binds; :func:`clause_sexpr` prints SMT-LIB.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
-clause by clause of the goal.  When every atom of the refutation is a
-difference atom (``x - y <= c``, ``x <= c``, their equalities and
-disequalities), the refutation runs on a difference-constraint graph: each
-branch of the case split over the disjunctive clauses adds edges, and a
-negative cycle refutes the branch (Cotton & Maler, SAT 2006).  For
-difference constraints, rational and integer feasibility coincide, so this
-is exact.  Any other query falls back to equality substitution plus
-Fourier-Motzkin elimination with integer tightening, re-run on every branch;
-that path is sound but incomplete.  Both paths run under an effort bound and
-answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2 solver can
-be configured as a fallback; its failures degrade to ``NOT_PROVEN``.
+clause by clause of the goal.  Each refutation query is first put in one
+normal form: a trivially false conjunct refutes it, trivially true
+conjuncts and clauses and trivially false alternatives are dropped, and each
+``t != 0`` becomes the two alternatives ``t + 1 <= 0`` or ``-t + 1 <= 0``
+(for a ``!=`` conjunct, a clause split ahead of the premise's disjunctions).
+Only ``=`` and ``<=`` atoms remain.  When each is a difference atom
+(``x - y <= c`` or ``x <= c``, or the equality of one), the refutation runs
+on a difference-constraint graph: each branch of the case split over the
+clauses adds edges, and a negative cycle refutes the branch (Cotton &
+Maler, SAT 2006).  For difference constraints, rational and integer
+feasibility coincide, so this is exact.  Any other query falls back to
+equality substitution plus Fourier-Motzkin elimination on :class:`Term`
+rows, each tightened to integers by :meth:`Atom.make`, re-run on every
+branch; that path is sound but incomplete.  Both paths run under an effort
+bound and answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2
+solver can be configured as a fallback; its failures degrade to
+``NOT_PROVEN``.
 """
 
 from __future__ import annotations
@@ -92,6 +98,8 @@ class Term:
 
     def __add__(self, other) -> "Term":
         other = Term.of(other)
+        if not other.coeffs:
+            return Term(self.const + other.const, self.coeffs)
         m = self.coeff_map()
         for v, c in other.coeffs:
             m[v] = m.get(v, 0) + c
@@ -101,13 +109,20 @@ class Term:
         return self + Term.of(other).scale(-1)
 
     def scale(self, k: int) -> "Term":
-        return Term._make(self.const * k, {v: c * k for v, c in self.coeffs})
+        if k == 0:
+            return Term(0)
+        return Term(self.const * k, tuple((v, c * k) for v, c in self.coeffs))
 
     def substitute(self, subst: Mapping[SymVar, "Term"]) -> "Term":
-        out = Term(self.const, ())
+        if not any(v in subst for v, _ in self.coeffs):
+            return self
+        const, m = self.const, {}
         for v, c in self.coeffs:
-            out = out + (Term.of(subst[v]).scale(c) if v in subst else Term(0, ((v, c),)))
-        return out
+            t = Term.of(subst[v]) if v in subst else Term(0, ((v, 1),))
+            const += c * t.const
+            for w, cw in t.coeffs:
+                m[w] = m.get(w, 0) + c * cw
+        return Term._make(const, m)
 
     def evaluate(self, assignment: Mapping[SymVar, int]) -> int:
         total = self.const
@@ -151,8 +166,7 @@ class Atom:
     @staticmethod
     def make(rel: str, t: Term) -> "Atom":
         """The normal form of ``t rel 0``."""
-        coeffs = t.coeff_map()
-        if not coeffs:
+        if not t.coeffs:
             # Ground atom: canonical representatives 0 <= 0 (true), 1 <= 0 (false).
             if rel == EQ:
                 holds = t.const == 0
@@ -161,8 +175,9 @@ class Atom:
             else:
                 holds = t.const <= 0
             return Atom(LE, Term(0 if holds else 1))
-        g = math.gcd(*[abs(c) for c in coeffs.values()])
+        g = math.gcd(*[c for _, c in t.coeffs])
         if rel in (EQ, NE):
+            coeffs = t.coeff_map()
             if t.const % g == 0:
                 const = t.const // g
                 coeffs = {v: c // g for v, c in coeffs.items()}
@@ -175,9 +190,10 @@ class Atom:
                 const = -const
                 coeffs = {v: -c for v, c in coeffs.items()}
             return Atom(rel, Term._make(const, coeffs))
-        # rel == LE: integer tightening, sum(c/g * v) <= floor(-const/g)
+        # rel == LE: integer tightening, sum(c/g * v) <= floor(-const/g);
+        # dividing by g > 0 keeps the coefficients' order.
         bound = (-t.const) // g
-        return Atom(LE, Term._make(-bound, {v: c // g for v, c in coeffs.items()}))
+        return Atom(LE, Term(-bound, tuple((v, c // g) for v, c in t.coeffs)))
 
     @staticmethod
     def eq(a, b) -> "Atom":
@@ -302,9 +318,6 @@ class Formula:
         return " and ".join(parts) if parts else "true"
 
 
-TRUE = Formula()
-
-
 def eval_formula(assignment: Mapping[SymVar, int], f: Formula) -> bool:
     """Standard integer semantics; raises on unassigned variables."""
     return all(any(a.evaluate(assignment) for a in clause) for clause in f.clauses)
@@ -403,93 +416,64 @@ class Verdict(enum.Enum):
 # Internal decision procedure
 # --------------------------------------------------------------------------
 
-# Working representation during solving: (coeffs dict, const).
-Lin = Tuple[Dict[SymVar, int], int]
-
-
-def _lin(t: Term) -> Lin:
-    return (t.coeff_map(), t.const)
-
-
-def _lin_subst(lin: Lin, subst: Mapping[SymVar, Lin]) -> Lin:
-    coeffs, const = lin
-    out: Dict[SymVar, int] = {}
-    total = const
-    for v, c in coeffs.items():
-        if v in subst:
-            scoe, scon = subst[v]
-            total += c * scon
-            for w, cw in scoe.items():
-                out[w] = out.get(w, 0) + c * cw
-        else:
-            out[v] = out.get(v, 0) + c
-    return ({v: c for v, c in out.items() if c != 0}, total)
-
-
 class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self, n: int = 1) -> bool:
-        self.left -= n
+    def spend(self) -> bool:
+        self.left -= 1
         return self.left >= 0
 
 
-def _solve_equalities(eqs: list, budget: _Budget):
-    """Eliminate equalities; returns (subst, residual_ineqs, unsat_flag)."""
-    subst: Dict[SymVar, Lin] = {}
+def _solve_equalities(eqs: Sequence[Term], budget: _Budget):
+    """Eliminate the equalities ``t = 0``; returns (subst, residual
+    inequalities ``t <= 0``, unsat flag)."""
+    subst: Dict[SymVar, Term] = {}
     residual: list = []
-    pending = list(eqs)
-    while pending:
+    for t in eqs:
         if not budget.spend():
             break
-        coeffs, const = _lin_subst(pending.pop(0), subst)
-        if not coeffs:
-            if const != 0:
+        t = t.substitute(subst)
+        if not t.coeffs:
+            if t.const != 0:
                 return subst, residual, True
             continue
-        g = math.gcd(*[abs(c) for c in coeffs.values()])
-        if const % g != 0:
+        if t.const % math.gcd(*[c for _, c in t.coeffs]) != 0:
             return subst, residual, True
-        unit = next((v for v, c in coeffs.items() if abs(c) == 1), None)
+        unit, cu = next(((v, c) for v, c in t.coeffs if abs(c) == 1),
+                        (None, 0))
         if unit is None:
             # Keep as a pair of inequalities (sound weakening of completeness).
-            residual.append((dict(coeffs), const))
-            residual.append(({v: -c for v, c in coeffs.items()}, -const))
+            residual += [t, t.scale(-1)]
             continue
-        cu = coeffs[unit]
-        expr = ({v: -c * cu for v, c in coeffs.items() if v is not unit}, -const * cu)
+        # cu * unit + rest = 0 with cu = +-1, so unit = -cu * rest.
+        expr = (t - Term(0, ((unit, cu),))).scale(-cu)
         # Re-resolve existing entries against the new binding.
         one = {unit: expr}
-        for v in list(subst):
-            subst[v] = _lin_subst(subst[v], one)
+        for v in subst:
+            subst[v] = subst[v].substitute(one)
         subst[unit] = expr
     return subst, residual, False
 
 
-def _fm_unsat(ineqs: Sequence[Lin], budget: _Budget) -> bool:
-    """True iff the conjunction of ``lin <= 0`` atoms is provably unsat."""
-    work: Dict[Tuple[Tuple[SymVar, int], ...], int] = {}
+def _fm_unsat(rows: Sequence[Term], budget: _Budget) -> bool:
+    """True iff the conjunction of ``t <= 0`` rows is provably unsat."""
+    # The tightest row per coefficient tuple: the one with the largest const.
+    work: Dict[Tuple[Tuple[SymVar, int], ...], Term] = {}
 
-    def push(coeffs: Dict[SymVar, int], const: int) -> Optional[bool]:
-        if not coeffs:
-            return const > 0
-        g = math.gcd(*[abs(c) for c in coeffs.values()])
-        if g > 1:
-            # const <= -coeffs·v scaled by 1/g, tightened to the integer floor.
-            const = -((-const) // g)
-            coeffs = {v: c // g for v, c in coeffs.items()}
-        key = tuple(sorted(coeffs.items(), key=lambda vc: vc[0].id))
-        prev = work.get(key)
-        if prev is None or const > prev:
-            work[key] = const
-        return None
+    def push(t: Term) -> bool:
+        """Add ``t <= 0`` tightened to integers; True if it is ground and
+        false."""
+        t = Atom.make(LE, t).term
+        if not t.coeffs:
+            return t.const > 0
+        prev = work.get(t.coeffs)
+        if prev is None or t.const > prev.const:
+            work[t.coeffs] = t
+        return False
 
-    for coeffs, const in ineqs:
-        r = push(dict(coeffs), const)
-        if r:
-            return True
-
+    if any(push(t) for t in rows):
+        return True
     while work:
         if not budget.spend():
             return False
@@ -501,48 +485,75 @@ def _fm_unsat(ineqs: Sequence[Lin], budget: _Budget) -> bool:
                     ups[v] = ups.get(v, 0) + 1
                 else:
                     downs[v] = downs.get(v, 0) + 1
-        if not ups and not downs:
-            return False
         var = min(set(ups) | set(downs),
                   key=lambda v: (ups.get(v, 0) * downs.get(v, 0), v.id))
         uppers, lowers, rest = [], [], []
-        for key, const in work.items():
-            c = next((c for v, c in key if v == var), 0)
+        for t in work.values():
+            c = dict(t.coeffs).get(var, 0)
             if c > 0:
-                uppers.append((dict(key), const))
+                uppers.append((t, c))
             elif c < 0:
-                lowers.append((dict(key), const))
+                lowers.append((t, c))
             else:
-                rest.append((dict(key), const))
-        work = {}
-        for coeffs, const in rest:
-            if push(coeffs, const):
-                return True
-        for (uc, ub), (lc, lb) in itertools.product(uppers, lowers):
+                rest.append(t)
+        work = {t.coeffs: t for t in rest}
+        for (up, a), (low, b) in itertools.product(uppers, lowers):
             if not budget.spend():
                 return False
-            a, b = uc[var], -lc[var]
-            merged: Dict[SymVar, int] = {}
-            for v, c in uc.items():
-                merged[v] = merged.get(v, 0) + b * c
-            for v, c in lc.items():
-                merged[v] = merged.get(v, 0) + a * c
-            merged.pop(var, None)
-            merged = {v: c for v, c in merged.items() if c != 0}
-            if push(merged, b * ub + a * lb):
+            if push(up.scale(-b) + low.scale(a)):
                 return True
     return False
+
+
+def _normalize(conjuncts: Sequence[Atom], clauses: Sequence[Clause]):
+    """The normal form ``(conjuncts, clauses)`` of a refutation query, or None
+    when a conjunct is trivially false.  Trivially true conjuncts and
+    clauses and trivially false alternatives are dropped, and ``t != 0``
+    becomes the alternatives ``t + 1 <= 0`` or ``-t + 1 <= 0``; a ``!=``
+    conjunct becomes such a clause, ahead of the given clauses.  What is
+    left are ``=`` and ``<=`` atoms with variables."""
+
+    def split(a: Atom) -> Clause:
+        if a.rel != NE:
+            return (a,)
+        return (Atom.make(LE, a.term + 1), Atom.make(LE, a.term.scale(-1) + 1))
+
+    kept: list = []
+    splits: list = []
+    for a in conjuncts:
+        if a.is_trivially_false():
+            return None
+        if a.is_trivially_true():
+            continue
+        if a.rel == NE:
+            splits.append(split(a))
+        else:
+            kept.append(a)
+    for clause in clauses:
+        alts: list = []
+        for a in clause:
+            if a.is_trivially_true():
+                break
+            if not a.is_trivially_false():
+                alts.extend(split(a))
+        else:
+            splits.append(tuple(alts))
+    return kept, splits
 
 
 def _refute(conjuncts: list, clauses: list, budget: _Budget) -> bool:
     """True iff the conjunction of conjunct-atoms and disjunctive clauses is
     provably unsat.  Conjuncts are Atom objects; clauses are atom tuples.
 
-    Difference-logic queries are decided on a constraint graph; any query
-    with another atom goes whole to Fourier-Motzkin."""
-    problem = _difference_problem(conjuncts, clauses)
+    The query is first normalized; a difference-logic query is then decided
+    on a constraint graph, and any query with another atom goes whole to
+    Fourier-Motzkin."""
+    query = _normalize(conjuncts, clauses)
+    if query is None:
+        return True
+    problem = _difference_problem(*query)
     if problem is None:
-        return _refute_fm(conjuncts, clauses, budget)
+        return _refute_fm(*query, budget)
     n, edges, alternatives = problem
     try:
         return _DifferenceGraph(n, budget).refute(edges, alternatives)
@@ -552,35 +563,26 @@ def _refute(conjuncts: list, clauses: list, budget: _Budget) -> bool:
 
 def _refute_fm(conjuncts: list, clauses: list, budget: _Budget) -> bool:
     """:func:`_refute` by equality substitution and Fourier-Motzkin on every
-    branch of the case split over ``clauses``."""
-    eqs, ineqs = [], []
-    ne_clauses: list = []
-    for a in conjuncts:
-        if a.is_trivially_false():
-            return True
-        if a.is_trivially_true():
-            continue
-        if a.rel == EQ:
-            eqs.append(_lin(a.term))
-        elif a.rel == LE:
-            ineqs.append(_lin(a.term))
-        else:
-            # t != 0 becomes the binary clause (t + 1 <= 0) or (-t + 1 <= 0).
-            ne_clauses.append((Atom.make(LE, a.term + 1),
-                               Atom.make(LE, a.term.scale(-1) + 1)))
-    subst, residual, unsat = _solve_equalities(eqs, budget)
+    branch of the case split over ``clauses``.  It takes any query and
+    normalizes it itself; the normal form is a fixed point of
+    :func:`_normalize`."""
+    query = _normalize(conjuncts, clauses)
+    if query is None:
+        return True
+    conjuncts, clauses = query
+    subst, residual, unsat = _solve_equalities(
+        [a.term for a in conjuncts if a.rel == EQ], budget)
     if unsat:
         return True
-    lins = [_lin_subst(l, subst) for l in ineqs] + residual
-    clauses = ne_clauses + clauses
-    return _refute_branches(lins, clauses, subst, budget)
+    rows = [a.term.substitute(subst) for a in conjuncts if a.rel == LE]
+    return _refute_branches(rows + residual, clauses, subst, budget)
 
 
-def _refute_branches(lins: list, clauses: list, subst, budget: _Budget) -> bool:
+def _refute_branches(rows: list, clauses: list, subst, budget: _Budget) -> bool:
     """Case-split refutation once all equalities have been eliminated.
     Branch atoms are rewritten through the equality solution and added as
-    inequalities (an equality contributes both directions)."""
-    if _fm_unsat(lins, budget):
+    rows (an equality contributes both directions)."""
+    if _fm_unsat(rows, budget):
         return True
     if not clauses:
         return False
@@ -588,21 +590,9 @@ def _refute_branches(lins: list, clauses: list, subst, budget: _Budget) -> bool:
     for alt in clause:
         if not budget.spend():
             return False
-        if alt.is_trivially_false():
-            continue
-        if alt.is_trivially_true():
-            return _refute_branches(lins, rest, subst, budget)
-        if alt.rel == NE:
-            sub = ((Atom.make(LE, alt.term + 1),
-                    Atom.make(LE, alt.term.scale(-1) + 1)),)
-            if not _refute_branches(lins, list(sub) + rest, subst, budget):
-                return False
-            continue
-        lin = _lin_subst(_lin(alt.term), subst)
-        extra = [lin]
-        if alt.rel == EQ:
-            extra.append(({v: -c for v, c in lin[0].items()}, -lin[1]))
-        if not _refute_branches(lins + extra, rest, subst, budget):
+        t = alt.term.substitute(subst)
+        extra = [t, t.scale(-1)] if alt.rel == EQ else [t]
+        if not _refute_branches(rows + extra, rest, subst, budget):
             return False
     return True
 
@@ -617,60 +607,35 @@ class _OutOfEffort(Exception):
 
 
 def _difference_problem(conjuncts: list, clauses: list):
-    """``(nodes, edges, alternatives)`` for a query made only of difference
-    atoms, or None.  ``edges`` encode the conjuncts (a ground atom is a loop
-    on node 0); ``alternatives`` holds, per clause that is not trivially
-    true and in the order :func:`_refute_fm` splits them, the edge tuple of
-    each branch: a ``!=`` atom becomes its two ``<=`` alternatives, an ``=``
-    atom two edges."""
+    """``(nodes, edges, alternatives)`` for a normalized query (see
+    :func:`_normalize`) made only of difference atoms, or None.  ``edges``
+    encode the conjuncts, and ``alternatives`` holds, per clause, the edge
+    tuple of each branch: one edge for a ``<=`` atom, two for an ``=``."""
     index: Dict[SymVar, int] = {}
 
-    def edges_of(rel: str, t: Term) -> Optional[Tuple[Edge, ...]]:
+    def edges_of(a: Atom) -> Optional[Tuple[Edge, ...]]:
         pos = neg = 0
-        for v, c in t.coeffs:
+        for v, c in a.term.coeffs:
             if c == 1 and not pos:
                 pos = index.setdefault(v, len(index) + 1)
             elif c == -1 and not neg:
                 neg = index.setdefault(v, len(index) + 1)
             else:
                 return None
-        w = -t.const
-        if rel == LE:
+        w = -a.term.const
+        if a.rel == LE:
             return ((neg, pos, w),)
         return ((neg, pos, w), (pos, neg, -w))
 
-    def branches(a: Atom) -> Optional[list]:
-        if a.rel != NE:
-            e = edges_of(a.rel, a.term)
-            return None if e is None else [e]
-        # t != 0 splits into (t + 1 <= 0) or (-t + 1 <= 0).
-        e = edges_of(EQ, a.term)
-        return None if e is None else [((u, v, w - 1),) for u, v, w in e]
-
     edges: list = []
-    alternatives: list = []
     for a in conjuncts:
-        b = branches(a)
-        if b is None:
+        e = edges_of(a)
+        if e is None:
             return None
-        if a.rel == NE:
-            alternatives.append(b)
-        else:
-            edges.extend(b[0])
-    for clause in clauses:
-        alts: list = []
-        for a in clause:
-            if a.is_trivially_true():
-                alts = None
-                break
-            if a.is_trivially_false():
-                continue
-            b = branches(a)
-            if b is None:
-                return None
-            alts.extend(b)
-        if alts is not None:
-            alternatives.append(alts)
+        edges.extend(e)
+    alternatives = [[edges_of(a) for a in clause] for clause in clauses]
+    if any(None in alts for alts in alternatives):
+        return None
     return len(index) + 1, edges, alternatives
 
 
@@ -694,8 +659,6 @@ class _DifferenceGraph:
     def add(self, u: int, v: int, w: int) -> bool:
         """Add ``x_v - x_u <= w``; False when it closes a negative cycle."""
         self._spend()
-        if u == v:
-            return w >= 0
         self.succ[u].append((v, w))
         pi = self.pi
         if pi[u] + w >= pi[v]:
@@ -739,15 +702,11 @@ class _DifferenceGraph:
         return True
 
 
-def _negate_atom(a: Atom):
-    """Negation of an atom: returns (conjunct_atoms, clauses)."""
+def _negate_atom(a: Atom) -> Atom:
+    """The atom that holds exactly where ``a`` does not."""
     if a.rel == LE:
-        return [Atom.make(LE, a.term.scale(-1) + 1)], []
-    if a.rel == NE:
-        return [Atom(EQ, a.term)], []
-    low = Atom.make(LE, a.term + 1)
-    high = Atom.make(LE, a.term.scale(-1) + 1)
-    return [], [(low, high)]
+        return Atom.make(LE, a.term.scale(-1) + 1)
+    return Atom(NE if a.rel == EQ else EQ, a.term)
 
 
 def _relevant_clauses(clauses: Sequence[Clause], seed_vars: set,
@@ -821,19 +780,11 @@ class Entailment:
         return Verdict.VALID
 
     def _entails_clause(self, premise: Formula, clause: Clause) -> bool:
-        if any(a.is_trivially_true() for a in clause):
-            return True
-        conjuncts = list(premise.atoms())
-        extra_clauses: list = []
-        goal_vars: set = set()
-        for a in clause:
-            neg_conj, neg_clauses = _negate_atom(a)
-            conjuncts.extend(neg_conj)
-            extra_clauses.extend(neg_clauses)
-            goal_vars |= set(a.vars())
+        conjuncts = list(premise.atoms()) + [_negate_atom(a) for a in clause]
+        goal_vars = {v for a in clause for v in a.vars()}
         disj = _relevant_clauses(premise.disjunctions(), goal_vars, conjuncts)
         budget = _Budget(self.effort)
-        if _refute(conjuncts, extra_clauses + disj, budget):
+        if _refute(conjuncts, disj, budget):
             return True
         if budget.left < 0:
             self.exhausted += 1

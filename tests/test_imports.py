@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-parameter a function takes is read by it, every import sits at module
+parameter a function takes is read by it, every module-level definition is
+read somewhere in the package or its tests, every import sits at module
 level, and no module keeps mutable state: whatever an analysis changes
 belongs to that analysis's engine."""
 
@@ -65,6 +66,45 @@ def test_no_unused_parameters():
              for path in sorted(SRC.glob("*.py"))
              for line, name, param in unused_parameters(
                  ast.parse(path.read_text()))]
+    assert found == []
+
+
+TESTS = SRC.parent.parent / "tests"
+
+
+def module_definitions(tree: ast.Module):
+    """(line, name) for each function, class and assignment target at module
+    level, the names of a tuple target included."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((stmt.lineno, stmt.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                [stmt.target]
+            found += [(node.lineno, node.id) for t in targets
+                      for node in ast.walk(t) if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Store)]
+    return found
+
+
+def read_names(tree: ast.Module):
+    """Every name the module reads, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            } | {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unreferenced_definitions():
+    read = set().union(*(read_names(ast.parse(path.read_text()))
+                         for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]))
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in module_definitions(ast.parse(path.read_text()))
+             if name not in read and name != "__version__"]
     assert found == []
 
 

@@ -98,7 +98,6 @@ def test_multi_recursive_flagged_not_rejected():
     src = src.replace("v_ad = getelementptr list, list* curr, i32 0, i32 0\n"
                       "  store i32 n, i32* v_ad\n  ", "")
     p = parse_program(src)
-    assert p.multi_recursive == ("list",)
     assert recursive_index(p, "list") is None
 
 

@@ -334,6 +334,23 @@ def test_find_instantiation_closes_loop(build_only_seg):
     assert mu == e.inst_map()
 
 
+def test_find_instantiation_binds_entry_value_from_points_to(build_only_seg):
+    # The older state's entry value vb appears nowhere else, so only the
+    # match of its points-to entry against the newer state's binds it.
+    prog, eng, _ = build_only_seg
+    a, a_end, b, b_end = sv(1, "a"), sv(2, "a_end"), sv(3, "b"), sv(4, "b_end")
+    vb = sv(5, "vb")
+
+    def state(lo, hi, value):
+        return AbstractState.make(
+            POS, lv={"p": lo}, al=[Allocation(lo, hi)],
+            pt=[PointsTo(lo, I32, value)],
+            kb=Formula.conj([Atom.eq(Term.of(hi), Term.of(lo) + 3)]))
+
+    mu = find_instantiation(state(a, a_end, 5), state(b, b_end, vb), prog, eng)
+    assert mu == {b: a, b_end: a_end, vb: 5}
+
+
 def test_check_generalization_rejects_bogus_map(build_only_seg):
     prog, eng, seg = build_only_seg
     midx, gens = merged_node(seg)
