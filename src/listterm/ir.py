@@ -224,11 +224,16 @@ class Program:
     layout: DataLayout
     aggregates: Tuple[Tuple[str, Tuple[IrType, ...]], ...]
 
+    @cached_property
+    def _blocks(self) -> Dict[str, Tuple[Instruction, ...]]:
+        # The parser rejects duplicate labels, so each names one block.
+        return dict(self.blocks)
+
     def block(self, name: str) -> Tuple[Instruction, ...]:
-        for n, ins in self.blocks:
-            if n == name:
-                return ins
-        raise KeyError(f"unknown block {name!r}")
+        try:
+            return self._blocks[name]
+        except KeyError:
+            raise KeyError(f"unknown block {name!r}") from None
 
     def instruction_at(self, pos: ProgramPosition) -> Instruction:
         return self.block(pos.block)[pos.index]

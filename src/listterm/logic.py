@@ -9,7 +9,8 @@ offsets between variables without the engine, and its classes are the ones
 the representation oracle binds; :func:`clause_sexpr` prints SMT-LIB.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
-clause by clause of the goal.  Each refutation query is first put in one
+clause by clause of the goal, with only the premise's disjunctions that
+share a connected component with the goal.  Each refutation query is in one
 normal form: a trivially false conjunct refutes it, trivially true
 conjuncts and clauses and trivially false alternatives are dropped, and each
 ``t != 0`` becomes the two alternatives ``t + 1 <= 0`` or ``-t + 1 <= 0``
@@ -19,10 +20,15 @@ Only ``=`` and ``<=`` atoms remain.  When each is a difference atom
 on a difference-constraint graph: each branch of the case split over the
 clauses adds edges, and a negative cycle refutes the branch (Cotton &
 Maler, SAT 2006).  For difference constraints, rational and integer
-feasibility coincide, so this is exact.  Any other query falls back to
-equality substitution plus Fourier-Motzkin elimination on :class:`Term`
-rows, each tightened to integers by :meth:`Atom.make`, re-run on every
-branch; that path is sound but incomplete.  Both paths run under an effort
+feasibility coincide, so this is exact.  Consecutive queries mostly share
+their premise, so an engine keeps one premise compiled: its normal form,
+its components, and a graph holding its edges with a feasible potential
+(or the cycle they close).  Each goal normalizes only its own negation,
+pushes its edges onto that graph and pops them when it is decided, and is
+charged the premise's edges as if it had added them.  Any other query falls
+back to equality substitution plus Fourier-Motzkin elimination on
+:class:`Term` rows, each tightened to integers by :meth:`Atom.make`, re-run
+on every branch; that path is sound but incomplete.  Both paths run under an effort
 bound and answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2
 solver can be configured as a fallback; its failures degrade to
 ``NOT_PROVEN``.
@@ -36,7 +42,8 @@ import logging
 import math
 import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +55,11 @@ class SymVar:
 
     id: int
     hint: str = "v"
+
+    def __hash__(self) -> int:
+        # Equal variables have equal ids; hashing the id alone skips the
+        # generated (id, hint) tuple hash.
+        return hash(self.id)
 
     @property
     def name(self) -> str:
@@ -420,9 +432,14 @@ class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
+    def spend(self, n: int = 1) -> bool:
+        """Spend ``n`` units one at a time, stopping at the first that is
+        not left; True if all ``n`` were."""
+        if n <= self.left:
+            self.left -= n
+            return True
+        self.left = min(self.left, 0) - 1
+        return False
 
 
 def _solve_equalities(eqs: Sequence[Term], budget: _Budget):
@@ -541,28 +558,9 @@ def _normalize(conjuncts: Sequence[Atom], clauses: Sequence[Clause]):
     return kept, splits
 
 
-def _refute(conjuncts: list, clauses: list, budget: _Budget) -> bool:
-    """True iff the conjunction of conjunct-atoms and disjunctive clauses is
-    provably unsat.  Conjuncts are Atom objects; clauses are atom tuples.
-
-    The query is first normalized; a difference-logic query is then decided
-    on a constraint graph, and any query with another atom goes whole to
-    Fourier-Motzkin."""
-    query = _normalize(conjuncts, clauses)
-    if query is None:
-        return True
-    problem = _difference_problem(*query)
-    if problem is None:
-        return _refute_fm(*query, budget)
-    n, edges, alternatives = problem
-    try:
-        return _DifferenceGraph(n, budget).refute(edges, alternatives)
-    except _OutOfEffort:
-        return False
-
-
 def _refute_fm(conjuncts: list, clauses: list, budget: _Budget) -> bool:
-    """:func:`_refute` by equality substitution and Fourier-Motzkin on every
+    """True iff the conjunction of conjunct-atoms and disjunctive clauses is
+    provably unsat, by equality substitution and Fourier-Motzkin on every
     branch of the case split over ``clauses``.  It takes any query and
     normalizes it itself; the normal form is a fixed point of
     :func:`_normalize`."""
@@ -598,7 +596,7 @@ def _refute_branches(rows: list, clauses: list, subst, budget: _Budget) -> bool:
 
 
 # A difference edge ``(u, v, w)`` stands for ``x_v - x_u <= w``; node 0 is
-# the constant 0 and nodes 1.. are the query's variables.
+# the constant 0 and nodes 1.. are variables.
 Edge = Tuple[int, int, int]
 
 
@@ -606,20 +604,39 @@ class _OutOfEffort(Exception):
     """The effort budget ran out during a graph refutation."""
 
 
-def _difference_problem(conjuncts: list, clauses: list):
-    """``(nodes, edges, alternatives)`` for a normalized query (see
-    :func:`_normalize`) made only of difference atoms, or None.  ``edges``
-    encode the conjuncts, and ``alternatives`` holds, per clause, the edge
-    tuple of each branch: one edge for a ``<=`` atom, two for an ``=``."""
-    index: Dict[SymVar, int] = {}
+class _DifferenceGraph:
+    """Difference constraints with a potential ``pi`` that satisfies every
+    edge, ``pi[v] <= pi[u] + w``; adding an edge restores it by relaxing
+    from the edge's target only, so a conjunction stays consistent until an
+    edge closes a negative cycle (Cotton & Maler, SAT 2006).  A variable
+    gets its node when an atom on it is encoded.  During a refutation every
+    edge and every branch costs one unit of ``budget``; the first-in
+    first-out relaxation after one edge is bounded by nodes times edges, as
+    in Bellman-Ford."""
 
-    def edges_of(a: Atom) -> Optional[Tuple[Edge, ...]]:
+    def __init__(self):
+        self.index: Dict[SymVar, int] = {}
+        self.succ: list = [[]]
+        self.pi = [0]
+        self.budget: Optional[_Budget] = None  # the running refutation's
+
+    def _node(self, v: SymVar) -> int:
+        node = self.index.get(v)
+        if node is None:
+            node = self.index[v] = len(self.pi)
+            self.succ.append([])
+            self.pi.append(0)
+        return node
+
+    def edges_of(self, a: Atom) -> Optional[Tuple[Edge, ...]]:
+        """One edge for a ``<=`` difference atom, two for an ``=``; None
+        for any other atom."""
         pos = neg = 0
         for v, c in a.term.coeffs:
             if c == 1 and not pos:
-                pos = index.setdefault(v, len(index) + 1)
+                pos = self._node(v)
             elif c == -1 and not neg:
-                neg = index.setdefault(v, len(index) + 1)
+                neg = self._node(v)
             else:
                 return None
         w = -a.term.const
@@ -627,38 +644,24 @@ def _difference_problem(conjuncts: list, clauses: list):
             return ((neg, pos, w),)
         return ((neg, pos, w), (pos, neg, -w))
 
-    edges: list = []
-    for a in conjuncts:
-        e = edges_of(a)
-        if e is None:
-            return None
-        edges.extend(e)
-    alternatives = [[edges_of(a) for a in clause] for clause in clauses]
-    if any(None in alts for alts in alternatives):
-        return None
-    return len(index) + 1, edges, alternatives
+    def encode(self, atoms: Sequence[Atom]) -> Optional[list]:
+        """The edges of a conjunction of difference atoms, or None."""
+        edges: list = []
+        for a in atoms:
+            e = self.edges_of(a)
+            if e is None:
+                return None
+            edges.extend(e)
+        return edges
 
-
-class _DifferenceGraph:
-    """Difference constraints with a potential ``pi`` that satisfies every
-    edge, ``pi[v] <= pi[u] + w``; adding an edge restores it by relaxing
-    from the edge's target only, so a conjunction stays consistent until an
-    edge closes a negative cycle (Cotton & Maler, SAT 2006).  Every edge and
-    every branch costs one unit of effort; the first-in first-out relaxation
-    after one edge is bounded by nodes times edges, as in Bellman-Ford."""
-
-    def __init__(self, n: int, budget: _Budget):
-        self.succ: list = [[] for _ in range(n)]
-        self.pi = [0] * n
-        self.budget = budget
-
-    def _spend(self) -> None:
-        if not self.budget.spend():
-            raise _OutOfEffort
+    def alternatives(self, clauses: Sequence[Clause]) -> Optional[list]:
+        """Per clause, the edge tuple of each branch, or None unless every
+        branch is a difference atom."""
+        alts = [[self.edges_of(a) for a in clause] for clause in clauses]
+        return None if any(None in branches for branches in alts) else alts
 
     def add(self, u: int, v: int, w: int) -> bool:
         """Add ``x_v - x_u <= w``; False when it closes a negative cycle."""
-        self._spend()
         self.succ[u].append((v, w))
         pi = self.pi
         if pi[u] + w >= pi[v]:
@@ -677,26 +680,52 @@ class _DifferenceGraph:
                     queue.append(y)
         return True
 
-    def refute(self, edges: list, alternatives: list) -> bool:
-        """True iff the edges plus one branch of every alternative list are
-        inconsistent, for every choice of branches."""
+    def _spend(self) -> None:
+        if not self.budget.spend():
+            raise _OutOfEffort
+
+    def _extend(self, edges) -> bool:
+        """Add ``edges`` for one unit each; False at a negative cycle."""
         for e in edges:
+            self._spend()
             if not self.add(*e):
-                return True
-        return self._refute_branches(alternatives, 0)
+                return False
+        return True
+
+    def _mark(self, edges) -> tuple:
+        return self.pi[:], [(u, len(self.succ[u])) for u, _, _ in edges]
+
+    def _restore(self, mark: tuple) -> None:
+        """Take off every edge added since ``mark``, restoring ``pi``."""
+        self.pi, ends = mark
+        for u, m in ends:
+            del self.succ[u][m:]
+
+    def refute(self, edges: list, alternatives: list, budget: _Budget
+               ) -> bool:
+        """True iff the graph plus ``edges`` plus one branch of every
+        alternative list is provably inconsistent, for every choice of
+        branches.  The graph is left as it was: a node added for the query
+        keeps no edge and potential 0, as if it were new."""
+        self.budget = budget
+        mark = self._mark(edges)
+        try:
+            return not self._extend(edges) or self._refute_branches(
+                alternatives, 0)
+        except _OutOfEffort:
+            return False
+        finally:
+            self._restore(mark)
 
     def _refute_branches(self, alternatives: list, i: int) -> bool:
         if i == len(alternatives):
             return False
         for branch in alternatives[i]:
             self._spend()
-            marks = [len(self.succ[u]) for u, _, _ in branch]
-            saved = self.pi[:]
-            refuted = (not all(self.add(*e) for e in branch)
+            mark = self._mark(branch)
+            refuted = (not self._extend(branch)
                        or self._refute_branches(alternatives, i + 1))
-            for (u, _, _), m in zip(branch, marks):
-                del self.succ[u][m:]
-            self.pi = saved
+            self._restore(mark)
             if not refuted:
                 return False
         return True
@@ -709,31 +738,116 @@ def _negate_atom(a: Atom) -> Atom:
     return Atom(NE if a.rel == EQ else EQ, a.term)
 
 
-def _relevant_clauses(clauses: Sequence[Clause], seed_vars: set,
-                      conjunct_atoms: Sequence[Atom]) -> list:
-    """Disjunctive premise clauses connected to the goal by shared variables.
+def _components(atoms: Sequence[Atom]) -> Dict[SymVar, SymVar]:
+    """Each variable of ``atoms`` -> one variable of its connected
+    component, where an atom connects all of its variables."""
+    group_of: Dict[SymVar, list] = {}
+    for a in atoms:
+        vs = a.vars()
+        if not vs:
+            continue
+        group = group_of.setdefault(vs[0], [vs[0]])
+        for v in vs[1:]:
+            other = group_of.get(v)
+            if other is None:
+                group.append(v)
+                group_of[v] = group
+            elif other is not group:
+                if len(other) > len(group):
+                    group, other = other, group
+                group += other
+                for w in other:
+                    group_of[w] = group
+    return {v: group[0] for v, group in group_of.items()}
 
-    Dropping a premise clause only weakens the premise, so this filter is
-    sound; it just avoids exponential case splits on unrelated disjunctions.
-    """
-    if not seed_vars:
-        # Ground goal (e.g. unsatisfiability checks): everything is relevant.
-        return list(clauses)
-    reach = set(seed_vars)
-    changed = True
-    atom_sets = [set(a.vars()) for a in conjunct_atoms]
-    while changed:
-        changed = False
-        for s in atom_sets:
-            if s & reach and not s <= reach:
-                reach |= s
-                changed = True
-    selected = []
-    for c in clauses:
-        cv = set().union(*(a.vars() for a in c)) if c else set()
-        if cv & reach:
-            selected.append(c)
-    return selected
+
+class _Disjunction(NamedTuple):
+    clause: Clause
+    keys: frozenset        # the components of its variables
+    splits: list           # its normal form: no clause, or one
+    alternatives: Optional[list]  # their edges, or None
+
+
+class _Premise:
+    """A premise compiled once for all the goals asked of it.
+
+    It keeps the normal form of the premise's conjuncts, each disjunction's
+    normal form and edges, the connected components of the conjuncts'
+    variables, and a difference graph holding the conjuncts' edges: a
+    feasible potential, or the number of edges after which they closed a
+    negative cycle.  A goal's edges are added on top and taken off again,
+    so the graph is back at the premise for the next goal.  ``graph`` is
+    None when the premise is not difference logic."""
+
+    def __init__(self, premise: Formula):
+        self.formula = premise
+        self.alternatives: list = []  # the premise's ``!=`` splits' edges
+        atoms = premise.atoms()
+        self.components = _components(atoms)
+        self.normal = _normalize(atoms, ())
+        graph = _DifferenceGraph()
+        self.disjunctions = []
+        for clause in premise.disjunctions():
+            splits = _normalize((), (clause,))[1]
+            keys = frozenset(self.components.get(v, v)
+                             for a in clause for v in a.vars())
+            self.disjunctions.append(_Disjunction(
+                clause, keys, splits, graph.alternatives(splits)))
+        # Effort the conjuncts' edges cost: up to and including the edge
+        # that closed a negative cycle, if one did.
+        self.cost = 0
+        self.closed = False
+        self.graph: Optional[_DifferenceGraph] = None
+        if self.normal is None:
+            return
+        kept, splits = self.normal
+        edges = graph.encode(kept)
+        self.alternatives = graph.alternatives(splits)
+        if edges is None or self.alternatives is None:
+            return
+        self.graph = graph
+        for e in edges:
+            self.cost += 1
+            if not graph.add(*e):
+                self.closed = True
+                break
+
+    def relevant(self, goal_vars: set) -> list:
+        """The disjunctions connected to the goal by shared variables, in
+        order; every disjunction for a ground goal (e.g. unsatisfiability
+        checks).  Dropping a premise clause only weakens the premise, so
+        this filter is sound; it avoids case splits on unrelated
+        disjunctions."""
+        if not goal_vars:
+            return self.disjunctions
+        keys = {self.components.get(v, v) for v in goal_vars}
+        return [d for d in self.disjunctions if not keys.isdisjoint(d.keys)]
+
+    def refutes(self, goal: Clause, budget: _Budget) -> bool:
+        """True iff the premise, the negation of ``goal`` and the relevant
+        disjunctions are provably unsat.  A difference-logic query is
+        decided on the graph; any other goes whole to Fourier-Motzkin."""
+        if self.normal is None:
+            return True
+        negated = _normalize([_negate_atom(a) for a in goal], ())
+        if negated is None:
+            return True
+        kept, splits = self.normal
+        goal_kept, goal_splits = negated
+        selected = self.relevant({v for a in goal for v in a.vars()})
+        graph = self.graph
+        if graph is not None and all(d.alternatives is not None
+                                     for d in selected):
+            edges = graph.encode(goal_kept)
+            alternatives = graph.alternatives(goal_splits)
+            if edges is not None and alternatives is not None:
+                if not budget.spend(self.cost):
+                    return False
+                return self.closed or graph.refute(
+                    edges, self.alternatives + alternatives
+                    + [a for d in selected for a in d.alternatives], budget)
+        return _refute_fm(kept + goal_kept, splits + goal_splits
+                          + [c for d in selected for c in d.splits], budget)
 
 
 class Entailment:
@@ -751,6 +865,9 @@ class Entailment:
         self.state_plans: Dict[object, object] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
+        # The premise of the last refutation, compiled: consecutive queries
+        # mostly share their premise.
+        self._premise: Optional[_Premise] = None
 
     def fresh(self, hint: str = "v") -> SymVar:
         """A new variable; ids count up from 1 within this engine."""
@@ -780,11 +897,11 @@ class Entailment:
         return Verdict.VALID
 
     def _entails_clause(self, premise: Formula, clause: Clause) -> bool:
-        conjuncts = list(premise.atoms()) + [_negate_atom(a) for a in clause]
-        goal_vars = {v for a in clause for v in a.vars()}
-        disj = _relevant_clauses(premise.disjunctions(), goal_vars, conjuncts)
+        compiled = self._premise
+        if compiled is None or compiled.formula != premise:
+            compiled = self._premise = _Premise(premise)
         budget = _Budget(self.effort)
-        if _refute(conjuncts, disj, budget):
+        if compiled.refutes(clause, budget):
             return True
         if budget.left < 0:
             self.exhausted += 1

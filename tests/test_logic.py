@@ -308,40 +308,101 @@ def _difference_formula(draw, vs, n_clauses) -> Formula:
         for _ in range(n_clauses)))
 
 
-@settings(max_examples=150, deadline=None)
+def _reachable_clauses(clauses, seed_vars, conjunct_atoms):
+    """Reference relevance filter: the disjunctions that share a variable
+    with the closure of the goal's variables under the conjuncts' shared
+    variables (every disjunction for a ground goal), by fixpoint."""
+    if not seed_vars:
+        return list(clauses)
+    reach = set(seed_vars)
+    atom_sets = [set(a.vars()) for a in conjunct_atoms]
+    changed = True
+    while changed:
+        changed = False
+        for s in atom_sets:
+            if s & reach and not s <= reach:
+                reach |= s
+                changed = True
+    return [c for c in clauses if any(v in reach for a in c for v in a.vars())]
+
+
+def _reference_refutes(p, clause):
+    """The premise and the negated goal clause refuted by Fourier-Motzkin,
+    with the disjunctions the reference filter selects."""
+    conjuncts = list(p.atoms()) + [logic._negate_atom(a) for a in clause]
+    goal_vars = {v for a in clause for v in a.vars()}
+    disj = _reachable_clauses(p.disjunctions(), goal_vars, conjuncts)
+    return logic._refute_fm(conjuncts, disj, logic._Budget(UNBOUNDED))
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_difference_graph_agrees_with_fourier_motzkin(data):
+    # Goals on one premise reuse its compiled form; a second premise in
+    # between evicts it, and the first is then compiled again.
     draw = data.draw
     vs = [SymVar(i, "d") for i in range(1, draw(st.integers(1, 5)) + 1)]
     p = _difference_formula(draw, vs, draw(st.integers(1, 4)))
-    g = _difference_formula(draw, vs, 1)
-    problems = []
-    real_problem = logic._difference_problem
-
-    def spy(conjuncts, clauses):
-        problems.append(real_problem(conjuncts, clauses))
-        return problems[-1]
-
-    with mock.patch.object(logic, "_difference_problem", spy):
-        graph = Entailment(effort=UNBOUNDED).entails(p, g)
-    assert None not in problems  # the graph decided it
-    with mock.patch.object(logic, "_refute", logic._refute_fm):
-        fm = Entailment(effort=UNBOUNDED).entails(p, g)
-    assert graph is fm, f"{p} => {g}: graph {graph}, FM {fm}"
-    if graph is Verdict.VALID:
-        assert brute_force_valid(p, g, 8), f"unsound: {p} => {g}"
+    other = _difference_formula(draw, vs, draw(st.integers(1, 4)))
+    goals = [_difference_formula(draw, vs, 1)
+             for _ in range(draw(st.integers(2, 4)))]
+    queries = [(p, g) for g in goals[:2]]
+    queries += [(other, _difference_formula(draw, vs, 1))]
+    queries += [(p, g) for g in goals[2:]]
+    queries += [(p, Formula(tuple(g.clauses[0] for g in goals)))]
+    engine = Entailment(effort=UNBOUNDED)
+    for premise, goal in queries:
+        with mock.patch.object(logic, "_refute_fm") as fm:
+            graph = engine.entails(premise, goal)
+        assert not fm.called  # the graph decided it
+        valid = all(_reference_refutes(premise, c) for c in goal.clauses)
+        assert graph is (Verdict.VALID if valid else Verdict.NOT_PROVEN), (
+            f"{premise} => {goal}: graph {graph}, FM {valid}")
+        if graph is Verdict.VALID:
+            assert brute_force_valid(premise, goal, 8), (
+                f"unsound: {premise} => {goal}")
 
 
 def test_non_difference_atom_is_decided_by_fourier_motzkin():
     x, y = V[:2]
     p = Formula.conj([Atom.le(Term.of(x).scale(2), y), Atom.le(y, 3)])
     g = Formula.of(Atom.le(x, 1))
-    assert logic._difference_problem(list(p.atoms()), []) is None
+    assert logic._Premise(p).graph is None  # not difference logic
     with mock.patch.object(logic, "_refute_fm",
                            wraps=logic._refute_fm) as fm:
         assert Entailment().entails(p, g) is Verdict.VALID
     assert fm.call_count == 1
     assert brute_force_valid(p, g, 8)
+
+
+def test_goal_edges_do_not_leak_into_the_premise():
+    # Each first goal's negation, left in the graph, would refute the
+    # second goal; the second must stay NOT_PROVEN, as brute force says.
+    x, y, z = V[:3]
+    p = Formula.conj([Atom.le(x, 5), Atom.le(Term.of(x) - Term.of(y), 2)])
+    cases = [(Atom.le(x, 3), Atom.ge(x, 4)),    # x >= 4 would leak
+             (Atom.le(z, y), Atom.lt(y, z)),    # a goal-only variable
+             (Atom.ne(y, 0), Atom.le(y, 0))]    # y = 0: two edges
+    for first, second in cases:
+        leaked = Formula.of(p, logic._negate_atom(first))
+        assert brute_force_valid(leaked, Formula.of(second), 8)
+        assert not brute_force_valid(p, Formula.of(second), 8)
+        engine = Entailment()
+        assert engine.entails(p, Formula.of(first)) is Verdict.NOT_PROVEN
+        assert engine.entails(p, Formula.of(second)) is Verdict.NOT_PROVEN
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relevant_disjunctions_match_the_reachability_fixpoint(data):
+    draw = data.draw
+    vs = [SymVar(i, "r") for i in range(1, draw(st.integers(1, 6)) + 1)]
+    p = _difference_formula(draw, vs, draw(st.integers(0, 8)))
+    goal = draw(st.lists(st.sampled_from(vs), max_size=3))  # [] is ground
+    conjuncts = list(p.atoms())
+    expected = _reachable_clauses(p.disjunctions(), set(goal), conjuncts)
+    got = [d.clause for d in logic._Premise(p).relevant(set(goal))]
+    assert got == expected
 
 
 # --- equalities without the engine ------------------------------------------
