@@ -24,10 +24,10 @@ feasibility coincide, so this is exact.  Consecutive queries mostly share
 their premise, so an engine keeps one premise compiled: its normal form,
 its components, and a graph holding its edges with a feasible potential
 (or the cycle they close).  Each goal normalizes only its own negation,
-pushes its edges onto that graph and pops them when it is decided, and is
-charged the premise's edges as if it had added them.  Any other query falls
-back to equality substitution plus Fourier-Motzkin elimination on
-:class:`Term` rows, each tightened to integers by :meth:`Atom.make`, re-run
+pushes its edges onto that graph and pops them when it is decided or its
+effort runs out, and is charged the premise's edges as if it had added
+them.  Any other query falls back to equality substitution plus
+Fourier-Motzkin elimination on :class:`Term` rows, each tightened to integers by :meth:`Atom.make`, re-run
 on every branch; that path is sound but incomplete.  Both paths run under an effort
 bound and answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2
 solver can be configured as a fallback; its failures degrade to
@@ -723,9 +723,12 @@ class _DifferenceGraph:
         for branch in alternatives[i]:
             self._spend()
             mark = self._mark(branch)
-            refuted = (not self._extend(branch)
-                       or self._refute_branches(alternatives, i + 1))
-            self._restore(mark)
+            try:
+                refuted = (not self._extend(branch)
+                           or self._refute_branches(alternatives, i + 1))
+            finally:
+                # Also when the effort runs out: the graph outlives the query.
+                self._restore(mark)
             if not refuted:
                 return False
         return True
@@ -762,7 +765,6 @@ def _components(atoms: Sequence[Atom]) -> Dict[SymVar, SymVar]:
 
 
 class _Disjunction(NamedTuple):
-    clause: Clause
     keys: frozenset        # the components of its variables
     splits: list           # its normal form: no clause, or one
     alternatives: Optional[list]  # their edges, or None
@@ -792,7 +794,7 @@ class _Premise:
             keys = frozenset(self.components.get(v, v)
                              for a in clause for v in a.vars())
             self.disjunctions.append(_Disjunction(
-                clause, keys, splits, graph.alternatives(splits)))
+                keys, splits, graph.alternatives(splits)))
         # Effort the conjuncts' edges cost: up to and including the edge
         # that closed a negative cycle, if one did.
         self.cost = 0

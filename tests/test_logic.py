@@ -361,6 +361,13 @@ def test_difference_graph_agrees_with_fourier_motzkin(data):
         if graph is Verdict.VALID:
             assert brute_force_valid(premise, goal, 8), (
                 f"unsound: {premise} => {goal}")
+    # With little effort some refutations are cut off, possibly inside a
+    # branch; each verdict must still be the one a fresh engine gives.
+    effort = draw(st.integers(1, 30))
+    small = Entailment(effort=effort)
+    for premise, goal in queries:
+        assert small.entails(premise, goal) is Entailment(
+            effort=effort).entails(premise, goal), f"{premise} => {goal}"
 
 
 def test_non_difference_atom_is_decided_by_fourier_motzkin():
@@ -392,6 +399,26 @@ def test_goal_edges_do_not_leak_into_the_premise():
         assert engine.entails(p, Formula.of(second)) is Verdict.NOT_PROVEN
 
 
+def test_effort_cut_off_in_a_branch_leaves_the_premise_intact():
+    # The first goal runs out of effort in the second disjunction's first
+    # branch, with the first disjunction's branch x <= 0 in the graph; left
+    # there, it would prove x <= 5 from the premise, which x = 10 refutes.
+    x, y = V[:2]
+    p = Formula.conj([Atom.le(Term.of(x) - Term.of(y), 100)]).and_(
+        Formula.of((Atom.le(x, 0), Atom.ge(x, 10)),
+                   (Atom.le(y, 0), Atom.ge(y, 10))))
+    first, second = Formula.of(Atom.le(y, 5)), Formula.of(Atom.le(x, 5))
+    engine = Entailment(effort=4)
+    assert engine.entails(p, first) is Verdict.NOT_PROVEN
+    assert engine.exhausted == 1
+    fresh = logic._Premise(p).graph
+    assert (engine._premise.graph.succ, engine._premise.graph.pi) == (
+        fresh.succ, fresh.pi)
+    assert not brute_force_valid(p, second, 12)
+    assert engine.entails(p, second) is Entailment(effort=4).entails(
+        p, second) is Verdict.NOT_PROVEN
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_relevant_disjunctions_match_the_reachability_fixpoint(data):
@@ -401,8 +428,8 @@ def test_relevant_disjunctions_match_the_reachability_fixpoint(data):
     goal = draw(st.lists(st.sampled_from(vs), max_size=3))  # [] is ground
     conjuncts = list(p.atoms())
     expected = _reachable_clauses(p.disjunctions(), set(goal), conjuncts)
-    got = [d.clause for d in logic._Premise(p).relevant(set(goal))]
-    assert got == expected
+    got = [d.splits for d in logic._Premise(p).relevant(set(goal))]
+    assert got == [logic._normalize((), (c,))[1] for c in expected]
 
 
 # --- equalities without the engine ------------------------------------------
