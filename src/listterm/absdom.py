@@ -1,12 +1,13 @@
 """Abstract states: local variables, allocations, points-to entries, list
 summaries, and the knowledge base, plus the derived first-order state formula.
 
-States are immutable values.  The state formula is the least fixed point of
-a set of clause families over the state's memory components; the conditional
-families (points-to functionality/injectivity, list-length consequences)
-consult the partial formula through the entailment engine, so generation is
-a saturation loop.  Results are memoized per state in the engine's
-``state_formulas``.
+States are immutable values.  The state formula is the knowledge base, the
+unconditional consequences of the memory components, and the least fixed
+point of a table of rules ``(question, facts)``: points-to functionality and
+injectivity, and the length consequences of list summaries.  A rule is asked
+through the entailment engine only while one of its facts is missing, and the
+rounds run until one adds nothing.  Results are memoized per state in the
+engine's ``state_formulas``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .ir import AggType, IrType, ProgramPosition
-from .logic import Atom, Entailment, Formula, SymVar, Term, rename_formula
-
-Value = Union[SymVar, int]
-
-
-def value_term(v: Value) -> Term:
-    return Term.of(v)
+from .logic import Atom, Entailment, Formula, SymVar, Value, rename_formula
 
 
 def value_key(v: Value):
@@ -30,10 +25,6 @@ def value_key(v: Value):
     if isinstance(v, SymVar):
         return (1, v.id, v.hint)
     return (0, v, "")
-
-
-def _ty_key(ty: IrType) -> str:
-    return str(ty)
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,7 @@ class PointsTo:
     value: Value
 
     def sort_key(self):
-        return (value_key(self.addr), _ty_key(self.ty), value_key(self.value))
+        return (value_key(self.addr), str(self.ty), value_key(self.value))
 
     def __str__(self) -> str:
         return f"{self.addr} -{self.ty}-> {self.value}"
@@ -230,13 +221,18 @@ StateOrErr = Union[AbstractState, ErrState]
 def state_formula(s: AbstractState, engine: Entailment) -> Formula:
     """First-order consequence formula of the state's memory components.
 
-    Unconditional clause families: allocation bounds and positivity,
-    pairwise allocation disjointness, points-to address positivity, list
-    length/address positivity.  Conditional families (saturated against the
-    growing formula): points-to functionality and injectivity, field
-    equalities for provably length-1 lists, positivity of the first next
-    pointer for provably length-2+ lists, and length >= 2 when some field's
-    first and last values provably differ.
+    The knowledge base comes first, unchanged.  Then the unconditional
+    clauses: allocation bounds and positivity, pairwise allocation
+    disjointness, points-to address positivity, list length/address
+    positivity.  Then the rules ``(question, facts)``: per pair of
+    same-typed points-to entries, equal addresses force equal values
+    (functionality) and different values force different addresses
+    (injectivity); per list, length 1 forces each field's first and last
+    values equal, length >= 2 forces a positive first next pointer, and a
+    field whose first and last values differ forces length >= 2.  Each
+    round asks, against the formula at the round's start, every rule one of
+    whose facts is still missing, and adds the facts of those that hold; the
+    rounds stop when one adds nothing, at the least fixed point.
     """
     cache = engine.state_formulas
     cached = cache.get(s)
@@ -244,66 +240,51 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
         return cached
 
     clauses: List[Tuple[Atom, ...]] = list(s.kb.clauses)
+    present = set(clauses)
 
-    def add(part):
-        c = (part,) if isinstance(part, Atom) else tuple(part)
-        if c not in clauses:
-            clauses.append(c)
+    def add(*atoms: Atom) -> bool:
+        if atoms in present:
+            return False
+        present.add(atoms)
+        clauses.append(atoms)
+        return True
 
     for a in s.al:
         add(Atom.ge(a.lo, 1))
         add(Atom.le(a.lo, a.hi))
     for i, a in enumerate(s.al):
         for b in s.al[i + 1:]:
-            add((Atom.lt(a.hi, b.lo), Atom.lt(b.hi, a.lo)))
+            add(Atom.lt(a.hi, b.lo), Atom.lt(b.hi, a.lo))
     for p in s.pt:
         add(Atom.ge(p.addr, 1))
     for l in s.li:
         add(Atom.ge(l.length, 1))
         add(Atom.ge(l.ad, 1))
 
-    # Saturate the conditional families.
+    rules: List[Tuple[Atom, List[Atom]]] = []
+    for i, p in enumerate(s.pt):
+        for q in s.pt[i + 1:]:
+            if p.ty == q.ty:
+                rules.append((Atom.eq(p.addr, q.addr),
+                              [Atom.eq(p.value, q.value)]))
+                rules.append((Atom.ne(p.value, q.value),
+                              [Atom.ne(p.addr, q.addr)]))
+    for l in s.li:
+        rules.append((Atom.eq(l.length, 1),
+                      [Atom.eq(f.first, f.last) for f in l.fields]))
+        rules.append((Atom.ge(l.length, 2), [Atom.ge(l.rec_field.first, 1)]))
+        rules.extend((Atom.ne(f.first, f.last), [Atom.ge(l.length, 2)])
+                     for f in l.fields)
+
     changed = True
-    rounds = 0
-    while changed and rounds < 4 * (len(s.li) + len(s.pt) + 1):
+    while changed:
         changed = False
-        rounds += 1
         current = Formula(tuple(clauses))
-
-        for i, p in enumerate(s.pt):
-            for q in s.pt[i + 1:]:
-                if p.ty != q.ty:
-                    continue
-                func = Atom.eq(value_term(p.value), value_term(q.value))
-                if (func,) not in clauses and \
-                        engine.holds(current, Atom.eq(p.addr, q.addr)):
-                    clauses.append((func,))
-                    changed = True
-                inj = Atom.ne(Term.of(p.addr), Term.of(q.addr))
-                if (inj,) not in clauses and \
-                        engine.holds(current, Atom.ne(p.value, q.value)):
-                    clauses.append((inj,))
-                    changed = True
-
-        for l in s.li:
-            if engine.holds(current, Atom.eq(l.length, 1)):
-                for f in l.fields:
-                    eq = Atom.eq(value_term(f.first), value_term(f.last))
-                    if (eq,) not in clauses:
-                        clauses.append((eq,))
-                        changed = True
-            if engine.holds(current, Atom.ge(l.length, 2)):
-                pos = Atom.ge(value_term(l.rec_field.first), 1)
-                if (pos,) not in clauses:
-                    clauses.append((pos,))
-                    changed = True
-            long = Atom.ge(l.length, 2)
-            if (long,) not in clauses:
-                for f in l.fields:
-                    if engine.holds(current, Atom.ne(f.first, f.last)):
-                        clauses.append((long,))
-                        changed = True
-                        break
+        for question, facts in rules:
+            if any((a,) not in present for a in facts) and \
+                    engine.holds(current, question):
+                for a in facts:
+                    changed |= add(a)
 
     result = Formula(tuple(clauses))
     cache[s] = result

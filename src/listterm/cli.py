@@ -7,9 +7,9 @@ the extracted transition system), ``run`` (concrete interpreter), and
 against the graph).
 
 Exit codes for analyze: 0 proved, 1 bad input (an unreadable or malformed
-program or config file, or a negative limit), 2 error state reachable,
-3 unknown.  Option precedence: command-line flags, then the config file,
-then environment variables.
+program or config file, a bad flag, or a negative limit), 2 error state
+reachable, 3 unknown.  Option precedence: command-line flags, then the
+config file, then environment variables.
 """
 
 from __future__ import annotations
@@ -420,8 +420,16 @@ def cmd_check(args: argparse.Namespace, settings: Settings,
 # Argument parsing
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag raises ValueError, so that ``main`` reports it on one line
+    with exit 1, like any other bad input."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="listterm",
         description="Termination and memory-safety prover for linked-list "
                     "programs in a mini LLVM-like IR.")
@@ -467,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings, prog = _load(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

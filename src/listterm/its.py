@@ -133,21 +133,20 @@ def _cycle_nodes(seg: Seg) -> Set[int]:
         succ[v].sort()
     nodes = sorted(range(len(seg.states)))
     cyc: Set[int] = set()
-    self_loops = {e.src for e in seg.edges if e.src == e.dst}
     for comp in _sccs(nodes, succ):
-        if len(comp) > 1 or comp[0] in self_loops:
+        if len(comp) > 1:
             cyc.update(comp)
     return cyc
 
 
-def _guard_of(s: AbstractState, engine: Entailment) -> Formula:
-    """The conjunctive (single-atom clause) part of the state's formula."""
-    atoms = [cl[0] for cl in state_formula(s, engine).clauses if len(cl) == 1]
-    return Formula.conj(atoms)
-
-
 def extract_its(seg: Seg, engine: Entailment) -> ITS:
-    """Translate the cycles of a complete graph into integer transitions."""
+    """Translate the cycles of a complete graph into integer transitions.
+
+    The graph is one that ``build_seg`` made: each evaluation or refinement
+    edge leads to a node created for it, so every cycle passes a
+    generalization edge, whose ends are locations, and no node loops to
+    itself.
+    """
     if seg.outcome != COMPLETE:
         raise ValueError("transition extraction needs a complete graph")
     cyc = _cycle_nodes(seg)
@@ -170,8 +169,6 @@ def extract_its(seg: Seg, engine: Entailment) -> ITS:
     for n in cyc:
         if out_deg.get(n, 0) > 1 or in_deg.get(n, 0) > 1:
             locations.add(n)
-    if not locations:
-        locations.add(min(cyc))
 
     for n in sorted(locations):
         its.locations[n] = Location(n, _location_vars(seg.states[n]))
@@ -183,26 +180,22 @@ def extract_its(seg: Seg, engine: Entailment) -> ITS:
     for start in sorted(locations):
         for first in edges_from.get(start, []):
             if first.kind == GENERALIZATION:
-                dst_state = seg.states[first.dst]
                 mu = first.inst_map()
-                guard = _guard_of(seg.states[start], engine)
+                guard = Formula.conj(
+                    state_formula(seg.states[start], engine).atoms())
                 update = tuple(
                     (x, Term.of(mu[x]))
                     for x in its.locations[first.dst].vars if x in mu)
                 its.transitions.append(Transition(
                     start, first.dst, guard, update, closing=True))
                 continue
-            # Compose the maximal non-branching evaluation/refinement chain.
+            # Compose the chain of evaluation/refinement edges up to the next
+            # location: a node that is not a location has exactly one cycle
+            # edge out, and it is not a generalization edge.
             cur = first.dst
             while cur not in locations:
-                nexts = edges_from.get(cur, [])
-                if len(nexts) != 1 or nexts[0].kind == GENERALIZATION:
-                    break
-                cur = nexts[0].dst
-            if cur not in locations:
-                continue  # dead-ends cannot happen on a cycle
-            end_state = seg.states[cur]
-            guard = _guard_of(end_state, engine)
+                cur = edges_from[cur][0].dst
+            guard = Formula.conj(state_formula(seg.states[cur], engine).atoms())
             # Symbolic variables persist along evaluation chains, so the
             # update is the identity; the guard relates old and new values.
             update = tuple((x, Term.of(x)) for x in its.locations[cur].vars)

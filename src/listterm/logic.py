@@ -347,7 +347,7 @@ def brute_force_valid(premise: Formula, conclusion: Formula, bound: int) -> bool
     return True
 
 
-def rename_formula(f: Formula, ren: Mapping[SymVar, SymVar]) -> Formula:
+def rename_formula(f: Formula, ren: Mapping[SymVar, Value]) -> Formula:
     return f.substitute({v: Term.of(w) for v, w in ren.items()})
 
 

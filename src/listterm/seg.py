@@ -33,7 +33,8 @@ from .absdom import (
     value_key,
 )
 from .ir import AggType, Program, recursive_index, type_size
-from .logic import Atom, Entailment, Formula, OffsetClosure, SymVar, Term
+from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
+                    rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
 
 GENERALIZATION = "generalization"
@@ -276,9 +277,11 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
 
     # 2. Close over memory components until no new pairs appear.  Each maps
     # a component of ``s`` to its counterpart in ``s2`` and the merged one.
+    # A round that adds a pair has merged a new component, so this ends.
     merged_al: Dict[Allocation, Tuple[Allocation, Allocation]] = {}
     merged_pt: Dict[PointsTo, Tuple[PointsTo, PointsTo]] = {}
-    for _round in range(4):
+    before = None
+    while len(M.pairs) != before:
         before = len(M.pairs)
         for a1 in s.al:
             hit = None if a1 in merged_al else M.counterpart(
@@ -294,8 +297,6 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
                 m_addr, p2 = hit
                 m_val = M.pair(p1.value, p2.value, "val")
                 merged_pt[p1] = (p2, PointsTo(m_addr, p1.ty, m_val))
-        if len(M.pairs) == before:
-            break
 
     # 3. Lists: summarize corresponding summaries or concrete chains.  Each
     # side collects the concrete chains it gives up to a summary.
@@ -410,10 +411,6 @@ def _outside(f: Formula, engine: Entailment, addr: Value, lo: Value,
 # Generalization checking and instantiation search
 # --------------------------------------------------------------------------
 
-def _subst_of(mu: Dict[SymVar, Value]) -> Dict[SymVar, Term]:
-    return {v: Term.of(w) for v, w in mu.items()}
-
-
 def check_generalization(s: AbstractState, sbar: AbstractState,
                          mu: Dict[SymVar, Value], prog: Program,
                          engine: Entailment) -> bool:
@@ -439,8 +436,7 @@ def check_generalization(s: AbstractState, sbar: AbstractState,
         return False
 
     f = state_formula(s, engine)
-    subst = _subst_of(mu)
-    if not engine.holds(f, sbar.kb.substitute(subst)):
+    if not engine.holds(f, rename_formula(sbar.kb, mu)):
         return False
 
     for abar in sbar.al:
@@ -513,7 +509,10 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
     def img(v: Value) -> Optional[Value]:
         return v if isinstance(v, int) else mu.get(v)
 
-    for _round in range(4):
+    # A round that makes progress binds a new variable of ``sbar``, so the
+    # search ends.
+    progress = True
+    while progress:
         progress = False
         for abar in sbar.al:
             lo_i = img(abar.lo)
@@ -557,8 +556,6 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             if abs(c) == 1 and v not in mu:
                 mu[v] = -a.term.const * c
                 progress = True
-        if not progress:
-            break
 
     if any(v not in mu for v in sbar.sym_vars):
         return None

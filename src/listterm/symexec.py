@@ -30,7 +30,6 @@ from .absdom import (
     StateOrErr,
     Value,
     state_formula,
-    value_term,
 )
 from .ir import Program, ProgramPosition, type_size
 from .logic import Atom, Entailment, Formula, Term
@@ -83,7 +82,7 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
     if ad is None:
         return None
     f = state_formula(s, engine)
-    ad_t = value_term(ad)
+    ad_t = Term.of(ad)
     if not _covered(s, f, engine, ad_t, type_size(ins.ty, prog.layout)):
         return None
     for p in s.pt:
@@ -92,7 +91,7 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
             return s.replace_components(
                 pos=prog.successor(s.pos),
                 lv=s.bind(ins.dst, w),
-                kb=_kb_add(s, Atom.eq(w, value_term(p.value))))
+                kb=_kb_add(s, Atom.eq(w, Term.of(p.value))))
     return None
 
 
@@ -102,7 +101,7 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
     if ad is None:
         return None
     f = state_formula(s, engine)
-    ad_t = value_term(ad)
+    ad_t = Term.of(ad)
     for l in s.li:
         for fld in l.fields:
             if fld.fty != ins.ty:
@@ -112,7 +111,7 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
                 return s.replace_components(
                     pos=prog.successor(s.pos),
                     lv=s.bind(ins.dst, w),
-                    kb=_kb_add(s, Atom.eq(w, value_term(fld.first))))
+                    kb=_kb_add(s, Atom.eq(w, Term.of(fld.first))))
     return None
 
 
@@ -127,7 +126,7 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
     if ad is None or val is None:
         return None
     f = state_formula(s, engine)
-    ad_t = value_term(ad)
+    ad_t = Term.of(ad)
     size = type_size(ins.ty, prog.layout)
     if not _covered(s, f, engine, ad_t, size):
         return None
@@ -159,7 +158,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
     if ad is None or val is None:
         return None
     f = state_formula(s, engine)
-    ad_t = value_term(ad)
+    ad_t = Term.of(ad)
     for l in s.li:
         size = type_size(l.ty, prog.layout)
         j = l.rec_index
@@ -175,7 +174,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                     continue
                 # The new head must already (or now) point at the summary.
                 if m == j:
-                    if not engine.holds(f, Atom.eq(value_term(val), l.ad)):
+                    if not engine.holds(f, Atom.eq(Term.of(val), l.ad)):
                         continue
                 # Every other field of the new head must be initialized.
                 head_vals: dict = {}
@@ -215,7 +214,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                     al=[a for a in s.al if a != alloc],
                     pt=kept_pt,
                     li=new_li,
-                    kb=_kb_add(s, Atom.eq(stored, value_term(val)),
+                    kb=_kb_add(s, Atom.eq(stored, Term.of(val)),
                                Atom.eq(new_len, Term.of(l.length) + 1)))
     return None
 
@@ -242,7 +241,7 @@ def _traversal_candidate(s: AbstractState, ins, engine: Entailment
             if t is None:
                 continue
             for i, fld in enumerate(l.fields, start=1):
-                if engine.holds(f, Atom.eq(value_term(t), fld.off)):
+                if engine.holds(f, Atom.eq(Term.of(t), fld.off)):
                     acc = i
                     break
         else:  # GepField
@@ -253,12 +252,12 @@ def _traversal_candidate(s: AbstractState, ins, engine: Entailment
                 continue
             # The 0-based field operand selects 1-based field t+1.
             for i in range(1, len(l.fields) + 1):
-                if engine.holds(f, Atom.eq(value_term(t) + 1, i)):
+                if engine.holds(f, Atom.eq(Term.of(t) + 1, i)):
                     acc = i
                     break
         if acc is None:
             continue
-        if engine.holds(f, Atom.eq(value_term(pa), value_term(rec.first))):
+        if engine.holds(f, Atom.eq(Term.of(pa), Term.of(rec.first))):
             return l, acc
     return None
 
@@ -304,7 +303,7 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
             fields=tuple(replace(f1, last=fl.first)
                          for f1, fl in zip(partner.fields, l.fields)),
             rec_index=l.rec_index))
-    head = value_term(l.rec_field.first)
+    head = Term.of(l.rec_field.first)
     if long:
         w_start = engine.fresh("head")
         w_len = engine.fresh("len")
@@ -324,7 +323,7 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
             atoms.append(Atom.eq(starts[i], Term.of(l.ad) + fld.off))
             pt.append(PointsTo(starts[i], fld.fty, fld.first))
         if not long:
-            atoms.append(Atom.eq(value_term(fld.first), value_term(fld.last)))
+            atoms.append(Atom.eq(Term.of(fld.first), Term.of(fld.last)))
     return s.replace_components(
         pos=prog.successor(s.pos),
         lv=s.bind(ins.dst, w_start_j),
@@ -343,7 +342,7 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
         t = s.lv_of(ins.offset)
         if t is None:
             return None
-        target = value_term(pa) + value_term(t)
+        target = Term.of(pa) + Term.of(t)
     else:
         t = s.lv_of(ins.index)
         if not isinstance(t, int):
@@ -358,7 +357,7 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
             off = ir.field_offset(ins.agg, t + 1, prog.layout)
         except IndexError:
             return None
-        target = value_term(pa) + off
+        target = Term.of(pa) + off
     w = engine.fresh(ins.dst)
     return s.replace_components(
         pos=prog.successor(s.pos),
@@ -417,7 +416,7 @@ def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
     rhs = s.lv_of(ins.rhs)
     if lhs is None or rhs is None:
         return StepResult.eval_to(ERR)
-    atom, comp = _icmp_atoms(ins.pred, value_term(lhs), value_term(rhs))
+    atom, comp = _icmp_atoms(ins.pred, Term.of(lhs), Term.of(rhs))
     f = state_formula(s, engine)
     if engine.holds(f, atom):
         return StepResult.eval_to(s.replace_components(
@@ -481,7 +480,7 @@ def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
         return ERR
     f = state_formula(s, engine)
     for alloc in s.al:
-        if not engine.holds(f, Atom.eq(value_term(ptr), alloc.lo)):
+        if not engine.holds(f, Atom.eq(Term.of(ptr), alloc.lo)):
             continue
         lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
         kept = [p for p in s.pt if _disjoint(f, engine, p, lo_t, hi_t, prog)]
@@ -534,7 +533,7 @@ def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
         return StepResult.eval_to(s.replace_components(
             pos=prog.successor(s.pos),
             lv=s.bind(ins.dst, w),
-            kb=_kb_add(s, Atom.eq(w, value_term(a) + value_term(b)))))
+            kb=_kb_add(s, Atom.eq(w, Term.of(a) + Term.of(b)))))
 
     if isinstance(ins, ir.Bitcast):
         v = s.lv_of(ins.src)

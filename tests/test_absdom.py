@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from listterm.absdom import (
@@ -14,8 +16,11 @@ from listterm.absdom import (
     is_satisfiable,
     state_formula,
 )
-from listterm.ir import AggType, I8, I32, ProgramPosition, PtrType
+from listterm.ir import AggType, I8, I32, ProgramPosition, PtrType, parse_program
 from listterm.logic import Atom, Entailment, Formula, SymVar, Verdict
+from listterm.seg import build_seg
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 POS = ProgramPosition("b", 0)
 LIST = AggType("list")
@@ -154,11 +159,50 @@ def test_satisfiability_pruning():
 
 
 def test_kb_clauses_come_first_and_are_kept():
-    a = sv(1)
-    kb = Formula.conj([Atom.ge(a, 7)])
-    s = AbstractState.make(POS, kb=kb)
+    a, b = sv(1), sv(2)
+    kb = Formula.conj([Atom.ge(a, 7), Atom.ge(a, 1), Atom.ge(a, 7)])
+    s = AbstractState.make(POS, al=[Allocation(a, b)], kb=kb)
     f = state_formula(s, Entailment())
-    assert f.clauses[0] == (Atom.ge(a, 7),)
+    # Duplicates in the knowledge base stay; a derived clause it already
+    # has is not added again.
+    assert f.clauses == kb.clauses + ((Atom.le(a, b),),)
+
+
+def _rules(s):
+    """The saturation rules of ``s`` as ``(question, facts)``, derived here
+    from the state's components."""
+    for i, p in enumerate(s.pt):
+        for q in s.pt[i + 1:]:
+            if p.ty == q.ty:
+                yield Atom.eq(p.addr, q.addr), [Atom.eq(p.value, q.value)]
+                yield Atom.ne(p.value, q.value), [Atom.ne(p.addr, q.addr)]
+    for l in s.li:
+        yield Atom.eq(l.length, 1), [Atom.eq(f.first, f.last)
+                                     for f in l.fields]
+        rec = l.fields[l.rec_index - 1]
+        yield Atom.ge(l.length, 2), [Atom.ge(rec.first, 1)]
+        for f in l.fields:
+            yield Atom.ne(f.first, f.last), [Atom.ge(l.length, 2)]
+
+
+@pytest.mark.parametrize("name", ["build_traverse_ptr.ll", "build_append.ll"])
+def test_state_formula_is_saturated(name):
+    """No rule's question holds against a final state formula while one of
+    its facts is missing from it."""
+    prog = parse_program((CORPUS / name).read_text())
+    eng = Entailment()
+    seg = build_seg(prog, eng)
+    asked = 0
+    for s in seg.states:
+        if not isinstance(s, AbstractState):
+            continue
+        f = state_formula(s, eng)
+        present = set(f.clauses)
+        for question, facts in _rules(s):
+            if any((a,) not in present for a in facts):
+                asked += 1
+                assert not eng.holds(f, question), (str(s), str(question))
+    assert asked > 0
 
 
 def test_lv_helpers():

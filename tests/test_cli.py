@@ -305,8 +305,10 @@ def test_explicit_zero_limits_are_kept(capsys, tmp_path):
     ("max_nodes=abc\n", ["analyze"]),
     (None, ["analyze", "--max-nodes", "-3"]),
     (None, ["check", "--runs", "-2"]),
+    (None, ["analyze", "--max-nodes", "abc"]),
+    (None, ["analyze", "--bogus"]),
 ], ids=["config-line", "missing-config", "config-not-int",
-        "negative-max-nodes", "negative-runs"])
+        "negative-max-nodes", "negative-runs", "flag-not-int", "unknown-flag"])
 def test_bad_input_exits_one_with_message(capsys, tmp_path, config, args):
     if config is not None:
         cfg = tmp_path / "opts.cfg"
@@ -318,3 +320,10 @@ def test_bad_input_exits_one_with_message(capsys, tmp_path, config, args):
     assert err.startswith("error: ") and err.count("\n") == 1
     if config == "max_nodes=abc\n":  # the message names the key and the file
         assert f"{cfg}:1: max_nodes" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: listterm analyze")

@@ -17,7 +17,7 @@ from listterm.its import (
     prove_termination,
 )
 from listterm.logic import Atom, Entailment, Formula, SymVar, Term, Verdict
-from listterm.seg import build_seg
+from listterm.seg import GENERALIZATION, build_seg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -215,3 +215,19 @@ def test_export_rule_count_synthetic():
     text = export_its(its)
     assert text.count("(rule ") == 1
     assert "(declare-rel L0 (Int))" in text
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.ll")))
+def test_every_cycle_passes_a_generalization_edge(name):
+    """``extract_its`` relies on this shape of ``build_seg``'s graphs: each
+    evaluation or refinement edge leads to a later node that has no other
+    incoming such edge, so every cycle (and every back edge) is closed by a
+    generalization edge, and no node loops to itself."""
+    seg = build_seg(load(name), Entailment())
+    entered = set()
+    for e in seg.edges:
+        assert e.src != e.dst
+        if e.kind != GENERALIZATION:
+            assert e.dst > e.src
+            assert e.dst not in entered
+            entered.add(e.dst)

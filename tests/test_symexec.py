@@ -29,7 +29,6 @@ from listterm.logic import Atom, Entailment, Formula, Term, Verdict
 from listterm.seg import (GENERALIZATION, build_seg, check_generalization,
                           find_list)
 from listterm.symexec import EVALUATION, REFINEMENT, is_return, step
-from listterm.absdom import value_term
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -102,7 +101,7 @@ def test_store_then_load_recovers_value():
         }
         """)
     s = advance(s, prog, eng, 5)
-    assert entails(eng, s, Atom.eq(value_term(dict(s.lv)["v"]), Term.of(41)))
+    assert entails(eng, s, Atom.eq(Term.of(dict(s.lv)["v"]), Term.of(41)))
 
 
 def test_store_overwrites_existing_points_to_entry():
@@ -148,8 +147,8 @@ def test_add_constrains_destination_to_sum():
         """)
     s = advance(s, prog, eng, 2)
     lv = dict(s.lv)
-    assert entails(eng, s, Atom.eq(value_term(lv["m"]),
-                                   value_term(lv["n"]) + 5))
+    assert entails(eng, s, Atom.eq(Term.of(lv["m"]),
+                                   Term.of(lv["n"]) + 5))
 
 
 def test_nondet_result_is_nonnegative():
@@ -161,7 +160,7 @@ def test_nondet_result_is_nonnegative():
         }
         """)
     s = advance(s, prog, eng, 1)
-    assert entails(eng, s, Atom.ge(value_term(dict(s.lv)["n"]), 0))
+    assert entails(eng, s, Atom.ge(Term.of(dict(s.lv)["n"]), 0))
 
 
 def test_byte_offset_address_is_base_plus_offset():
@@ -175,8 +174,8 @@ def test_byte_offset_address_is_base_plus_offset():
         """)
     s = advance(s, prog, eng, 2)
     lv = dict(s.lv)
-    assert entails(eng, s, Atom.eq(value_term(lv["p"]),
-                                   value_term(lv["mem"]) + 8))
+    assert entails(eng, s, Atom.eq(Term.of(lv["p"]),
+                                   Term.of(lv["mem"]) + 8))
 
 
 def test_comparison_with_known_outcome_binds_constant():
@@ -428,7 +427,7 @@ def test_loop_counter_starts_at_zero(flagship):
     first = min(nodes_at(seg, "cmpF", 1))
     st = seg.states[first]
     k = dict(st.lv)["k"]
-    assert entails(eng, st, Atom.eq(value_term(k), Term.of(0)))
+    assert entails(eng, st, Atom.eq(Term.of(k), Term.of(0)))
 
 
 def test_undecided_loop_test_refines_into_complementary_states(flagship):
@@ -442,8 +441,8 @@ def test_undecided_loop_test_refines_into_complementary_states(flagship):
     # One branch continues the loop, the other leaves it.
     st = seg.states[first]
     k, n = dict(st.lv)["k"], dict(st.lv)["n"]
-    goal_lt = Atom.le(value_term(k) - value_term(n) + 1, Term.of(0))
-    goal_ge = Atom.le(value_term(n) - value_term(k), Term.of(0))
+    goal_lt = Atom.le(Term.of(k) - Term.of(n) + 1, Term.of(0))
+    goal_ge = Atom.le(Term.of(n) - Term.of(k), Term.of(0))
     texts = {str(a) for a in extras}
     assert texts == {str(goal_lt), str(goal_ge)}
 
@@ -493,7 +492,7 @@ def test_two_node_chain_after_second_concrete_iteration(flagship):
     def stay_in_loop(succs):
         for c in succs:
             lv = dict(c.lv)
-            goal = Atom.le(value_term(lv["k"]) - value_term(lv["n"]) + 1,
+            goal = Atom.le(Term.of(lv["k"]) - Term.of(lv["n"]) + 1,
                            Term.of(0))
             if entails(eng, c, goal):
                 return c
@@ -514,9 +513,9 @@ def test_merged_build_state_summarizes_chain_with_counter_link(flagship):
     st = seg.states[build_merge[0]]
     assert len(st.li) == 1
     length = st.li[0].length
-    assert entails(eng, st, Atom.ge(value_term(length), 1))
+    assert entails(eng, st, Atom.ge(Term.of(length), 1))
     kinc = dict(st.lv)["kinc"]
-    assert entails(eng, st, Atom.eq(value_term(length) - value_term(kinc),
+    assert entails(eng, st, Atom.eq(Term.of(length) - Term.of(kinc),
                                     Term.of(0)))
     assert st.li[0].ad == dict(st.lv)["curr"]
 
@@ -539,7 +538,7 @@ def test_extension_edge_grows_summary_by_one(flagship):
         old = src.li[0].length
         new = dst.li[0].length
         assert entails(eng, dst, Atom.eq(
-            value_term(new) - value_term(old) - 1, Term.of(0)))
+            Term.of(new) - Term.of(old) - 1, Term.of(0)))
         # The extended summary is rooted at the freshly linked node.
         assert dst.li[0].ad == dict(src.lv)["curr"]
 
@@ -573,8 +572,8 @@ def test_traversal_edge_shrinks_summary_by_one(flagship):
             continue
         new = moved[0].length
         assert entails(eng, dst, Atom.eq(
-            value_term(new) - value_term(old) + 1, Term.of(0)))
-        assert entails(eng, dst, Atom.ge(value_term(new), 1))
+            Term.of(new) - Term.of(old) + 1, Term.of(0)))
+        assert entails(eng, dst, Atom.ge(Term.of(new), 1))
         checked += 1
     assert checked >= 2
 
@@ -589,7 +588,7 @@ def test_merged_traverse_state_splits_list_at_cursor(flagship):
     prefix, suffix = st.li
     rec = next(f for f in prefix.fields if f.off == 8)
     assert entails(eng, st, Atom.eq(
-        value_term(rec.last) - value_term(suffix.ad), Term.of(0)))
+        Term.of(rec.last) - Term.of(suffix.ad), Term.of(0)))
     # The register holding the currently visited node is the suffix root.
     assert dict(st.lv)["str"] == suffix.ad
 
