@@ -1,22 +1,21 @@
 """Command-line front end.
 
-Subcommands: ``analyze`` (prove memory safety and termination), ``graph``
-(DOT/JSON export of the execution graph), ``its`` (Horn-clause export of
-the extracted transition system), ``run`` (concrete interpreter), and
-``check`` (differential representation checking of random concrete runs
-against the graph).
+Subcommands: ``analyze`` (prove memory safety and termination, optionally
+writing the execution graph as DOT or JSON and the extracted transition
+system as Horn clauses), ``run`` (concrete interpreter), and ``check``
+(differential representation checking of random concrete runs against the
+graph). Flags are the only settings, and each subcommand takes only the
+flags it reads.
 
 Exit codes for analyze: 0 proved, 1 bad input (an unreadable or malformed
-program or config file, a bad flag, or a negative limit), 2 error state
-reachable, 3 unknown.  Option precedence: command-line flags, then the
-config file, then environment variables.
+program, a bad or negative flag, or an unwritable artifact path), 2 error
+state reachable, 3 unknown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -52,80 +51,12 @@ VERDICT_PROVED = "MemorySafeAndTerminating"
 VERDICT_ERR = "ERR-reached"
 VERDICT_UNKNOWN = "Unknown"
 
-ENV_SMT = "LISTTERM_SMT_CMD"
 
-_CONFIG_KEYS = ("smt", "max_nodes", "max_merges", "fuel", "seed")
-
-
-def load_config(path: str) -> Dict[str, str]:
-    """key=value lines, integers for every key but ``smt``; blank lines and
-    # comments ignored."""
-    out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key != "smt":
-                    int(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be an "
-                                 f"integer, got {value!r}") from None
-            out[key] = value
-    return out
-
-
-def resolve_option(flag_value, file_value, env_value, cast=str):
-    for v in (flag_value, file_value, env_value):
-        if v is not None:
-            return cast(v)
-    return None
-
-
-class Settings:
-    def __init__(self, args: argparse.Namespace):
-        cfg = load_config(args.config) if getattr(args, "config", None) else {}
-        self.smt = resolve_option(getattr(args, "smt", None),
-                                  cfg.get("smt"), os.environ.get(ENV_SMT))
-
-        def number(key: str, default: Optional[int]) -> Optional[int]:
-            # An explicit 0 is kept; only an absent option takes the default.
-            value = resolve_option(getattr(args, key, None), cfg.get(key),
-                                   None, int)
-            return default if value is None else value
-
-        self.max_nodes = number("max_nodes", MAX_NODES)
-        self.max_merges = number("max_merges", MAX_MERGES)
-        self.fuel = number("fuel", 10_000)
-        self.seed = number("seed", None)
-        for key, value in (("max_nodes", self.max_nodes),
-                           ("max_merges", self.max_merges),
-                           ("fuel", self.fuel),
-                           ("runs", getattr(args, "runs", 0))):
-            if value < 0:
-                raise ValueError(f"{key} must not be negative, got {value}")
-
-
-def _load(args: argparse.Namespace) -> Tuple[Settings, Program]:
-    """The settings and the parsed program of a command; raises ParseError,
-    ValueError or OSError on bad input."""
-    settings = Settings(args)
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return settings, parse_program(fh.read())
-
-
-def _build(prog: Program, settings: Settings) -> Tuple[Entailment, Seg]:
+def _build(prog: Program, args: argparse.Namespace) -> Tuple[Entailment, Seg]:
     """The engine of a new analysis and the graph it built."""
-    engine = Entailment(smt_cmd=settings.smt)
-    return engine, build_seg(prog, engine, max_nodes=settings.max_nodes,
-                             max_merges=settings.max_merges)
+    engine = Entailment(smt_cmd=args.smt)
+    return engine, build_seg(prog, engine, max_nodes=args.max_nodes,
+                             max_merges=args.max_merges)
 
 
 def _merge_count(seg: Seg) -> int:
@@ -154,11 +85,11 @@ def _rank_str(rank) -> str:
     return "".join(parts)
 
 
-def analysis_report(prog: Program, settings: Settings
+def analysis_report(prog: Program, args: argparse.Namespace
                     ) -> Tuple[dict, Seg, Optional[ITS], float]:
     """(report, graph, transition system if extracted, seconds taken)."""
     t0 = time.monotonic()
-    engine, seg = _build(prog, settings)
+    engine, seg = _build(prog, args)
     certificates = []
     if seg.outcome == CONTAINS_ERR:
         verdict, code = VERDICT_ERR, EXIT_ERR_STATE
@@ -194,18 +125,22 @@ def analysis_report(prog: Program, settings: Settings
     return report, seg, its, time.monotonic() - t0
 
 
-def cmd_analyze(args: argparse.Namespace, settings: Settings,
-                prog: Program) -> int:
-    report, seg, its, elapsed = analysis_report(prog, settings)
+def cmd_analyze(args: argparse.Namespace, prog: Program) -> int:
+    report, seg, its, elapsed = analysis_report(prog, args)
+    exports = []
     if args.emit_graph:
-        text = to_json(seg) if args.emit_graph.endswith(".json") else to_dot(seg)
-        with open(args.emit_graph, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        report["artifacts"]["graph"] = args.emit_graph
+        exports.append(("graph", args.emit_graph, to_json(seg)
+                        if args.emit_graph.endswith(".json") else to_dot(seg)))
     if args.emit_its and its is not None:
-        with open(args.emit_its, "w", encoding="utf-8") as fh:
-            fh.write(export_its(its))
-        report["artifacts"]["its"] = args.emit_its
+        exports.append(("its", args.emit_its, export_its(its)))
+    for key, path, text in exports:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        report["artifacts"][key] = path
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -222,39 +157,20 @@ def cmd_analyze(args: argparse.Namespace, settings: Settings,
     return report["exit_code"]
 
 
-def cmd_graph(args: argparse.Namespace, settings: Settings,
-              prog: Program) -> int:
-    _, seg = _build(prog, settings)
-    sys.stdout.write(to_json(seg) if args.json else to_dot(seg))
-    return EXIT_PROVED
-
-
-def cmd_its(args: argparse.Namespace, settings: Settings,
-            prog: Program) -> int:
-    engine, seg = _build(prog, settings)
-    if seg.outcome != COMPLETE:
-        print(f"graph not complete: {seg.outcome}", file=sys.stderr)
-        return EXIT_ERR_STATE if seg.outcome == CONTAINS_ERR else EXIT_UNKNOWN
-    sys.stdout.write(export_its(extract_its(seg, engine)))
-    return EXIT_PROVED
-
-
-def nondet_stream(seed: Optional[int]):
+def nondet_stream(seed: int):
     """Deterministic input stream: the first two values are at most 5 (loop
     bounds and list lengths stay testable), the rest are small payloads so
     value comparisons hit occasionally."""
-    rng = random.Random(0 if seed is None else seed)
+    rng = random.Random(seed)
     yield rng.randrange(0, 6)
     yield rng.randrange(0, 6)
     while True:
         yield rng.randrange(0, 10)
 
 
-def cmd_run(args: argparse.Namespace, settings: Settings,
-            prog: Program) -> int:
+def cmd_run(args: argparse.Namespace, prog: Program) -> int:
     try:
-        trace = run_concrete(prog, nondet_stream(settings.seed),
-                             fuel=settings.fuel)
+        trace = run_concrete(prog, nondet_stream(args.seed), fuel=args.fuel)
     except FuelExhausted:
         print("fuel exhausted", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -402,13 +318,11 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
     return len(seeds), violations, exhausted
 
 
-def cmd_check(args: argparse.Namespace, settings: Settings,
-              prog: Program) -> int:
-    engine, seg = _build(prog, settings)
-    base = settings.seed if settings.seed is not None else 0
-    seeds = [base + i for i in range(args.runs)]
+def cmd_check(args: argparse.Namespace, prog: Program) -> int:
+    engine, seg = _build(prog, args)
+    seeds = [args.seed + i for i in range(args.runs)]
     runs, violations, exhausted = differential_check(
-        prog, seg, seeds, settings.fuel, engine)
+        prog, seg, seeds, args.fuel, engine)
     print(f"{runs} runs, {len(violations)} representation violations, "
           f"{exhausted} fuel-exhausted")
     for seed, step in violations:
@@ -428,6 +342,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def count(text: str) -> int:
+    """A limit or a number of runs: an integer that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="listterm",
@@ -435,16 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "programs in a mini LLVM-like IR.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="IR source file")
-    common.add_argument("--config", help="key=value options file")
-    common.add_argument("--smt", help="external SMT solver command")
-    common.add_argument("--max-nodes", type=int, dest="max_nodes")
-    common.add_argument("--max-merges", type=int, dest="max_merges")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--fuel", type=int)
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument("--smt", help="external SMT solver command")
+    analysis.add_argument("--max-nodes", type=count, default=MAX_NODES,
+                          dest="max_nodes", help="graph size cap")
+    analysis.add_argument("--max-merges", type=count, default=MAX_MERGES,
+                          dest="max_merges", help="merges per program point")
+    concrete = argparse.ArgumentParser(add_help=False)
+    concrete.add_argument("--seed", type=int, default=0,
+                          help="seed of the nondeterministic inputs")
+    concrete.add_argument("--fuel", type=count, default=10_000,
+                          help="steps a concrete run may take")
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[analysis],
                        help="prove memory safety and termination")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
@@ -454,37 +380,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the extracted transition system")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("graph", parents=[common], help="print the graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("its", parents=[common],
-                       help="print the transition system export")
-    p.set_defaults(func=cmd_its)
-
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[concrete],
                        help="run the concrete interpreter")
     p.add_argument("--trace", action="store_true", help="print the trace")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[analysis, concrete],
                        help="differential representation check")
-    p.add_argument("--runs", type=int, default=20)
+    p.add_argument("--runs", type=count, default=20)
     p.set_defaults(func=cmd_check)
+
+    for p in sub.choices.values():
+        p.add_argument("file", help="IR source file")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        settings, prog = _load(args)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            prog = parse_program(fh.read())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    return args.func(args, settings, prog)
+    return args.func(args, prog)
 
 
 if __name__ == "__main__":

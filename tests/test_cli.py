@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, report output, artifact
-emission, option precedence, and determinism of exported text."""
+emission, the flags each subcommand takes, and determinism of exported
+text."""
 
 from __future__ import annotations
 
@@ -13,9 +14,6 @@ from listterm.cli import (
     EXIT_PARSE_ERROR,
     EXIT_PROVED,
     EXIT_UNKNOWN,
-    Settings,
-    build_parser,
-    load_config,
     main,
     nondet_stream,
 )
@@ -141,30 +139,27 @@ def test_emit_its_file(tmp_path, capsys):
     assert parse_its_text(text)["rules"]
 
 
-def test_graph_subcommand_prints_dot(capsys):
-    code, out, _ = cli(capsys, "graph", CORPUS / "count_up.ll")
-    assert code == EXIT_PROVED
-    assert out.startswith("digraph")
+def test_emit_graph_dot_deterministic(tmp_path, capsys):
+    first, second = tmp_path / "first.dot", tmp_path / "second.dot"
+    for path in (first, second):
+        cli(capsys, "analyze", CORPUS / "build_only.ll", "--emit-graph", path)
+    assert first.read_bytes() == second.read_bytes()
 
 
-def test_graph_subcommand_deterministic(capsys):
-    _, first, _ = cli(capsys, "graph", CORPUS / "build_only.ll")
-    _, second, _ = cli(capsys, "graph", CORPUS / "build_only.ll")
-    assert first == second
-
-
-def test_its_subcommand_parses_back(capsys):
-    code, out, _ = cli(capsys, "its", CORPUS / "count_up.ll")
-    assert code == EXIT_PROVED
-    doc = parse_its_text(out)
+def test_emit_its_parses_back(tmp_path, capsys):
+    path = tmp_path / "system.smt2"
+    cli(capsys, "analyze", CORPUS / "count_up.ll", "--emit-its", path)
+    doc = parse_its_text(path.read_text())
     assert doc["relations"] and doc["rules"]
 
 
-def test_its_subcommand_rejects_error_program(capsys):
-    code, out, err = cli(capsys, "its", CORPUS / "null_deref.ll")
+def test_emit_its_skipped_for_error_program(tmp_path, capsys):
+    path = tmp_path / "system.smt2"
+    code, out, _ = cli(capsys, "analyze", CORPUS / "null_deref.ll",
+                       "--emit-its", path, "--json")
     assert code == EXIT_ERR_STATE
-    assert not out
-    assert "not complete" in err
+    assert not path.exists()
+    assert "its" not in json.loads(out)["artifacts"]
 
 
 # --- concrete runner ------------------------------------------------------------
@@ -222,104 +217,50 @@ def test_check_error_program_zero_violations(capsys):
     assert "0 representation violations" in out
 
 
-# --- configuration --------------------------------------------------------------
+# --- flags ----------------------------------------------------------------------
 
 
-def test_load_config_parses_and_ignores_comments(tmp_path):
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("# options\nmax_nodes = 50\nfuel=123\n\nseed=9 # tail\n")
-    assert load_config(str(cfg)) == {"max_nodes": "50", "fuel": "123",
-                                     "seed": "9"}
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("bogus=1\n")
-    with pytest.raises(ValueError):
-        load_config(str(cfg))
-
-
-def test_config_file_limits_analysis(tmp_path, capsys):
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("max_nodes=3\n")
-    code, out, _ = cli(capsys, "analyze", CORPUS / "count_up.ll",
-                       "--config", cfg)
-    assert code == EXIT_UNKNOWN
-    assert "Unknown" in out
-
-
-def test_flag_overrides_config_file(tmp_path, capsys):
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("max_nodes=3\n")
-    code, _, _ = cli(capsys, "analyze", CORPUS / "count_up.ll",
-                     "--config", cfg, "--max-nodes", 10000)
-    assert code == EXIT_PROVED
-
-
-def test_env_supplies_smt_command(monkeypatch):
-    monkeypatch.setenv("LISTTERM_SMT_CMD", "some-solver")
-    args = build_parser().parse_args(
-        ["analyze", str(CORPUS / "count_up.ll")])
-    assert Settings(args).smt == "some-solver"
-
-
-def test_flag_beats_env_for_smt_command(monkeypatch):
-    monkeypatch.setenv("LISTTERM_SMT_CMD", "env-solver")
-    args = build_parser().parse_args(
-        ["analyze", str(CORPUS / "count_up.ll"), "--smt", "flag-solver"])
-    assert Settings(args).smt == "flag-solver"
-
-
-def test_config_beats_env_for_smt_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("LISTTERM_SMT_CMD", "env-solver")
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("smt=file-solver\n")
-    args = build_parser().parse_args(
-        ["analyze", str(CORPUS / "count_up.ll"), "--config", str(cfg)])
-    assert Settings(args).smt == "file-solver"
-
-
-def test_explicit_zero_limits_are_kept(capsys, tmp_path):
-    """An explicit 0, from a flag or the config file, is a limit that
-    stops the work; it is not replaced by the default."""
-    cfg = tmp_path / "opts.cfg"
-    for command, flags, config, code in [
-            ("analyze", [], None, EXIT_PROVED),
-            ("analyze", ["--max-nodes", "0"], None, EXIT_UNKNOWN),
-            ("analyze", ["--max-merges", "0"], None, EXIT_UNKNOWN),
-            ("analyze", [], "max_nodes=0\n", EXIT_UNKNOWN),
-            ("analyze", [], "max_merges=0\n", EXIT_UNKNOWN),
-            ("run", [], None, EXIT_PROVED),
-            ("run", ["--fuel", "0"], None, EXIT_UNKNOWN),
-            ("run", [], "fuel=0\n", EXIT_UNKNOWN)]:
-        if config is not None:
-            cfg.write_text(config)
-            flags = flags + ["--config", cfg]
+def test_explicit_zero_limits_are_kept(capsys):
+    """An explicit 0 is a limit that stops the work; it is not replaced by
+    the default."""
+    for command, flags, code in [
+            ("analyze", [], EXIT_PROVED),
+            ("analyze", ["--max-nodes", "0"], EXIT_UNKNOWN),
+            ("analyze", ["--max-merges", "0"], EXIT_UNKNOWN),
+            ("run", [], EXIT_PROVED),
+            ("run", ["--fuel", "0"], EXIT_UNKNOWN)]:
         got = cli(capsys, command, CORPUS / "count_up.ll", *flags)[0]
-        assert got == code, (command, flags, config)
+        assert got == code, (command, flags)
 
 
-@pytest.mark.parametrize("config, args", [
-    ("max_nodes\n", ["analyze"]),
-    (None, ["analyze", "--config", "/nonexistent/opts.cfg"]),
-    ("max_nodes=abc\n", ["analyze"]),
-    (None, ["analyze", "--max-nodes", "-3"]),
-    (None, ["check", "--runs", "-2"]),
-    (None, ["analyze", "--max-nodes", "abc"]),
-    (None, ["analyze", "--bogus"]),
-], ids=["config-line", "missing-config", "config-not-int",
-        "negative-max-nodes", "negative-runs", "flag-not-int", "unknown-flag"])
-def test_bad_input_exits_one_with_message(capsys, tmp_path, config, args):
-    if config is not None:
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(config)
-        args = args + ["--config", cfg]
+def expect_bad_input(capsys, args):
     code, out, err = cli(capsys, args[0], CORPUS / "count_up.ll", *args[1:])
     assert code == EXIT_PARSE_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if config == "max_nodes=abc\n":  # the message names the key and the file
-        assert f"{cfg}:1: max_nodes" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--max-nodes", "-3"],
+    ["check", "--runs", "-2"],
+    ["analyze", "--max-nodes", "abc"],
+    ["analyze", "--bogus"],
+    ["analyze", "--emit-graph", "/nonexistent/dir/g.dot"],
+    ["analyze", "--emit-its", "/nonexistent/dir/its.smt2"],
+], ids=["negative-max-nodes", "negative-runs", "flag-not-int",
+        "unknown-flag", "unwritable-graph", "unwritable-its"])
+def test_bad_input_exits_one_with_message(capsys, args):
+    expect_bad_input(capsys, args)
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--seed", "3"],
+    ["analyze", "--fuel", "1"],
+    ["run", "--max-nodes", "1"],
+    ["run", "--smt", "x"],
+], ids=["analyze-seed", "analyze-fuel", "run-max-nodes", "run-smt"])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, args):
+    expect_bad_input(capsys, args)
 
 
 def test_help_exits_zero(capsys):

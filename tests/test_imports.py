@@ -34,7 +34,7 @@ def test_no_unused_imports_in_the_package():
 
 
 # Parameters a function takes because it shares a dispatch signature.
-DISPATCH_PARAMETERS = {"cmd_": {"args", "settings", "prog"},
+DISPATCH_PARAMETERS = {"cmd_": {"args", "prog"},
                        "rule_": {"s", "ins", "prog", "engine"}}
 
 
