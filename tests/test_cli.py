@@ -122,6 +122,15 @@ def test_emit_graph_dot(tmp_path, capsys):
     assert json.loads(out)["artifacts"]["graph"] == str(path)
 
 
+def test_emit_graph_dot_with_text_report(tmp_path, capsys):
+    path = tmp_path / "graph.dot"
+    code, out, _ = cli(capsys, "analyze", CORPUS / "count_up.ll",
+                       "--emit-graph", path)
+    assert code == EXIT_PROVED
+    assert path.read_text().startswith("digraph")
+    assert out.startswith("verdict: ")
+
+
 def test_emit_graph_json(tmp_path, capsys):
     path = tmp_path / "graph.json"
     cli(capsys, "analyze", CORPUS / "count_up.ll", "--emit-graph", path)
