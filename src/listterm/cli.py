@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -60,10 +61,7 @@ def _build(prog: Program, args: argparse.Namespace) -> Tuple[Entailment, Seg]:
 
 
 def _merge_count(seg: Seg) -> int:
-    per_dst: Dict[int, int] = {}
-    for e in seg.edges:
-        if e.kind == GENERALIZATION:
-            per_dst[e.dst] = per_dst.get(e.dst, 0) + 1
+    per_dst = Counter(e.dst for e in seg.edges if e.kind == GENERALIZATION)
     return sum(1 for n in per_dst.values() if n >= 2)
 
 
@@ -351,6 +349,15 @@ def count(text: str) -> int:
     return value
 
 
+def artifact_path(text: str) -> str:
+    """A file to write: not a directory, in a directory that is writable."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.isdir(folder) or \
+            not os.access(folder, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="listterm",
@@ -375,8 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     p.add_argument("--emit-graph", dest="emit_graph", metavar="PATH",
+                   type=artifact_path,
                    help="write the graph (DOT, or JSON for .json paths)")
     p.add_argument("--emit-its", dest="emit_its", metavar="PATH",
+                   type=artifact_path,
                    help="write the extracted transition system")
     p.set_defaults(func=cmd_analyze)
 

@@ -85,10 +85,17 @@ class Trace:
         return self.states[-1]
 
 
-def _operand_value(c: ConcreteState, op) -> Optional[int]:
+class _Fault(Exception):
+    """The instruction cannot execute: the run fails there."""
+
+
+def _operand(c: ConcreteState, op) -> int:
     if isinstance(op, int):
         return op
-    return c.asgn.get(op)
+    try:
+        return c.asgn[op]
+    except KeyError:
+        raise _Fault from None  # an undefined variable
 
 
 def _malloc_address(c: ConcreteState, size: int) -> int:
@@ -102,11 +109,6 @@ def _malloc_address(c: ConcreteState, size: int) -> int:
         a += 1
 
 
-def _fail(n: ConcreteState) -> ConcreteState:
-    n.error = n.halted = True
-    return n
-
-
 def concrete_step(c: ConcreteState, prog: Program,
                   nondet: Iterator[int]) -> ConcreteState:
     """Execute one instruction; returns a fresh state, never mutating ``c``.
@@ -114,115 +116,102 @@ def concrete_step(c: ConcreteState, prog: Program,
     The new state shares ``asgn``, ``mem`` and ``allocations`` with ``c``
     unless the instruction changes them, which copies them first, so a
     state must not be mutated once a step has been taken from it.  A failing
-    instruction leaves the position where it is."""
+    instruction raises :class:`_Fault`, and the state it leads to keeps
+    ``c``'s position and contents, halted with an error."""
     assert not c.halted and not c.error
     n = ConcreteState(c.pos, c.asgn, c.allocations, c.mem)
     ins = prog.instruction_at(c.pos)
     layout = prog.layout
+    try:
+        if isinstance(ins, ir.Load):
+            addr = _operand(c, ins.addr)
+            size = type_size(ins.ty, layout)
+            val = read_le(c.mem, addr, size) \
+                if c.allocated(addr, addr + size - 1) else None
+            if val is None:
+                raise _Fault  # outside every allocation, or undefined bytes
+            n.asgn = {**c.asgn, ins.dst: val}
 
-    if isinstance(ins, ir.Load):
-        addr = _operand_value(c, ins.addr)
-        size = type_size(ins.ty, layout)
-        if addr is None or not c.allocated(addr, addr + size - 1):
-            return _fail(n)
-        val = read_le(c.mem, addr, size)
-        if val is None:
-            return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: val}
+        elif isinstance(ins, ir.Store):
+            addr = _operand(c, ins.addr)
+            val = _operand(c, ins.value)
+            size = type_size(ins.ty, layout)
+            if not c.allocated(addr, addr + size - 1):
+                raise _Fault
+            n.mem = dict(c.mem)
+            n.mem.update(zip(range(addr, addr + size), encode_le(val, size)))
 
-    elif isinstance(ins, ir.Store):
-        addr = _operand_value(c, ins.addr)
-        val = _operand_value(c, ins.value)
-        size = type_size(ins.ty, layout)
-        if addr is None or val is None or not c.allocated(addr, addr + size - 1):
-            return _fail(n)
-        n.mem = dict(c.mem)
-        n.mem.update(zip(range(addr, addr + size), encode_le(val, size)))
+        elif isinstance(ins, ir.GepByte):
+            n.asgn = {**c.asgn, ins.dst: _operand(c, ins.base)
+                      + _operand(c, ins.offset)}
 
-    elif isinstance(ins, ir.GepByte):
-        base = _operand_value(c, ins.base)
-        off = _operand_value(c, ins.offset)
-        if base is None or off is None:
-            return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: base + off}
+        elif isinstance(ins, ir.GepField):
+            idx = _operand(c, ins.index)
+            offs = layout.offsets_of(ins.agg.name)
+            if not 0 <= idx < len(offs):
+                raise _Fault  # no such field
+            n.asgn = {**c.asgn, ins.dst: _operand(c, ins.base) + offs[idx]}
 
-    elif isinstance(ins, ir.GepField):
-        base = _operand_value(c, ins.base)
-        idx = _operand_value(c, ins.index)
-        if base is None or idx is None:
-            return _fail(n)
-        try:
-            off = ir.field_offset(ins.agg, idx + 1, layout)
-        except IndexError:
-            return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: base + off}
+        elif isinstance(ins, ir.Icmp):
+            a = _operand(c, ins.lhs)
+            b = _operand(c, ins.rhs)
+            result = {
+                "eq": a == b, "ne": a != b,
+                "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
+                "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
+            }[ins.pred]
+            n.asgn = {**c.asgn, ins.dst: int(result)}
 
-    elif isinstance(ins, ir.Icmp):
-        a = _operand_value(c, ins.lhs)
-        b = _operand_value(c, ins.rhs)
-        if a is None or b is None:
-            return _fail(n)
-        result = {
-            "eq": a == b, "ne": a != b,
-            "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
-            "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-        }[ins.pred]
-        n.asgn = {**c.asgn, ins.dst: int(result)}
+        elif isinstance(ins, ir.BrCond):
+            cond = _operand(c, ins.cond)
+            if cond not in (0, 1):
+                raise _Fault
+            n.pos = prog.position(ins.then_block if cond else ins.else_block, 0)
+            return n
 
-    elif isinstance(ins, ir.BrCond):
-        cond = _operand_value(c, ins.cond)
-        if cond not in (0, 1):
-            return _fail(n)
-        n.pos = prog.position(
-            ins.then_block if cond == 1 else ins.else_block, 0)
-        return n
+        elif isinstance(ins, ir.Br):
+            n.pos = prog.position(ins.block, 0)
+            return n
 
-    elif isinstance(ins, ir.Br):
-        n.pos = prog.position(ins.block, 0)
-        return n
+        elif isinstance(ins, ir.Add):
+            n.asgn = {**c.asgn, ins.dst: _operand(c, ins.lhs)
+                      + _operand(c, ins.rhs)}
 
-    elif isinstance(ins, ir.Add):
-        a = _operand_value(c, ins.lhs)
-        b = _operand_value(c, ins.rhs)
-        if a is None or b is None:
-            return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: a + b}
+        elif isinstance(ins, ir.Bitcast):
+            n.asgn = {**c.asgn, ins.dst: _operand(c, ins.src)}
 
-    elif isinstance(ins, ir.Bitcast):
-        v = _operand_value(c, ins.src)
-        if v is None:
-            return _fail(n)
-        n.asgn = {**c.asgn, ins.dst: v}
+        elif isinstance(ins, ir.Malloc):
+            size = _operand(c, ins.size)
+            if size < 1:
+                raise _Fault
+            a = _malloc_address(c, size)
+            n.allocations = c.allocations + [(a, a + size - 1)]
+            n.mem = dict(c.mem)
+            n.mem.update((addr, 0) for addr in range(a, a + size))
+            n.asgn = {**c.asgn, ins.dst: a}
 
-    elif isinstance(ins, ir.Malloc):
-        size = _operand_value(c, ins.size)
-        if size is None or size < 1:
-            return _fail(n)
-        a = _malloc_address(c, size)
-        n.allocations = c.allocations + [(a, a + size - 1)]
-        n.mem = dict(c.mem)
-        n.mem.update((addr, 0) for addr in range(a, a + size))
-        n.asgn = {**c.asgn, ins.dst: a}
+        elif isinstance(ins, ir.NondetInt):
+            n.asgn = {**c.asgn, ins.dst: next(nondet)}
 
-    elif isinstance(ins, ir.NondetInt):
-        n.asgn = {**c.asgn, ins.dst: next(nondet)}
+        elif isinstance(ins, ir.Free):
+            addr = _operand(c, ins.ptr)
+            i = next((i for i, (lo, _) in enumerate(c.allocations)
+                      if lo == addr), None)
+            if i is None:
+                raise _Fault  # not the start of an allocation
+            lo, hi = c.allocations[i]
+            n.allocations = c.allocations[:i] + c.allocations[i + 1:]
+            n.mem = {a: b for a, b in c.mem.items() if not lo <= a <= hi}
 
-    elif isinstance(ins, ir.Free):
-        addr = _operand_value(c, ins.ptr)
-        i = next((i for i, (lo, _) in enumerate(c.allocations) if lo == addr),
-                 None)
-        if i is None:
-            return _fail(n)
-        lo, hi = c.allocations[i]
-        n.allocations = c.allocations[:i] + c.allocations[i + 1:]
-        n.mem = {a: b for a, b in c.mem.items() if not lo <= a <= hi}
+        elif isinstance(ins, ir.Ret):
+            n.halted = True
+            return n
 
-    elif isinstance(ins, ir.Ret):
-        n.halted = True
-        return n
-
-    else:
-        raise TypeError(f"unknown instruction {ins!r}")
+        else:
+            raise TypeError(f"unknown instruction {ins!r}")
+    except _Fault:
+        return ConcreteState(c.pos, c.asgn, c.allocations, c.mem,
+                             halted=True, error=True)
     n.pos = prog.successor(c.pos)
     return n
 
@@ -282,25 +271,6 @@ def walk_chain(mem: Mapping[int, int], bs: int, rec: int, ad: int,
         yield ad, values
         used.update(foot)
         ad = values[rec]
-
-
-def eval_li_predicate(mem: Mapping[int, int], bs: int, j: int, ell: int,
-                      ad: int, fields: List[Tuple[int, int, int, int]],
-                      allocations: Container[Tuple[int, int]]) -> bool:
-    """Does ``mem`` contain an ``ell``-element chain of allocated
-    ``bs``-byte nodes starting at ``ad``?
-
-    ``fields`` lists (offset, byte size, first-element value, last-element
-    value); ``j`` is the 1-based index of the chain field.  Node footprints
-    must be pairwise disjoint; intermediate elements' field values are read
-    off the memory itself.  Every node must be one of the (start, end)
-    ranges in ``allocations``."""
-    if ell < 1:
-        return False
-    nodes = list(itertools.islice(walk_chain(
-        mem, bs, j - 1, ad, [f[:2] for f in fields], allocations), ell))
-    return len(nodes) == ell and nodes[0][1] == [f[2] for f in fields] \
-        and nodes[-1][1] == [f[3] for f in fields]
 
 
 # --------------------------------------------------------------------------

@@ -208,6 +208,13 @@ Instruction = Union[Load, Store, GepByte, GepField, Icmp, BrCond, Br, Add,
 TERMINATORS = (Br, BrCond, Ret)
 
 
+def branch_targets(ins: Instruction) -> Tuple[str, ...]:
+    """The blocks an instruction may jump to: none unless it branches."""
+    if isinstance(ins, BrCond):
+        return ins.then_block, ins.else_block
+    return (ins.block,) if isinstance(ins, Br) else ()
+
+
 @dataclass(frozen=True, order=True)
 class ProgramPosition:
     block: str
@@ -545,9 +552,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(
                     f"terminator in the middle of block {name!r}", lineno)
         for ins, lineno in zip(body, at):
-            for tgt in ((ins.block,) if isinstance(ins, Br) else
-                        (ins.then_block, ins.else_block)
-                        if isinstance(ins, BrCond) else ()):
+            for tgt in branch_targets(ins):
                 if tgt not in blocks:
                     raise ParseError(f"unknown branch target {tgt!r}",
                                      lineno)

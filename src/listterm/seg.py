@@ -13,7 +13,7 @@ incomplete graph (resource bound hit).
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -587,17 +587,8 @@ def build_seg(prog: Program, engine: Entailment, *, max_nodes: int = MAX_NODES,
     # Merge and loop-closure points: block entries with several control-flow
     # predecessors (loop headers and other joins).  Merging at single-entry
     # blocks would fragment cycles across several generalization steps.
-    preds: Dict[str, int] = {}
-    for _name, body in prog.blocks:
-        term = body[-1]
-        if isinstance(term, ir.BrCond):
-            targets = [term.then_block, term.else_block]
-        elif isinstance(term, ir.Br):
-            targets = [term.block]
-        else:
-            targets = []
-        for tgt in targets:
-            preds[tgt] = preds.get(tgt, 0) + 1
+    preds = Counter(tgt for _name, body in prog.blocks
+                    for tgt in ir.branch_targets(body[-1]))
     join_blocks = {b for b, n in preds.items() if n >= 2}
 
     has_eval_in: Dict[int, bool] = {0: True}  # the root counts as grounded

@@ -1,24 +1,21 @@
 """One step of symbolic execution: the dispatcher and every inference rule.
 
-Rules are pure functions from an abstract state to successor states, whose
-fresh variables come from the analysis's engine.  A step result is either
-a single evaluation successor or a two-way refinement whose knowledge-base
-additions are complementary.  When no rule's memory-safety side conditions
-can be proven, the successor is the absorbing error state.
-
-Rule priority where several could match: stores try list extension before
-the plain store rule; getelementptr tries list traversal before plain
-pointer arithmetic; loads try allocated memory before list summaries.
-Traversal is one rule: the head node leaves the summary, joining a second
-summary that ends at the traversed list's root if there is one and
-becoming plain memory otherwise, and the summary moves on to its second
-node, or dissolves when its length is 1.
+A rule is a pure function from an abstract state to a successor state or
+a two-way refinement whose knowledge-base additions are complementary,
+with fresh variables from the analysis's engine; it returns None when its
+memory-safety side conditions are not proven.  ``RULES`` gives each
+instruction type's rules in priority order: stores try list extension
+before the plain store rule, getelementptr tries list traversal before
+plain pointer arithmetic, loads try allocated memory before list
+summaries.  :func:`step` takes the first result, and only when every rule
+returns None is the successor the absorbing error state.  List traversal,
+whatever the shape of the summaries, is one rule (:func:`_traverse`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from . import ir
 from .absdom import (
@@ -32,7 +29,7 @@ from .absdom import (
     state_formula,
 )
 from .ir import Program, ProgramPosition, type_size
-from .logic import Atom, Entailment, Formula, Term
+from .logic import Atom, Entailment, Formula, SymVar, Term
 
 EVALUATION = "evaluation"
 REFINEMENT = "refinement"
@@ -52,8 +49,27 @@ class StepResult:
         return StepResult(REFINEMENT, (a, b))
 
 
+# What a rule gives: a successor, a refinement, or None when it does not apply.
+Outcome = Union[AbstractState, StepResult, None]
+
+
 def _kb_add(s: AbstractState, *atoms: Atom) -> Formula:
     return s.kb.and_(Formula.conj(atoms))
+
+
+def _define(s: AbstractState, ins, prog: Program, engine: Entailment,
+            value: Term) -> AbstractState:
+    """Move on, binding ``ins.dst`` to a fresh variable equal to ``value``."""
+    w = engine.fresh(ins.dst)
+    return s.replace_components(pos=prog.successor(s.pos),
+                                lv=s.bind(ins.dst, w),
+                                kb=_kb_add(s, Atom.eq(w, value)))
+
+
+def _split(s: AbstractState, atom: Atom, complement: Atom) -> StepResult:
+    """Refine ``s`` into the case ``atom`` and the case ``complement``."""
+    return StepResult.refine(s.replace_components(kb=_kb_add(s, atom)),
+                             s.replace_components(kb=_kb_add(s, complement)))
 
 
 def _covered(s: AbstractState, f: Formula, engine: Entailment, ad: Term,
@@ -87,11 +103,7 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
         return None
     for p in s.pt:
         if p.ty == ins.ty and engine.holds(f, Atom.eq(ad_t, p.addr)):
-            w = engine.fresh(ins.dst)
-            return s.replace_components(
-                pos=prog.successor(s.pos),
-                lv=s.bind(ins.dst, w),
-                kb=_kb_add(s, Atom.eq(w, Term.of(p.value))))
+            return _define(s, ins, prog, engine, Term.of(p.value))
     return None
 
 
@@ -107,11 +119,7 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
             if fld.fty != ins.ty:
                 continue
             if engine.holds(f, Atom.eq(ad_t, Term.of(l.ad) + fld.off)):
-                w = engine.fresh(ins.dst)
-                return s.replace_components(
-                    pos=prog.successor(s.pos),
-                    lv=s.bind(ins.dst, w),
-                    kb=_kb_add(s, Atom.eq(w, Term.of(fld.first))))
+                return _define(s, ins, prog, engine, Term.of(fld.first))
     return None
 
 
@@ -333,6 +341,23 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
         kb=_kb_add(s, *atoms))
 
 
+def rule_traverse(s: AbstractState, ins, prog: Program,
+                  engine: Entailment) -> Outcome:
+    """Traverse the summary whose second node the base points at, first
+    splitting on whether its length is 1 when that is not decided."""
+    cand = _traversal_candidate(s, ins, engine)
+    if cand is None:
+        return None
+    l, acc = cand
+    f = state_formula(s, engine)
+    long = engine.holds(f, Atom.ge(l.length, 2))
+    single = engine.holds(f, Atom.eq(l.length, 1))
+    if not long and not single:
+        return _split(s, Atom.ge(l.length, 2), Atom.eq(l.length, 1))
+    partner = _split_partner(s, l, engine)
+    return _traverse(s, ins, l, acc, partner, long, prog, engine)
+
+
 def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
                              engine: Entailment) -> Optional[AbstractState]:
     pa = s.lv_of(ins.base)
@@ -345,43 +370,19 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
         target = Term.of(pa) + Term.of(t)
     else:
         t = s.lv_of(ins.index)
-        if not isinstance(t, int):
+        if isinstance(t, SymVar):
             # A symbolic field index needs a provable constant.
             f = state_formula(s, engine)
             t = next((i for i in range(len(prog.agg_fields(ins.agg.name)))
-                      if engine.holds(f, Atom.eq(s.lv_of(ins.index), i))),
-                     None)
-            if t is None:
-                return None
+                      if engine.holds(f, Atom.eq(t, i))), None)
+        if t is None:
+            return None
         try:
             off = ir.field_offset(ins.agg, t + 1, prog.layout)
         except IndexError:
             return None
         target = Term.of(pa) + off
-    w = engine.fresh(ins.dst)
-    return s.replace_components(
-        pos=prog.successor(s.pos),
-        lv=s.bind(ins.dst, w),
-        kb=_kb_add(s, Atom.eq(w, target)))
-
-
-def _step_gep(s: AbstractState, ins, prog: Program,
-              engine: Entailment) -> StepResult:
-    cand = _traversal_candidate(s, ins, engine)
-    if cand is not None:
-        l, acc = cand
-        f = state_formula(s, engine)
-        long = engine.holds(f, Atom.ge(l.length, 2))
-        single = engine.holds(f, Atom.eq(l.length, 1))
-        if not long and not single:
-            return StepResult.refine(
-                s.replace_components(kb=_kb_add(s, Atom.ge(l.length, 2))),
-                s.replace_components(kb=_kb_add(s, Atom.eq(l.length, 1))))
-        partner = _split_partner(s, l, engine)
-        return StepResult.eval_to(
-            _traverse(s, ins, l, acc, partner, long, prog, engine))
-    plain = rule_getelementptr_plain(s, ins, prog, engine)
-    return StepResult.eval_to(plain if plain is not None else ERR)
+    return _define(s, ins, prog, engine, target)
 
 
 # --------------------------------------------------------------------------
@@ -411,57 +412,80 @@ def _icmp_atoms(pred: str, a: Term, b: Term) -> Tuple[Atom, Atom]:
 
 
 def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
-              engine: Entailment) -> StepResult:
+              engine: Entailment) -> Outcome:
     lhs = s.lv_of(ins.lhs)
     rhs = s.lv_of(ins.rhs)
     if lhs is None or rhs is None:
-        return StepResult.eval_to(ERR)
+        return None
     atom, comp = _icmp_atoms(ins.pred, Term.of(lhs), Term.of(rhs))
     f = state_formula(s, engine)
-    if engine.holds(f, atom):
-        return StepResult.eval_to(s.replace_components(
-            pos=prog.successor(s.pos), lv=s.bind(ins.dst, 1)))
-    if engine.holds(f, comp):
-        return StepResult.eval_to(s.replace_components(
-            pos=prog.successor(s.pos), lv=s.bind(ins.dst, 0)))
-    return StepResult.refine(
-        s.replace_components(kb=_kb_add(s, atom)),
-        s.replace_components(kb=_kb_add(s, comp)))
+    for outcome, value in ((atom, 1), (comp, 0)):
+        if engine.holds(f, outcome):
+            return s.replace_components(pos=prog.successor(s.pos),
+                                        lv=s.bind(ins.dst, value))
+    return _split(s, atom, comp)
 
 
 def rule_brcond(s: AbstractState, ins: ir.BrCond, prog: Program,
-                engine: Entailment) -> StepResult:
+                engine: Entailment) -> Outcome:
     cond = s.lv_of(ins.cond)
     if cond is None:
-        return StepResult.eval_to(ERR)
+        return None
 
     def goto(block: str) -> AbstractState:
         return s.replace_components(pos=ProgramPosition(block, 0))
 
+    if cond in (0, 1):
+        return goto(ins.then_block if cond else ins.else_block)
     if isinstance(cond, int):
-        if cond not in (0, 1):
-            return StepResult.eval_to(ERR)
-        return StepResult.eval_to(goto(ins.then_block if cond else
-                                       ins.else_block))
+        return None
     f = state_formula(s, engine)
-    if engine.holds(f, Atom.eq(cond, 1)):
-        return StepResult.eval_to(goto(ins.then_block))
-    if engine.holds(f, Atom.eq(cond, 0)):
-        return StepResult.eval_to(goto(ins.else_block))
-    return StepResult.refine(
-        s.replace_components(kb=_kb_add(s, Atom.eq(cond, 1))),
-        s.replace_components(kb=_kb_add(s, Atom.eq(cond, 0))))
+    for value, block in ((1, ins.then_block), (0, ins.else_block)):
+        if engine.holds(f, Atom.eq(cond, value)):
+            return goto(block)
+    return _split(s, Atom.eq(cond, 1), Atom.eq(cond, 0))
+
+
+def rule_br(s: AbstractState, ins: ir.Br, prog: Program,
+            engine: Entailment) -> AbstractState:
+    return s.replace_components(pos=ProgramPosition(ins.block, 0))
 
 
 # --------------------------------------------------------------------------
 # remaining simple rules
 # --------------------------------------------------------------------------
 
+def rule_add(s: AbstractState, ins: ir.Add, prog: Program,
+             engine: Entailment) -> Optional[AbstractState]:
+    a = s.lv_of(ins.lhs)
+    b = s.lv_of(ins.rhs)
+    if a is None or b is None:
+        return None
+    return _define(s, ins, prog, engine, Term.of(a) + Term.of(b))
+
+
+def rule_bitcast(s: AbstractState, ins: ir.Bitcast, prog: Program,
+                 engine: Entailment) -> Optional[AbstractState]:
+    v = s.lv_of(ins.src)
+    if v is None:
+        return None
+    return s.replace_components(pos=prog.successor(s.pos),
+                                lv=s.bind(ins.dst, v))
+
+
+def rule_nondet_int(s: AbstractState, ins: ir.NondetInt, prog: Program,
+                    engine: Entailment) -> AbstractState:
+    w = engine.fresh(ins.dst)
+    return s.replace_components(pos=prog.successor(s.pos),
+                                lv=s.bind(ins.dst, w),
+                                kb=_kb_add(s, Atom.ge(w, 0)))
+
+
 def rule_malloc(s: AbstractState, ins: ir.Malloc, prog: Program,
-                engine: Entailment) -> StateOrErr:
+                engine: Entailment) -> Optional[AbstractState]:
     size = s.lv_of(ins.size)
     if not isinstance(size, int) or size < 1:
-        return ERR
+        return None
     v = engine.fresh(ins.dst)
     v_end = engine.fresh(f"{ins.dst}_end")
     return s.replace_components(
@@ -472,12 +496,12 @@ def rule_malloc(s: AbstractState, ins: ir.Malloc, prog: Program,
 
 
 def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
-              engine: Entailment) -> StateOrErr:
+              engine: Entailment) -> Optional[AbstractState]:
     ptr = s.lv_of(ins.ptr)
     if ptr is None or s.li:
         # With summaries present we cannot cheaply rule out aliasing into
         # summarized nodes; freeing them is unsupported.
-        return ERR
+        return None
     f = state_formula(s, engine)
     for alloc in s.al:
         if not engine.holds(f, Atom.eq(Term.of(ptr), alloc.lo)):
@@ -487,7 +511,24 @@ def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
         return s.replace_components(pos=prog.successor(s.pos),
                                     al=[a for a in s.al if a != alloc],
                                     pt=kept)
-    return ERR
+    return None
+
+
+# Each instruction type's rules, highest priority first.
+RULES = {
+    ir.Load: (rule_load_allocated, rule_load_list_invariant),
+    ir.Store: (rule_list_extension, rule_store_plain),
+    ir.GepByte: (rule_traverse, rule_getelementptr_plain),
+    ir.GepField: (rule_traverse, rule_getelementptr_plain),
+    ir.Icmp: (rule_icmp,),
+    ir.BrCond: (rule_brcond,),
+    ir.Br: (rule_br,),
+    ir.Add: (rule_add,),
+    ir.Bitcast: (rule_bitcast,),
+    ir.Malloc: (rule_malloc,),
+    ir.NondetInt: (rule_nondet_int,),
+    ir.Free: (rule_free,),
+}
 
 
 def is_return(s: AbstractState, prog: Program) -> bool:
@@ -495,67 +536,17 @@ def is_return(s: AbstractState, prog: Program) -> bool:
 
 
 def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
-    """Dispatch one symbolic step; never raises on bad memory access, the
-    error state is the signal."""
+    """Apply the first of the instruction's rules whose side conditions
+    hold; with none, the step goes to the error state.  Never raises on bad
+    memory access: the error state is the signal."""
     ins = prog.instruction_at(s.pos)
-
-    if isinstance(ins, ir.Load):
-        nxt = rule_load_allocated(s, ins, prog, engine)
-        if nxt is None:
-            nxt = rule_load_list_invariant(s, ins, prog, engine)
-        return StepResult.eval_to(nxt if nxt is not None else ERR)
-
-    if isinstance(ins, ir.Store):
-        nxt = rule_list_extension(s, ins, prog, engine)
-        if nxt is None:
-            nxt = rule_store_plain(s, ins, prog, engine)
-        return StepResult.eval_to(nxt if nxt is not None else ERR)
-
-    if isinstance(ins, (ir.GepByte, ir.GepField)):
-        return _step_gep(s, ins, prog, engine)
-
-    if isinstance(ins, ir.Icmp):
-        return rule_icmp(s, ins, prog, engine)
-
-    if isinstance(ins, ir.BrCond):
-        return rule_brcond(s, ins, prog, engine)
-
-    if isinstance(ins, ir.Br):
-        return StepResult.eval_to(
-            s.replace_components(pos=ProgramPosition(ins.block, 0)))
-
-    if isinstance(ins, ir.Add):
-        a = s.lv_of(ins.lhs)
-        b = s.lv_of(ins.rhs)
-        if a is None or b is None:
-            return StepResult.eval_to(ERR)
-        w = engine.fresh(ins.dst)
-        return StepResult.eval_to(s.replace_components(
-            pos=prog.successor(s.pos),
-            lv=s.bind(ins.dst, w),
-            kb=_kb_add(s, Atom.eq(w, Term.of(a) + Term.of(b)))))
-
-    if isinstance(ins, ir.Bitcast):
-        v = s.lv_of(ins.src)
-        if v is None:
-            return StepResult.eval_to(ERR)
-        return StepResult.eval_to(s.replace_components(
-            pos=prog.successor(s.pos), lv=s.bind(ins.dst, v)))
-
-    if isinstance(ins, ir.Malloc):
-        return StepResult.eval_to(rule_malloc(s, ins, prog, engine))
-
-    if isinstance(ins, ir.NondetInt):
-        w = engine.fresh(ins.dst)
-        return StepResult.eval_to(s.replace_components(
-            pos=prog.successor(s.pos),
-            lv=s.bind(ins.dst, w),
-            kb=_kb_add(s, Atom.ge(w, 0))))
-
-    if isinstance(ins, ir.Free):
-        return StepResult.eval_to(rule_free(s, ins, prog, engine))
-
     if isinstance(ins, ir.Ret):
         raise ValueError("step called on a return state")
-
-    raise TypeError(f"unknown instruction {ins!r}")
+    rules = RULES.get(type(ins))
+    if rules is None:
+        raise TypeError(f"unknown instruction {ins!r}")
+    for rule in rules:
+        if (out := rule(s, ins, prog, engine)) is not None:
+            return out if isinstance(out, StepResult) else \
+                StepResult.eval_to(out)
+    return StepResult.eval_to(ERR)

@@ -256,10 +256,21 @@ def expect_bad_input(capsys, args):
     ["analyze", "--bogus"],
     ["analyze", "--emit-graph", "/nonexistent/dir/g.dot"],
     ["analyze", "--emit-its", "/nonexistent/dir/its.smt2"],
+    ["analyze", "--emit-graph", "{tmp}/g.dot",
+     "--emit-its", "/nonexistent/dir/its.smt2"],
+    ["analyze", "--emit-graph", "{tmp}"],
 ], ids=["negative-max-nodes", "negative-runs", "flag-not-int",
-        "unknown-flag", "unwritable-graph", "unwritable-its"])
-def test_bad_input_exits_one_with_message(capsys, args):
-    expect_bad_input(capsys, args)
+        "unknown-flag", "unwritable-graph", "unwritable-its",
+        "writable-graph-unwritable-its", "graph-path-is-a-directory"])
+def test_bad_input_exits_one_with_message(capsys, monkeypatch, tmp_path,
+                                          args):
+    """Rejected before any analysis, which would build the graph, and before
+    any artifact is written."""
+    def build_seg(*_, **__):
+        raise AssertionError("analysis started")
+    monkeypatch.setattr("listterm.cli.build_seg", build_seg)
+    expect_bad_input(capsys, [a.format(tmp=tmp_path) for a in args])
+    assert not (tmp_path / "g.dot").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -24,11 +24,11 @@ from listterm.concrete import (
     concrete_step,
     decode_le,
     encode_le,
-    eval_li_predicate,
     format_trace,
     read_le,
     represents,
     run_concrete,
+    walk_chain,
 )
 from listterm.ir import (
     AggType,
@@ -185,30 +185,32 @@ def two_node_memory():
     return mem
 
 
+FIELDS = [(0, 4), (8, 8)]  # the (offset, size) pairs of a list node
+
+
 def test_li_predicate_worked_example():
     mem = two_node_memory()
-    assert eval_li_predicate(mem, 16, 2, 2,
-                             1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
+    assert list(walk_chain(mem, 16, 1, 1408, FIELDS, NODES)) == [
+        (1408, [5, 1216]), (1216, [0, 0])]
 
 
 def test_li_predicate_wrong_length():
-    mem = two_node_memory()
-    assert not eval_li_predicate(mem, 16, 2, 1,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
-    assert not eval_li_predicate(mem, 16, 2, 3,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
+    """The chain is two nodes long: it neither stops at the first node,
+    whose values are not the last ones, nor goes on past the second."""
+    nodes = list(walk_chain(two_node_memory(), 16, 1, 1408, FIELDS, NODES))
+    assert len(nodes) == 2
+    assert nodes[0][1] != [0, 0]
 
 
 def test_li_predicate_base_case_requires_equal_ends():
+    """A one-node chain's first and last values are the node's."""
     mem = {}
     for a in range(100, 116):
         mem[a] = 0
     for i, b in enumerate(encode_le(9, 4)):
         mem[100 + i] = b
-    assert eval_li_predicate(mem, 16, 2, 1, 100, [(0, 4, 9, 9), (8, 8, 0, 0)],
-                             [(100, 115)])
-    assert not eval_li_predicate(mem, 16, 2, 1, 100,
-                                 [(0, 4, 9, 8), (8, 8, 0, 0)], [(100, 115)])
+    assert list(walk_chain(mem, 16, 1, 100, FIELDS, [(100, 115)])) == [
+        (100, [9, 0])]
 
 
 def test_li_predicate_rejects_overlap():
@@ -218,15 +220,15 @@ def test_li_predicate_rejects_overlap():
         mem[a] = 0
     for i, b in enumerate(encode_le(100, 8)):
         mem[108 + i] = b
-    assert not eval_li_predicate(mem, 16, 2, 2, 100,
-                                 [(0, 4, 0, 0), (8, 8, 100, 0)], [(100, 115)])
+    assert list(walk_chain(mem, 16, 1, 100, FIELDS, [(100, 115)])) == [
+        (100, [0, 100])]
 
 
 def test_li_predicate_undefined_byte():
     mem = two_node_memory()
     del mem[1220]
-    assert not eval_li_predicate(mem, 16, 2, 2,
-                                 1408, [(0, 4, 5, 0), (8, 8, 1216, 0)], NODES)
+    assert list(walk_chain(mem, 16, 1, 1408, FIELDS, NODES)) == [
+        (1408, [5, 1216])]
 
 
 def long_chain(n, start=1000):
@@ -246,12 +248,13 @@ def test_li_predicate_walks_a_long_chain():
     """Far deeper than Python's recursion limit; every node must be
     allocated."""
     addrs, mem, allocations = long_chain(3000)
-    fields = [(0, 4, 0, 2999), (8, 8, addrs[1], 0)]
     nodes = set(allocations)
-    assert eval_li_predicate(mem, 16, 2, 3000, addrs[0], fields, nodes)
-    assert not eval_li_predicate(mem, 16, 2, 2999, addrs[0], fields, nodes)
+    chain = list(walk_chain(mem, 16, 1, addrs[0], FIELDS, nodes))
+    assert [ad for ad, _ in chain] == addrs
+    assert chain[0][1] == [0, addrs[1]] and chain[-1][1] == [2999, 0]
     nodes.remove(allocations[-1])
-    assert not eval_li_predicate(mem, 16, 2, 3000, addrs[0], fields, nodes)
+    assert [ad for ad, _ in walk_chain(mem, 16, 1, addrs[0], FIELDS,
+                                       nodes)] == addrs[:-1]
 
 
 # --- representation ----------------------------------------------------------
@@ -532,3 +535,53 @@ def test_concrete_step_does_not_mutate_input():
     before = (dict(c.asgn), dict(c.mem), list(c.allocations))
     concrete_step(c, prog, stream())
     assert (dict(c.asgn), dict(c.mem), list(c.allocations)) == before
+
+
+FAULT_PROGRAM = """\
+list = type {{ i32, list* }}
+define i32 @main() {{
+entry:
+  {}
+yes:
+  ret i32 0
+no:
+  ret i32 0
+}}
+"""
+
+# Instruction, variables, allocations and memory of a state whose step
+# fails: one case per way an instruction can fail.
+FAULTS = {
+    "undefined-operand": ("x = add i32 y, 1", {}, [], {}),
+    "undefined-address": ("v = load i32, i32* p", {}, [(1, 4)],
+                          dict.fromkeys(range(1, 5), 0)),
+    "undefined-condition": ("br i1 c, label yes, label no", {}, [], {}),
+    "load-outside-allocations": ("v = load i32, i32* p", {"p": 5}, [(1, 4)],
+                                 dict.fromkeys(range(1, 5), 0)),
+    "store-past-allocation-end": ("store i32 1, i32* p", {"p": 3}, [(1, 4)],
+                                  dict.fromkeys(range(1, 5), 0)),
+    "undefined-byte": ("v = load i32, i32* p", {"p": 1}, [(1, 4)],
+                       dict.fromkeys(range(1, 4), 0)),
+    "field-index-out-of-range": (
+        "q = getelementptr list, list* p, i32 0, i32 2", {"p": 1}, [], {}),
+    "condition-not-boolean": ("br i1 c, label yes, label no", {"c": 2}, [],
+                              {}),
+    "malloc-size-zero": ("m = call i8* @malloc(i64 0)", {}, [], {}),
+    "free-inside-allocation": ("call void @free(i8* p)", {"p": 2}, [(1, 4)],
+                               dict.fromkeys(range(1, 5), 0)),
+}
+
+
+@pytest.mark.parametrize("ins, asgn, allocations, mem", FAULTS.values(),
+                         ids=FAULTS)
+def test_failing_step_halts_with_error_in_place(ins, asgn, allocations, mem):
+    body = ins if ins.startswith("br ") else ins + "\n  br label yes"
+    prog = parse_program(FAULT_PROGRAM.format(body))
+    c = ConcreteState(prog.entry_position, asgn, allocations, mem)
+    before = (dict(asgn), list(allocations), dict(mem))
+    n = concrete_step(c, prog, stream())
+    assert n.error and n.halted
+    assert n.pos == c.pos
+    assert (n.asgn, n.allocations, n.mem) == before
+    assert (c.asgn, c.allocations, c.mem) == before
+    assert not c.error and not c.halted

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 parameter a function takes is read by it, every module-level definition is
 read somewhere in the package or its tests, every import sits at module
-level, and no module keeps mutable state: whatever an analysis changes
-belongs to that analysis's engine."""
+level, no module keeps mutable state (whatever an analysis changes
+belongs to that analysis's engine), and a symbolic step goes to the error
+state in one place."""
 
 from __future__ import annotations
 
@@ -182,3 +183,18 @@ def test_no_module_level_mutable_state():
              for path in sorted(SRC.glob("*.py"))
              for line, what in module_state(ast.parse(path.read_text()))]
     assert found == []
+
+
+def err_sites(tree: ast.Module):
+    """The module-level statements, other than imports, that name ``ERR``:
+    a function or class by its name, anything else by its line."""
+    return sorted(getattr(stmt, "name", str(stmt.lineno)) for stmt in tree.body
+                  if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                  and any(getattr(node, "id", getattr(node, "attr", None))
+                          == "ERR" for node in ast.walk(stmt)))
+
+
+def test_only_step_goes_to_err():
+    """Rules return None when their side conditions are not proven; only
+    ``step``, once every rule has, names the error state."""
+    assert err_sites(ast.parse((SRC / "symexec.py").read_text())) == ["step"]

@@ -18,8 +18,8 @@ from collections import Counter
 
 import pytest
 
-from listterm.absdom import (AbstractState, ErrState, LIField, ListInvariant,
-                             state_formula)
+from listterm.absdom import (AbstractState, Allocation, ErrState, LIField,
+                             ListInvariant, state_formula)
 from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
                           nondet_stream)
 from listterm.concrete import run_concrete
@@ -244,15 +244,72 @@ def test_free_removes_allocation_and_its_contents():
 
 
 def test_free_with_active_summary_is_error():
-    prog = parse_program((CORPUS / "build_traverse_ptr.ll").read_text())
-    eng = Entailment()
-    seg = build_seg(prog, eng)
-    summarized = next(st for st in seg.states
-                      if not isinstance(st, ErrState) and st.li)
-    from listterm.ir import Free
-    from listterm.symexec import rule_free
-    assert isinstance(rule_free(summarized, Free(ptr="curr"), prog, eng),
-                      ErrState)
+    """Freeing is unsupported while a summary is active, even at the start
+    of an allocation, which frees without one."""
+    prog, eng, _ = start("""\
+        list = type { i32, list* }
+        define i32 @main() {
+        entry:
+          call void @free(i8* p)
+          ret i32 0
+        }
+        """)
+    a, e, b, n, v, nx = (eng.fresh(h) for h in ("a", "e", "b", "n", "v",
+                                                "nx"))
+    s = AbstractState.make(prog.entry_position, lv={"p": a},
+                           al=[Allocation(a, e)],
+                           kb=Formula.of(Atom.eq(e, Term.of(a) + 15)))
+    freed = step(s, prog, eng).successors[0]
+    assert not isinstance(freed, ErrState) and freed.al == ()
+    summary = ListInvariant(b, n, AggType("list"), (
+        LIField(0, I32, v, v), LIField(8, PtrType(AggType("list")), nx, nx)),
+        2)
+    r = step(s.replace_components(li=[summary]), prog, eng)
+    assert r.edge_kind == EVALUATION
+    assert isinstance(r.successors[0], ErrState)
+
+
+UNBOUND_PROGRAM = """\
+list = type {{ i32, list* }}
+define i32 @main() {{
+entry:
+  {}
+yes:
+  ret i32 0
+no:
+  ret i32 0
+}}
+"""
+
+# An instruction of each type for each operand it reads: ``x`` is unbound,
+# ``p`` is bound to a variable.
+UNBOUND_OPERAND = {
+    "load": "v = load i32, i32* x",
+    "store-address": "store i32 1, i32* x",
+    "store-value": "store i32 x, i32* p",
+    "gep-byte-base": "q = getelementptr i8, i8* x, i64 8",
+    "gep-byte-offset": "q = getelementptr i8, i8* p, i64 x",
+    "gep-field-base": "q = getelementptr list, list* x, i32 0, i32 1",
+    "gep-field-index": "q = getelementptr list, list* p, i32 0, i32 x",
+    "icmp-lhs": "b = icmp eq i32 x, 0",
+    "icmp-rhs": "b = icmp eq i32 p, x",
+    "br-cond": "br i1 x, label yes, label no",
+    "add-lhs": "y = add i32 x, p",
+    "add-rhs": "y = add i32 p, x",
+    "bitcast": "q = bitcast i8* x to list*",
+    "malloc": "m = call i8* @malloc(i64 x)",
+    "free": "call void @free(i8* x)",
+}
+
+
+@pytest.mark.parametrize("ins", UNBOUND_OPERAND.values(), ids=UNBOUND_OPERAND)
+def test_unbound_operand_steps_to_error(ins):
+    body = ins if ins.startswith("br ") else ins + "\n  br label yes"
+    prog, eng = parse_program(UNBOUND_PROGRAM.format(body)), Entailment()
+    s = AbstractState.make(prog.entry_position, lv={"p": eng.fresh("p")})
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION
+    assert isinstance(r.successors[0], ErrState)
 
 
 def test_return_position_is_recognized_and_not_stepped():
