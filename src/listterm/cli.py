@@ -174,6 +174,10 @@ def cmd_run(args: argparse.Namespace, prog: Program) -> int:
         return EXIT_UNKNOWN
     if args.trace:
         sys.stdout.write(format_trace(trace))
+    if trace.loop is not None:
+        print(f"diverges: step {len(trace.instructions)} repeats step "
+              f"{trace.loop}", file=sys.stderr)
+        return EXIT_UNKNOWN
     final = trace.final
     print(f"halted={final.halted} error={final.error} "
           f"steps={len(trace.instructions)}")
@@ -221,9 +225,16 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
     representing the final state. The walk stops at a node that graph
     construction never expanded (after an error state, or at a size cap).
 
-    Returns (checks per edge class, violations). A violation is (index of
-    the concrete state the edge's target does not represent, edge class,
-    src, dst), or (index, OTHER, -1, -1) when no candidate is left.
+    A lasso (``trace.loop`` set) is the infinite run that repeats its loop
+    forever: step ``i`` past the loop's start reads the state
+    ``loop + (i - loop) % lap``, where ``lap`` is the loop's length. The
+    walk goes round the loop until it is back at a step of the loop with the
+    same candidates; from there it would only repeat the checks it has done,
+    so every step of the infinite run is checked.
+
+    Returns (checks per edge class, violations). A violation is (step of
+    the run whose state the edge's target does not represent, edge class,
+    src, dst), or (step, OTHER, -1, -1) when no candidate is left.
     """
     silent: Dict[int, List[Edge]] = {}
     steps: Dict[int, List[Tuple[int, str]]] = {}
@@ -235,12 +246,17 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
             silent.setdefault(e.src, []).append(e)
     counts: Counter = Counter()
     violations: List[Tuple[int, str, int, int]] = []
-    # Does node n represent trace.states[i]? Kept for one step at a time.
+    loop = trace.loop
+    lap = len(trace.states) - 1 - (loop or 0)  # the loop's length
+    # Does node n represent the run's state at step i? Kept for one step
+    # at a time.
     memo: Dict[Tuple[int, int], bool] = {}
 
     def rep(n: int, i: int) -> bool:
         if (n, i) not in memo:
-            st, c = seg.states[n], trace.states[i]
+            st = seg.states[n]
+            c = trace.states[i if loop is None or i < loop
+                             else loop + (i - loop) % lap]
             memo[n, i] = isinstance(st, ErrState) or (
                 st.pos == c.pos and represents(c, st, prog.layout, engine))
         return memo[n, i]
@@ -270,13 +286,21 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
                 work.append(e.dst)
         return sorted(seen)
 
+    walked = set()  # (step of the loop, candidates) pairs seen
     cands = closure([seg.root] if rep(seg.root, 0) else [], 0)
-    for i in range(len(trace.states)):
+    i = 0
+    while True:
         if not cands:
             violations.append((i, OTHER, -1, -1))
             break
-        if i + 1 == len(trace.states) or any(frontier(n) for n in cands):
+        if loop is None and i + 1 == len(trace.states) or \
+                any(frontier(n) for n in cands):
             break
+        if loop is not None and i >= loop:
+            key = ((i - loop) % lap, tuple(cands))
+            if key in walked:
+                break
+            walked.add(key)
         memo.clear()
         stepped: List[int] = []
         for n in cands:
@@ -290,26 +314,27 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
                     stepped.append(dst)
                 else:
                     violations.append((i + 1, cls, n, dst))
-        cands = closure(sorted(set(stepped)), i + 1)
+        i += 1
+        cands = closure(sorted(set(stepped)), i)
     return counts, violations
 
 
 def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
                        fuel: int, engine: Entailment):
     """(runs, [(seed, first unrepresented step)], fuel_exhausted) over the
-    given seeds.  A run that does not halt within ``fuel`` steps is
-    checked on its first 256 steps only."""
+    given seeds.  A run that halts is checked to its end, and a run that
+    diverges to the fixpoint of the walk round its lasso
+    (:func:`match_trace`).  A run that neither halts nor repeats a state
+    within ``fuel`` steps is counted as fuel-exhausted and checked on
+    those steps."""
     violations = []
     exhausted = 0
     for seed in seeds:
         try:
-            trace = run_concrete(prog, nondet_stream(seed),
-                                 fuel=max(fuel, 256))
+            trace = run_concrete(prog, nondet_stream(seed), fuel=fuel)
         except FuelExhausted as e:
             trace = e.trace
-        if not trace.final.halted or len(trace.instructions) > fuel:
             exhausted += 1
-            trace = Trace(trace.states[:257], trace.instructions[:256])
         bad = match_trace(trace, seg, prog, engine)[1]
         if bad:
             violations.append((seed, bad[0][0]))

@@ -67,8 +67,8 @@ class ConcreteState:
 
 
 class FuelExhausted(Exception):
-    """Raised when a concrete run does not halt within its step budget;
-    ``trace`` is the run up to there."""
+    """Raised when a concrete run neither halts nor repeats a state within
+    its step budget; ``trace`` is the run up to there."""
 
     def __init__(self, message: str, trace: "Trace"):
         super().__init__(message)
@@ -77,8 +77,15 @@ class FuelExhausted(Exception):
 
 @dataclass
 class Trace:
+    """A run: ``instructions[i]`` leads from ``states[i]`` to
+    ``states[i + 1]``.  A run that diverges ends in a lasso: ``loop`` is the
+    index of the state that its last state repeats, so the run goes on by
+    repeating ``states[loop:]`` forever.  It is None for a run that halts or
+    is cut short."""
+
     states: List[ConcreteState]
     instructions: List[Instruction]
+    loop: Optional[int] = None
 
     @property
     def final(self) -> ConcreteState:
@@ -118,9 +125,14 @@ def concrete_step(c: ConcreteState, prog: Program,
     state must not be mutated once a step has been taken from it.  A failing
     instruction raises :class:`_Fault`, and the state it leads to keeps
     ``c``'s position and contents, halted with an error."""
+    return _step(c, prog.instruction_at(c.pos), prog, nondet)
+
+
+def _step(c: ConcreteState, ins: Instruction, prog: Program,
+          nondet: Iterator[int]) -> ConcreteState:
+    """:func:`concrete_step` with the instruction at ``c.pos`` looked up."""
     assert not c.halted and not c.error
     n = ConcreteState(c.pos, c.asgn, c.allocations, c.mem)
-    ins = prog.instruction_at(c.pos)
     layout = prog.layout
     try:
         if isinstance(ins, ir.Load):
@@ -218,21 +230,62 @@ def concrete_step(c: ConcreteState, prog: Program,
 
 def run_concrete(prog: Program, nondet: Iterator[int],
                  fuel: int = 10_000, partial: bool = False) -> Trace:
-    """Run from the entry position; raises :class:`FuelExhausted` if the
-    program does not halt within ``fuel`` steps.  With ``partial`` the
-    truncated trace is returned instead."""
+    """Run from the entry position until the program halts or a state
+    repeats, within ``fuel`` steps.
+
+    A state that repeats an earlier one (same position, variables,
+    allocations and memory) with no input read in between makes the run a
+    lasso: from there it goes round the same loop forever.  The trace then
+    ends at the first repeat, with ``loop`` set (:class:`Trace`).  Repeats
+    are found Brent style: each state is compared with one saved state,
+    which moves forward whenever the steps since it reach a power of two,
+    and every input read starts the search afresh (Brent, BIT 1980).
+
+    A run that neither halts nor repeats within ``fuel`` steps raises
+    :class:`FuelExhausted`; with ``partial`` the trace cut there is
+    returned instead."""
     c = ConcreteState(prog.entry_position)
     states = [c]
     instrs: List[Instruction] = []
+    start = 0  # the first state after the last input read
+    saved, lap, power = c, 0, 1
     for _ in range(fuel):
         if c.halted:
             return Trace(states, instrs)
-        instrs.append(prog.instruction_at(c.pos))
-        c = concrete_step(c, prog, nondet)
+        ins = prog.instruction_at(c.pos)
+        instrs.append(ins)
+        c = _step(c, ins, prog, nondet)
         states.append(c)
-    if c.halted or partial:
+        if isinstance(ins, ir.NondetInt):
+            start, saved, lap, power = len(states) - 1, c, 0, 1
+            continue
+        lap += 1
+        if c == saved:  # field by field, each shared dict by identity first
+            return _lasso(states, instrs, start, lap)
+        if lap == power:
+            saved, lap, power = c, 0, 2 * power
+    if c.halted:
         return Trace(states, instrs)
-    raise FuelExhausted(f"no halt within {fuel} steps", Trace(states, instrs))
+    # The saved state may lag behind a repeat that the fuel still covers.
+    last = len(states) - 1
+    lap = next((last - i for i in range(last - 1, start - 1, -1)
+                if states[i] == c), None)
+    if lap is not None:
+        return _lasso(states, instrs, start, lap)
+    if partial:
+        return Trace(states, instrs)
+    raise FuelExhausted(f"no halt or repeat within {fuel} steps",
+                        Trace(states, instrs))
+
+
+def _lasso(states: List[ConcreteState], instrs: List[Instruction],
+           start: int, lap: int) -> Trace:
+    """The run cut at its first repeat, given that the states from
+    ``start`` on read no input and end ``lap`` steps after a state equal to
+    the last one."""
+    loop = next(i for i in range(start, len(states))
+                if states[i] == states[i + lap])
+    return Trace(states[:loop + lap + 1], instrs[:loop + lap], loop)
 
 
 def format_trace(t: Trace) -> str:

@@ -330,23 +330,6 @@ class Formula:
         return " and ".join(parts) if parts else "true"
 
 
-def eval_formula(assignment: Mapping[SymVar, int], f: Formula) -> bool:
-    """Standard integer semantics; raises on unassigned variables."""
-    return all(any(a.evaluate(assignment) for a in clause) for clause in f.clauses)
-
-
-def brute_force_valid(premise: Formula, conclusion: Formula, bound: int) -> bool:
-    """Exhaustively check ``premise => conclusion`` on the grid [0, bound]^k."""
-    vs = tuple(sorted(set(premise.vars()) | set(conclusion.vars())))
-    if len(vs) > 6:
-        raise ValueError(f"too many variables for brute force: {len(vs)}")
-    for point in itertools.product(range(bound + 1), repeat=len(vs)):
-        asg = dict(zip(vs, point))
-        if eval_formula(asg, premise) and not eval_formula(asg, conclusion):
-            return False
-    return True
-
-
 def rename_formula(f: Formula, ren: Mapping[SymVar, Value]) -> Formula:
     return f.substitute({v: Term.of(w) for v, w in ren.items()})
 

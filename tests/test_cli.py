@@ -195,10 +195,23 @@ def test_run_error_program_exits_two(capsys):
 
 
 def test_run_fuel_exhaustion(capsys):
+    """Five steps stop infinite_loop before its first repeat, at step 8."""
     code, _, err = cli(capsys, "run", CORPUS / "infinite_loop.ll",
-                       "--fuel", 50)
+                       "--fuel", 5)
     assert code == EXIT_UNKNOWN
     assert "fuel" in err
+
+
+@pytest.mark.parametrize("name, fuel, repeat", [
+    ("infinite_loop.ll", 8, "step 8 repeats step 5"),
+    ("infinite_loop.ll", 10_000, "step 8 repeats step 5"),
+    ("cyclic_traverse.ll", 10_000, "step 22 repeats step 15"),
+])
+def test_run_names_the_repeat_of_a_diverging_run(capsys, name, fuel, repeat):
+    code, out, err = cli(capsys, "run", CORPUS / name, "--fuel", fuel)
+    assert code == EXIT_UNKNOWN
+    assert out == ""
+    assert err == f"diverges: {repeat}\n"
 
 
 def test_nondet_stream_reproducible():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -16,7 +17,7 @@ from listterm.absdom import (
     ListInvariant,
     PointsTo,
 )
-from listterm.cli import TRAV, match_trace
+from listterm.cli import OTHER, TRAV, match_trace
 from listterm.concrete import (
     ConcreteState,
     FuelExhausted,
@@ -38,7 +39,7 @@ from listterm.ir import (
     parse_program,
 )
 from listterm.logic import Atom, Entailment, Formula, SymVar
-from listterm.seg import build_seg
+from listterm.seg import EVALUATION, Seg, build_seg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 LIST = AggType("list")
@@ -145,9 +146,45 @@ def test_leading_example_zero_length():
 
 
 def test_cyclic_list_exhausts_fuel():
+    """The walk round the one-node cycle repeats its step-15 state at step
+    22: below that much fuel the run is cut, from there on it is a lasso."""
     prog = load("cyclic_traverse.ll")
     with pytest.raises(FuelExhausted):
-        run_concrete(prog, stream(), fuel=10_000)
+        run_concrete(prog, stream(), fuel=21)
+    for fuel in (22, 10_000):
+        t = run_concrete(prog, stream(), fuel=fuel)
+        assert (len(t.instructions), t.loop) == (22, 15)
+        assert t.states[22] == t.states[15] and not t.final.halted
+
+
+READ_UNTIL_SEVEN = """\
+define i32 @main() {
+entry:
+  br label head
+head:
+  x = call i32 @nondet_uint()
+  seven = icmp eq i32 x, 7
+  br i1 seven, label done, label head
+done:
+  ret i32 0
+}
+"""
+
+
+def test_a_state_repeated_across_an_input_read_is_not_divergence(
+        monkeypatch):
+    """Fed 1, 1, 1, 7 the loop head sees the same state on its second and
+    third visit, but an input is read in between, and the run halts."""
+    from listterm import cli
+    prog = parse_program(READ_UNTIL_SEVEN)
+    t = run_concrete(prog, stream(1, 1, 1, 7))
+    assert t.final.halted and not t.final.error and t.loop is None
+    heads = [st for st in t.states if st.pos == prog.position("head", 0)]
+    assert len(heads) == 4 and heads[1] == heads[2]
+    monkeypatch.setattr(cli, "nondet_stream", lambda seed: stream(1, 1, 1, 7))
+    engine = Entailment()
+    assert cli.differential_check(prog, build_seg(prog, engine), [0], 10_000,
+                                  engine) == (1, [], 0)
 
 
 def test_null_deref_errors():
@@ -514,19 +551,45 @@ def checked_lengths(monkeypatch, name, fuel):
 
 
 @pytest.mark.parametrize("fuel", [10, 300, 10_000])
-def test_differential_check_checks_256_steps_of_a_diverging_run(
+def test_differential_check_checks_a_diverging_run_to_its_lasso(
         monkeypatch, fuel):
-    assert checked_lengths(monkeypatch, "cyclic_traverse.ll", fuel) == (
-        (1, [], 1), [256])
+    """Below its first repeat, at step 22, the run is fuel-exhausted and
+    checked on the steps it took; from there on it is a lasso."""
+    expected = ((1, [], 1), [10]) if fuel < 22 else ((1, [], 0), [22])
+    assert checked_lengths(monkeypatch, "cyclic_traverse.ll", fuel) == \
+        expected
 
 
 def test_differential_check_counts_a_halt_past_the_fuel_as_exhausted(
         monkeypatch):
     steps = len(run_concrete(load("straight_line.ll"), stream()).instructions)
     assert checked_lengths(monkeypatch, "straight_line.ll", 1) == (
-        (1, [], 1), [steps])
+        (1, [], 1), [1])
     assert checked_lengths(monkeypatch, "straight_line.ll", steps) == (
         (1, [], 0), [steps])
+
+
+def test_a_bad_edge_on_a_later_lap_of_a_lasso_is_reported():
+    """The graph unrolls cyclic_traverse's loop twice before it generalizes
+    back, so the walk follows the last edges of the second copy only after
+    the lasso's 22 steps.  Retarget one of them: the walk round the lasso
+    reports it, a walk that stops at the lasso's end does not."""
+    prog, engine = load("cyclic_traverse.ll"), Entailment()
+    seg = build_seg(prog, engine)
+    t = run_concrete(prog, stream())
+    body_end = prog.position("bodyW", 3)
+    late = max((k for k, e in enumerate(seg.edges) if e.kind == EVALUATION
+                and seg.states[e.src].pos == body_end),
+               key=lambda k: seg.edges[k].src)
+    edges = list(seg.edges)
+    edges[late] = dataclasses.replace(edges[late], dst=seg.root)
+    bad = Seg(seg.states, edges, seg.root, seg.outcome)
+    assert match_trace(t, seg, prog, engine)[1] == []
+    step, *edge = match_trace(t, bad, prog, engine)[1][0]
+    assert step > len(t.instructions)
+    assert edge == [OTHER, edges[late].src, seg.root]
+    one_lap = Trace(t.states, t.instructions)
+    assert match_trace(one_lap, bad, prog, engine)[1] == []
 
 
 def test_concrete_step_does_not_mutate_input():

@@ -7,7 +7,9 @@ hold (the engine is incomplete by design).
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Mapping
 from unittest import mock
 
 import pytest
@@ -22,11 +24,27 @@ from listterm.logic import (
     SymVar,
     Term,
     Verdict,
-    brute_force_valid,
-    eval_formula,
     rename_formula,
     smtlib_script,
 )
+
+# The test oracles: integer semantics, and validity decided on a grid.
+def eval_formula(assignment: Mapping[SymVar, int], f: Formula) -> bool:
+    """Standard integer semantics; raises on unassigned variables."""
+    return all(any(a.evaluate(assignment) for a in clause) for clause in f.clauses)
+
+
+def brute_force_valid(premise: Formula, conclusion: Formula, bound: int) -> bool:
+    """Exhaustively check ``premise => conclusion`` on the grid [0, bound]^k."""
+    vs = tuple(sorted(set(premise.vars()) | set(conclusion.vars())))
+    if len(vs) > 6:
+        raise ValueError(f"too many variables for brute force: {len(vs)}")
+    for point in itertools.product(range(bound + 1), repeat=len(vs)):
+        asg = dict(zip(vs, point))
+        if eval_formula(asg, premise) and not eval_formula(asg, conclusion):
+            return False
+    return True
+
 
 V = [SymVar(i, "t") for i in range(1, 5)]
 
