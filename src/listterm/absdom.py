@@ -6,8 +6,11 @@ unconditional consequences of the memory components, and the least fixed
 point of a table of rules ``(question, facts)``: points-to functionality and
 injectivity, and the length consequences of list summaries.  A rule is asked
 through the entailment engine only while one of its facts is missing, and the
-rounds run until one adds nothing.  Results are memoized per state in the
-engine's ``state_formulas``.
+rounds run until one adds nothing.  The formula reads only a state's
+:class:`Memory` (allocations, points-to entries, list summaries and knowledge
+base), so results are memoized per memory in the engine's
+``state_formulas``: states that differ only in position or local variables
+are saturated once and share one formula.
 """
 
 from __future__ import annotations
@@ -111,6 +114,24 @@ ERR = ErrState()
 
 
 @dataclass(frozen=True)
+class Memory:
+    """The components of a state that its state formula reads: states that
+    differ only in position or local variables share one."""
+
+    al: Tuple[Allocation, ...]
+    pt: Tuple[PointsTo, ...]
+    li: Tuple[ListInvariant, ...]
+    kb: Formula
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.al, self.pt, self.li, self.kb))
+
+
+@dataclass(frozen=True)
 class AbstractState:
     pos: ProgramPosition
     lv: Tuple[Tuple[str, Value], ...]
@@ -127,6 +148,11 @@ class AbstractState:
         # The dataclass's field-tuple hash, computed once: states are hashed
         # on every state-formula lookup.
         return hash((self.pos, self.lv, self.al, self.pt, self.li, self.kb))
+
+    @cached_property
+    def memory(self) -> Memory:
+        """The state formula's cache key (computed once)."""
+        return Memory(self.al, self.pt, self.li, self.kb)
 
     # -- construction --------------------------------------------------------
 
@@ -234,8 +260,8 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
     whose facts is still missing, and adds the facts of those that hold; the
     rounds stop when one adds nothing, at the least fixed point.
     """
-    cache = engine.state_formulas
-    cached = cache.get(s)
+    cache, key = engine.state_formulas, s.memory
+    cached = cache.get(key)
     if cached is not None:
         return cached
 
@@ -287,7 +313,7 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
                     changed |= add(a)
 
     result = Formula(tuple(clauses))
-    cache[s] = result
+    cache[key] = result
     return result
 
 

@@ -208,20 +208,46 @@ class Atom:
         return Atom(LE, Term(-bound, tuple((v, c // g) for v, c in t.coeffs)))
 
     @staticmethod
+    def _difference(rel: str, a, b, k: int = 0) -> "Atom":
+        """The normal form of ``a - b + k rel 0``; ``k`` is 0 for ``=`` and
+        ``!=``.  See :meth:`eq` for the operands built directly."""
+        if isinstance(a, SymVar):
+            if isinstance(b, SymVar):
+                if a.id < b.id:
+                    return Atom(rel, Term(k, ((a, 1), (b, -1))))
+                if b.id < a.id:
+                    # The lower id comes first; = and != give it +1.
+                    return Atom(rel, Term(k, ((b, -1), (a, 1)) if rel == LE
+                                          else ((b, 1), (a, -1))))
+            elif isinstance(b, int):
+                return Atom(rel, Term(k - b, ((a, 1),)))
+        elif isinstance(a, int) and isinstance(b, SymVar):
+            if rel == LE:
+                return Atom(LE, Term(a + k, ((b, -1),)))
+            return Atom(rel, Term(-a, ((b, 1),)))
+        t = Term.of(a) - Term.of(b)
+        return Atom.make(rel, t + k if k else t)
+
+    @staticmethod
     def eq(a, b) -> "Atom":
-        return Atom.make(EQ, Term.of(a) - Term.of(b))
+        """``a = b`` in normal form, as :meth:`make` gives it.  Two variables
+        of different ids, or a variable and an int, are built directly; any
+        other pair (a :class:`Term`, two ints, one variable twice, or two
+        variables sharing an id) goes through :meth:`make`.  So do
+        :meth:`ne`, :meth:`le`, :meth:`lt`, :meth:`ge` and :meth:`gt`."""
+        return Atom._difference(EQ, a, b)
 
     @staticmethod
     def ne(a, b) -> "Atom":
-        return Atom.make(NE, Term.of(a) - Term.of(b))
+        return Atom._difference(NE, a, b)
 
     @staticmethod
     def le(a, b) -> "Atom":
-        return Atom.make(LE, Term.of(a) - Term.of(b))
+        return Atom._difference(LE, a, b)
 
     @staticmethod
     def lt(a, b) -> "Atom":
-        return Atom.make(LE, Term.of(a) - Term.of(b) + 1)
+        return Atom._difference(LE, a, b, 1)
 
     @staticmethod
     def ge(a, b) -> "Atom":
@@ -844,7 +870,7 @@ class Entailment:
         self.effort = effort
         self._ids = itertools.count(1)
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
-        # absdom.state_formula's results, per abstract state.
+        # absdom.state_formula's results, per memory (absdom.Memory).
         self.state_formulas: Dict[object, Formula] = {}
         # concrete.represents's compiled states.
         self.state_plans: Dict[object, object] = {}

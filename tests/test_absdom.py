@@ -158,6 +158,42 @@ def test_satisfiability_pruning():
     assert is_satisfiable(live, eng)
 
 
+def test_states_with_one_memory_share_one_saturation():
+    p, q, x, y = sv(1), sv(2), sv(3), sv(4)
+    pt = [PointsTo(p, I32, x), PointsTo(q, I32, y)]
+    kb = Formula.conj([Atom.eq(p, q)])
+    eng = Entailment()
+    first = AbstractState.make(POS, lv={"a": p}, pt=pt, kb=kb)
+    f = state_formula(first, eng)
+    queries = eng.queries
+    # Another position and other locals over the same memory.
+    second = AbstractState.make(ProgramPosition("c", 2),
+                                lv={"a": q, "n": 3}, pt=pt, kb=kb)
+    assert second != first
+    assert state_formula(second, eng) is f
+    assert eng.queries == queries
+    # Another knowledge base is another memory, saturated on its own.
+    third = first.replace_components(kb=Formula.conj([Atom.ne(x, y)]))
+    f3 = state_formula(third, eng)
+    assert f3 != f and (Atom.ne(p, q),) in f3.clauses
+    assert eng.queries > queries
+    assert len(eng.state_formulas) == 2
+
+
+@pytest.mark.parametrize("name, states, formulas", [
+    ("build_traverse_ptr.ll", 142, 82),
+    ("build_traverse_field.ll", 132, 82),
+    ("build_only.ll", 67, 46),
+])
+def test_graph_states_are_saturated_once_per_memory(name, states, formulas):
+    """The graph's states share their memories, and each memory's formula
+    is saturated once."""
+    prog = parse_program((CORPUS / name).read_text())
+    eng = Entailment()
+    seg = build_seg(prog, eng)
+    assert (len(seg.states), len(eng.state_formulas)) == (states, formulas)
+
+
 def test_kb_clauses_come_first_and_are_kept():
     a, b = sv(1), sv(2)
     kb = Formula.conj([Atom.ge(a, 7), Atom.ge(a, 1), Atom.ge(a, 7)])

@@ -13,7 +13,7 @@ from typing import Mapping
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from listterm import logic
 from listterm.logic import (
@@ -92,6 +92,40 @@ def test_strict_inequality_encoding():
     a, b = V[0], V[1]
     assert Atom.lt(a, b) == Atom.le(Term.of(a) + 1, b)
     assert Atom.gt(a, b) == Atom.lt(b, a)
+
+
+def _general(rel, a, b, k=0) -> Atom:
+    """The normal form of ``a - b + k rel 0`` built through ``Atom.make``."""
+    t = Term.of(a) - Term.of(b)
+    return Atom.make(rel, t + k if k else t)
+
+
+VALUES = st.one_of(
+    st.builds(SymVar, st.integers(0, 4), st.sampled_from(["v", "w"])),
+    st.integers(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, VALUES)
+@example(SymVar(1), SymVar(1))                # one variable twice
+@example(SymVar(2, "v"), SymVar(2, "w"))      # equal ids, different hints
+@example(SymVar(2, "w"), SymVar(2, "v"))
+@example(SymVar(3), SymVar(0))                # id 0
+@example(SymVar(0), -3)                       # negative constants
+@example(-2, SymVar(4))
+@example(-1, 3)
+def test_two_value_atoms_match_the_general_normal_form(a, b):
+    """The atoms built directly from two values equal, by ``==`` and by
+    hash, the ones ``Atom.make`` gives for the same difference."""
+    pairs = [(Atom.eq(a, b), _general(logic.EQ, a, b)),
+             (Atom.ne(a, b), _general(logic.NE, a, b)),
+             (Atom.le(a, b), _general(logic.LE, a, b)),
+             (Atom.lt(a, b), _general(logic.LE, a, b, 1)),
+             (Atom.ge(a, b), _general(logic.LE, b, a)),
+             (Atom.gt(a, b), _general(logic.LE, b, a, 1))]
+    for built, general in pairs:
+        assert built == general, (a, b, built, general)
+        assert hash(built) == hash(general)
 
 
 # --- evaluation -------------------------------------------------------------
