@@ -55,7 +55,7 @@ VERDICT_UNKNOWN = "Unknown"
 
 def _build(prog: Program, args: argparse.Namespace) -> Tuple[Entailment, Seg]:
     """The engine of a new analysis and the graph it built."""
-    engine = Entailment(smt_cmd=args.smt)
+    engine = Entailment()
     return engine, build_seg(prog, engine, max_nodes=args.max_nodes,
                              max_merges=args.max_merges)
 
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analysis = argparse.ArgumentParser(add_help=False)
-    analysis.add_argument("--smt", help="external SMT solver command")
     analysis.add_argument("--max-nodes", type=count, default=MAX_NODES,
                           dest="max_nodes", help="graph size cap")
     analysis.add_argument("--max-merges", type=count, default=MAX_MERGES,

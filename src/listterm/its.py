@@ -6,17 +6,18 @@ into one transition whose guard collects the accumulated arithmetic
 knowledge, and each generalization edge becomes a transition whose update
 renames variables through the recorded instantiation.  Termination of the
 whole program follows when every strongly connected component admits a
-verified affine ranking function.
+verified affine ranking function.  The system is exported as SMT-LIB Horn
+clauses and read back from them; no other module prints or parses SMT-LIB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .absdom import AbstractState, Value, state_formula
-from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
-                    clause_sexpr, term_sexpr)
+from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, OffsetClosure,
+                    SymVar, Term)
 from .seg import COMPLETE, GENERALIZATION, Seg
 
 
@@ -307,8 +308,33 @@ def prove_termination(its: ITS, engine: Entailment) -> TerminationResult:
 
 
 # --------------------------------------------------------------------------
-# Export / import
+# SMT-LIB export / import
 # --------------------------------------------------------------------------
+
+def term_sexpr(t: Term, names: Mapping[SymVar, str]) -> str:
+    parts = [str(t.const)] if t.const or not t.coeffs else []
+    for v, c in t.coeffs:
+        parts.append(names[v] if c == 1 else f"(* {c} {names[v]})")
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
+def atom_sexpr(a: Atom, names: Mapping[SymVar, str]) -> str:
+    s = term_sexpr(a.term, names)
+    if a.rel == EQ:
+        return f"(= {s} 0)"
+    if a.rel == NE:
+        return f"(not (= {s} 0))"
+    return f"(<= {s} 0)"
+
+
+def clause_sexpr(clause: Clause, names: Mapping[SymVar, str]) -> str:
+    """SMT-LIB text of a clause; ``names`` gives each variable's symbol."""
+    if len(clause) == 1:
+        return atom_sexpr(clause[0], names)
+    return "(or " + " ".join(atom_sexpr(a, names) for a in clause) + ")"
+
 
 def _canonical_names(its: ITS) -> Dict[SymVar, str]:
     names: Dict[SymVar, str] = {}

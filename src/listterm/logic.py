@@ -6,7 +6,7 @@ analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share
 this module's equality reasoning: :class:`OffsetClosure` answers constant
 offsets between variables without the engine, and its classes are the ones
-the representation oracle binds; :func:`clause_sexpr` prints SMT-LIB.
+the representation oracle binds.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal, with only the premise's disjunctions that
@@ -29,9 +29,8 @@ effort runs out, and is charged the premise's edges as if it had added
 them.  Any other query falls back to equality substitution plus
 Fourier-Motzkin elimination on :class:`Term` rows, each tightened to integers by :meth:`Atom.make`, re-run
 on every branch; that path is sound but incomplete.  Both paths run under an effort
-bound and answer ``NOT_PROVEN`` when it is exhausted.  An external SMT-LIB2
-solver can be configured as a fallback; its failures degrade to
-``NOT_PROVEN``.
+bound and answer ``NOT_PROVEN`` when it is exhausted.  No other procedure
+decides a query: the engine is the whole of the trusted arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import enum
 import itertools
 import logging
 import math
-import subprocess
 from dataclasses import dataclass, field
 from typing import (Dict, Iterable, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -862,11 +860,10 @@ class _Premise:
 
 
 class Entailment:
-    """Entailment engine with memoization and optional external SMT fallback;
-    the context of one analysis, whose fresh variables it issues."""
+    """Entailment engine with memoization; the context of one analysis,
+    whose fresh variables it issues."""
 
-    def __init__(self, smt_cmd: Optional[str] = None, effort: int = 10_000):
-        self.smt_cmd = smt_cmd
+    def __init__(self, effort: int = 10_000):
         self.effort = effort
         self._ids = itertools.count(1)
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
@@ -902,8 +899,6 @@ class Entailment:
     def _entails_uncached(self, premise: Formula, conclusion: Formula) -> Verdict:
         for clause in conclusion.clauses:
             if not self._entails_clause(premise, clause):
-                if self.smt_cmd and self._smt_valid(premise, conclusion):
-                    return Verdict.VALID
                 return Verdict.NOT_PROVEN
         return Verdict.VALID
 
@@ -919,63 +914,3 @@ class Entailment:
             log.warning("entailment effort %d exhausted; answering not proven",
                         self.effort)
         return False
-
-    # -- external solver channel -------------------------------------------
-
-    def _smt_valid(self, premise: Formula, conclusion: Formula) -> bool:
-        try:
-            script = smtlib_script(premise, conclusion)
-            proc = subprocess.run(
-                self.smt_cmd, shell=True, input=script.encode(),
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=20)
-            return proc.stdout.decode().strip().splitlines()[-1:] == ["unsat"]
-        except Exception as exc:  # noqa: BLE001 - degrade, never abort analysis
-            log.warning("external solver failed: %s", exc)
-            return False
-
-
-def term_sexpr(t: Term, names: Mapping[SymVar, str]) -> str:
-    parts = [str(t.const)] if t.const or not t.coeffs else []
-    for v, c in t.coeffs:
-        parts.append(names[v] if c == 1 else f"(* {c} {names[v]})")
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
-def atom_sexpr(a: Atom, names: Mapping[SymVar, str]) -> str:
-    s = term_sexpr(a.term, names)
-    if a.rel == EQ:
-        return f"(= {s} 0)"
-    if a.rel == NE:
-        return f"(not (= {s} 0))"
-    return f"(<= {s} 0)"
-
-
-def clause_sexpr(clause: Clause, names: Mapping[SymVar, str]) -> str:
-    """SMT-LIB text of a clause; ``names`` gives each variable's symbol."""
-    if len(clause) == 1:
-        return atom_sexpr(clause[0], names)
-    return "(or " + " ".join(atom_sexpr(a, names) for a in clause) + ")"
-
-
-def smtlib_script(premise: Formula, conclusion: Formula) -> str:
-    """SMT-LIB2 validity query: premise and not(conclusion), expecting unsat."""
-    vs = sorted(set(premise.vars()) | set(conclusion.vars()))
-    names = {v: v.name for v in vs}
-
-    def formula_sexpr(f: Formula) -> str:
-        cs = [clause_sexpr(clause, names) for clause in f.clauses]
-        if not cs:
-            return "true"
-        if len(cs) == 1:
-            return cs[0]
-        return "(and " + " ".join(cs) + ")"
-
-    lines = ["(set-logic QF_LIA)"]
-    for v in vs:
-        lines.append(f"(declare-const {v.name} Int)")
-    lines.append(f"(assert {formula_sexpr(premise)})")
-    lines.append(f"(assert (not {formula_sexpr(conclusion)}))")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"

@@ -272,9 +272,12 @@ def expect_bad_input(capsys, args):
     ["analyze", "--emit-graph", "{tmp}/g.dot",
      "--emit-its", "/nonexistent/dir/its.smt2"],
     ["analyze", "--emit-graph", "{tmp}"],
+    ["analyze", "--smt", "x"],
+    ["check", "--smt", "x"],
 ], ids=["negative-max-nodes", "negative-runs", "flag-not-int",
         "unknown-flag", "unwritable-graph", "unwritable-its",
-        "writable-graph-unwritable-its", "graph-path-is-a-directory"])
+        "writable-graph-unwritable-its", "graph-path-is-a-directory",
+        "analyze-smt", "check-smt"])
 def test_bad_input_exits_one_with_message(capsys, monkeypatch, tmp_path,
                                           args):
     """Rejected before any analysis, which would build the graph, and before

@@ -2,7 +2,8 @@
 parameter a function takes is read by it, every module-level definition is
 read somewhere in the package or its tests, every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
-belongs to that analysis's engine), and a symbolic step goes to the error
+belongs to that analysis's engine), no module starts a process (nothing
+outside the package decides a query), and a symbolic step goes to the error
 state in one place."""
 
 from __future__ import annotations
@@ -183,6 +184,57 @@ def test_no_module_level_mutable_state():
              for path in sorted(SRC.glob("*.py"))
              for line, what in module_state(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _starts_process(name: str) -> bool:
+    """Is ``name`` one of the ``os`` functions that run another program?"""
+    return name in {"system", "popen"} or name.startswith(("exec", "spawn"))
+
+
+def process_sites(tree: ast.Module):
+    """(line, what) for each import of ``subprocess`` and each use of an
+    ``os`` function that runs another program."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "subprocess"]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module.split(".")[0] == "subprocess":
+                found.append((node.lineno, f"from {node.module} import"))
+            elif node.module == "os":
+                found += [(node.lineno, f"from os import {alias.name}")
+                          for alias in node.names
+                          if _starts_process(alias.name)]
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "os" \
+                and _starts_process(node.attr):
+            found.append((node.lineno, f"os.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_starts_a_process():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in process_sites(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_process_sites_are_found():
+    """The lint above sees each way of starting a process, and nothing else
+    that ``os`` offers."""
+    source = """
+import subprocess as sp
+from subprocess import run
+import os
+from os import execvp, path
+os.system("x"); os.popen("x"); os.spawnl(0, "x"); os.execv("x", [])
+os.path.join("a"); os.getcwd(); os.access("a", 0)
+"""
+    assert [what for _, what in process_sites(ast.parse(source))] == [
+        "import subprocess", "from subprocess import", "from os import execvp",
+        "os.execv", "os.popen", "os.spawnl", "os.system"]
 
 
 def err_sites(tree: ast.Module):

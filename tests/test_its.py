@@ -167,6 +167,46 @@ def test_countdown_to_zero_terminates():
     assert str(res.certificates[0].rank) == str(Term.of(x))
 
 
+@pytest.mark.parametrize("closing", [False, True])
+def test_cycle_needs_a_closing_transition(closing):
+    """A two-location cycle whose back transition counts down: proved when
+    that transition is closing, and rejected without a rank search when
+    the cycle has no closing transition."""
+    x, xp = sv(1, "x"), sv(2, "xp")
+    its = ITS()
+    its.locations[0] = Location(0, (x,))
+    its.locations[1] = Location(1, (x,))
+    its.transitions.append(Transition(
+        0, 1, Formula.conj([Atom.ge(x, 1)]), ((x, Term.of(x)),),
+        closing=False))
+    its.transitions.append(Transition(
+        1, 0, Formula.conj([Atom.ge(x, 1), Atom.eq(Term.of(xp),
+                                                   Term.of(x) - 1)]),
+        ((x, Term.of(xp)),), closing=closing))
+    engine = Entailment()
+    res = prove_termination(its, engine)
+    assert res.terminating is closing
+    if not closing:
+        assert res.reason == "cycle without a decreasing update"
+        assert engine.queries == 0
+
+
+@pytest.mark.parametrize("drop", [-1, 0, 1, 2])
+def test_exact_drop_below_one_rejects_the_rank(drop):
+    """The guard fixes ``x - x'`` to ``drop``, so the offset closure knows
+    the drop exactly: below 1 the only candidate is rejected before the
+    engine is asked anything, and from 1 it is accepted once bounded."""
+    x, xp = sv(1, "x"), sv(2, "xp")
+    its = make_loop([Atom.ge(x, 1), Atom.eq(Term.of(xp), Term.of(x) - drop)],
+                    {x: xp})
+    engine = Entailment()
+    res = prove_termination(its, engine)
+    assert res.terminating is (drop >= 1)
+    if drop < 1:
+        assert res.reason == "no affine rank found"
+        assert engine.queries == 0
+
+
 def test_empty_its_terminates():
     res = prove_termination(ITS(), Entailment())
     assert res.terminating

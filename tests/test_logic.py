@@ -25,7 +25,6 @@ from listterm.logic import (
     Term,
     Verdict,
     rename_formula,
-    smtlib_script,
 )
 
 # The test oracles: integer semantics, and validity decided on a grid.
@@ -245,33 +244,6 @@ def test_rename_formula_alpha_invariance():
     ren = {a: x, b: y}
     assert eng.entails(rename_formula(p, ren),
                        rename_formula(g, ren)) is Verdict.VALID
-
-
-def test_smtlib_script_well_formed():
-    a = V[0]
-    s = smtlib_script(Formula.conj([Atom.ge(a, 0)]), Formula.of(Atom.ge(a, -1)))
-    assert s.startswith("(set-logic QF_LIA)")
-    assert "(check-sat)" in s
-    assert s.count("(") == s.count(")")
-
-
-def test_external_solver_failure_is_not_fatal():
-    eng = Entailment(smt_cmd="/nonexistent-solver")
-    a, b = V[:2]
-    p = Formula.conj([Atom.le(a, b)])
-    # Internally unprovable goal falls through to the broken solver; the
-    # channel failure must degrade to NOT_PROVEN, not raise.
-    assert eng.entails(p, Formula.of(Atom.eq(a, b))) is Verdict.NOT_PROVEN
-
-
-def test_external_solver_accepts_unsat_answer(tmp_path):
-    fake = tmp_path / "solver.sh"
-    fake.write_text("#!/bin/sh\ncat > /dev/null\necho unsat\n")
-    fake.chmod(0o755)
-    eng = Entailment(smt_cmd=str(fake))
-    a, b = V[:2]
-    p = Formula.conj([Atom.le(a, b)])
-    assert eng.entails(p, Formula.of(Atom.eq(a, b))) is Verdict.VALID
 
 
 # --- randomized soundness against the brute-force oracle --------------------

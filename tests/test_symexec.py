@@ -12,6 +12,7 @@ against the graph with the classified walker.
 
 from __future__ import annotations
 
+import operator
 import pathlib
 import textwrap
 from collections import Counter
@@ -25,10 +26,11 @@ from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
 from listterm.concrete import run_concrete
 from listterm.ir import (I32, AggType, ProgramPosition, PtrType, Ret,
                          parse_program)
-from listterm.logic import Atom, Entailment, Formula, Term, Verdict
+from listterm.logic import Atom, Entailment, Formula, SymVar, Term, Verdict
 from listterm.seg import (GENERALIZATION, build_seg, check_generalization,
                           find_list)
-from listterm.symexec import EVALUATION, REFINEMENT, is_return, step
+from listterm.symexec import (EVALUATION, REFINEMENT, _icmp_atoms, is_return,
+                              step)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -322,6 +324,35 @@ def test_return_position_is_recognized_and_not_stepped():
     assert is_return(s, prog)
     with pytest.raises(ValueError):
         step(s, prog, eng)
+
+
+ICMP = {"eq": operator.eq, "ne": operator.ne,
+        "ult": operator.lt, "slt": operator.lt,
+        "ule": operator.le, "sle": operator.le,
+        "ugt": operator.gt, "sgt": operator.gt,
+        "uge": operator.ge, "sge": operator.ge}
+
+
+@pytest.mark.parametrize("pred", sorted(ICMP))
+def test_icmp_atom_holds_exactly_when_the_comparison_does(pred):
+    """On non-negative values, the atom of each predicate holds exactly when
+    the comparison does and its complement is its negation; this includes
+    the unsigned forms of a comparison against 0 on either side."""
+    x, y = SymVar(1, "x"), SymVar(2, "y")
+    for lhs, rhs in [(Term.of(x), Term.of(y)), (Term.of(x), Term(0)),
+                     (Term(0), Term.of(y))]:
+        atom, comp = _icmp_atoms(pred, lhs, rhs)
+        for vx in range(4):
+            for vy in range(4):
+                at = {x: vx, y: vy}
+                expected = ICMP[pred](lhs.evaluate(at), rhs.evaluate(at))
+                assert atom.evaluate(at) is expected, (lhs, rhs, at)
+                assert comp.evaluate(at) is not expected, (lhs, rhs, at)
+
+
+def test_unknown_icmp_predicate_is_rejected():
+    with pytest.raises(ValueError, match="unknown predicate"):
+        _icmp_atoms("ueq", Term.of(SymVar(1, "x")), Term(0))
 
 
 # --- list traversal: the four (partner, length) shapes --------------------------
