@@ -3,10 +3,10 @@
 All reasoning in the analyzer goes through an :class:`Entailment` engine
 (:meth:`Entailment.holds` for one implied fact).  One engine serves one
 analysis: it issues the analysis's fresh variables, with ids unique only
-within it, and owns its caches.  The other modules share
-this module's equality reasoning: :class:`OffsetClosure` answers constant
-offsets between variables without the engine, and its classes are the ones
-the representation oracle binds.
+within it, and owns its caches.  The other modules share this module's
+equality reasoning: :class:`OffsetClosure` answers constant offsets
+between variables without the engine, and its classes are the ones the
+representation oracle binds.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal, with only the premise's disjunctions that
@@ -20,17 +20,22 @@ Only ``=`` and ``<=`` atoms remain.  When each is a difference atom
 on a difference-constraint graph: each branch of the case split over the
 clauses adds edges, and a negative cycle refutes the branch (Cotton &
 Maler, SAT 2006).  For difference constraints, rational and integer
-feasibility coincide, so this is exact.  Consecutive queries mostly share
-their premise, so an engine keeps one premise compiled: its normal form,
-its components, and a graph holding its edges with a feasible potential
-(or the cycle they close).  Each goal normalizes only its own negation,
-pushes its edges onto that graph and pops them when it is decided or its
-effort runs out, and is charged the premise's edges as if it had added
-them.  Any other query falls back to equality substitution plus
-Fourier-Motzkin elimination on :class:`Term` rows, each tightened to integers by :meth:`Atom.make`, re-run
-on every branch; that path is sound but incomplete.  Both paths run under an effort
-bound and answer ``NOT_PROVEN`` when it is exhausted.  No other procedure
-decides a query: the engine is the whole of the trusted arithmetic.
+feasibility coincide, so this is exact.  Any other query falls back to
+equality substitution plus Fourier-Motzkin elimination on :class:`Term`
+rows, each tightened to integers by :meth:`Atom.make`, re-run on every
+branch; that path is sound but incomplete.  Both paths run under an effort
+bound and answer ``NOT_PROVEN`` when it is exhausted.
+
+Consecutive queries mostly share a premise, alternate between two, or
+extend the last by unit clauses, so an engine keeps its two latest premises
+compiled and extends the latest in place: its normal form, components, a
+graph holding its edges with a feasible potential (or the cycle they
+close), and, once a goal needs them, its equalities solved.  Each goal
+normalizes only its own negation and pushes its edges onto the graph, to
+pop them when it is decided or out of effort, or goes on from a copy of the
+solved equalities; it is charged the premise's work as if it had done it.
+No other procedure decides a query: the engine is the whole of the trusted
+arithmetic.
 """
 
 from __future__ import annotations
@@ -256,10 +261,6 @@ class Atom:
         return Atom.lt(b, a)
 
     @staticmethod
-    def true() -> "Atom":
-        return Atom(LE, Term(0))
-
-    @staticmethod
     def false() -> "Atom":
         return Atom(LE, Term(1))
 
@@ -449,21 +450,20 @@ class _Budget:
         return False
 
 
-def _solve_equalities(eqs: Sequence[Term], budget: _Budget):
-    """Eliminate the equalities ``t = 0``; returns (subst, residual
-    inequalities ``t <= 0``, unsat flag)."""
-    subst: Dict[SymVar, Term] = {}
-    residual: list = []
+def _solve_equalities(eqs: Sequence[Term], budget: _Budget,
+                      subst: Dict[SymVar, Term], residual: list) -> bool:
+    """Eliminate the equalities ``t = 0`` into ``subst`` and ``residual``
+    (rows ``t <= 0``), which hold any earlier ones; True when unsat."""
     for t in eqs:
         if not budget.spend():
             break
         t = t.substitute(subst)
         if not t.coeffs:
             if t.const != 0:
-                return subst, residual, True
+                return True
             continue
         if t.const % math.gcd(*[c for _, c in t.coeffs]) != 0:
-            return subst, residual, True
+            return True
         unit, cu = next(((v, c) for v, c in t.coeffs if abs(c) == 1),
                         (None, 0))
         if unit is None:
@@ -477,7 +477,24 @@ def _solve_equalities(eqs: Sequence[Term], budget: _Budget):
         for v in subst:
             subst[v] = subst[v].substitute(one)
         subst[unit] = expr
-    return subst, residual, False
+    return False
+
+
+class _Solved(NamedTuple):
+    """A conjunction's equalities solved, and its ``<=`` rows through them."""
+    subst: Dict[SymVar, Term]
+    residual: list
+    unsat: bool
+    spent: int  # the effort solving took
+    rows: list
+
+
+def _solve(conjuncts: Sequence[Atom]) -> _Solved:
+    eqs = [a.term for a in conjuncts if a.rel == EQ]
+    subst, residual, budget = {}, [], _Budget(len(eqs))
+    unsat = _solve_equalities(eqs, budget, subst, residual)
+    return _Solved(subst, residual, unsat, len(eqs) - budget.left,
+                   [a.term.substitute(subst) for a in conjuncts if a.rel == LE])
 
 
 def _fm_unsat(rows: Sequence[Term], budget: _Budget) -> bool:
@@ -574,12 +591,23 @@ def _refute_fm(conjuncts: list, clauses: list, budget: _Budget) -> bool:
     query = _normalize(conjuncts, clauses)
     if query is None:
         return True
-    conjuncts, clauses = query
-    subst, residual, unsat = _solve_equalities(
-        [a.term for a in conjuncts if a.rel == EQ], budget)
-    if unsat:
+    return _refute_from(_solve(()), *query, budget)
+
+
+def _refute_from(start: _Solved, conjuncts: list, clauses: list,
+                 budget: _Budget) -> bool:
+    """:func:`_refute_fm`, with its answer and effort, on the normal-form
+    query ``start``'s conjunction plus ``conjuncts`` and ``clauses``; the
+    equalities of ``start`` (not changed) are solved first, within effort."""
+    budget.spend(start.spent)
+    if start.unsat:
         return True
-    rows = [a.term.substitute(subst) for a in conjuncts if a.rel == LE]
+    subst, residual = dict(start.subst), list(start.residual)
+    if _solve_equalities([a.term for a in conjuncts if a.rel == EQ], budget,
+                         subst, residual):
+        return True
+    rows = [t.substitute(subst) for t in start.rows]
+    rows += [a.term.substitute(subst) for a in conjuncts if a.rel == LE]
     return _refute_branches(rows + residual, clauses, subst, budget)
 
 
@@ -748,10 +776,9 @@ def _negate_atom(a: Atom) -> Atom:
     return Atom(NE if a.rel == EQ else EQ, a.term)
 
 
-def _components(atoms: Sequence[Atom]) -> Dict[SymVar, SymVar]:
-    """Each variable of ``atoms`` -> one variable of its connected
-    component, where an atom connects all of its variables."""
-    group_of: Dict[SymVar, list] = {}
+def _join(group_of: Dict[SymVar, list], atoms: Sequence[Atom]) -> None:
+    """Merge into ``group_of``, which maps each variable to the list of its
+    connected component, the variables of each atom."""
     for a in atoms:
         vs = a.vars()
         if not vs:
@@ -768,10 +795,10 @@ def _components(atoms: Sequence[Atom]) -> Dict[SymVar, SymVar]:
                 group += other
                 for w in other:
                     group_of[w] = group
-    return {v: group[0] for v, group in group_of.items()}
 
 
 class _Disjunction(NamedTuple):
+    vars: frozenset
     keys: frozenset        # the components of its variables
     splits: list           # its normal form: no clause, or one
     alternatives: Optional[list]  # their edges, or None
@@ -786,40 +813,58 @@ class _Premise:
     feasible potential, or the number of edges after which they closed a
     negative cycle.  A goal's edges are added on top and taken off again,
     so the graph is back at the premise for the next goal.  ``graph`` is
-    None when the premise is not difference logic."""
+    None when the premise is not difference logic.  ``fm``, the conjuncts'
+    equalities solved, is built for the first goal that needs it."""
 
     def __init__(self, premise: Formula):
-        self.formula = premise
-        self.alternatives: list = []  # the premise's ``!=`` splits' edges
-        atoms = premise.atoms()
-        self.components = _components(atoms)
-        self.normal = _normalize(atoms, ())
-        graph = _DifferenceGraph()
+        self.graph: Optional[_DifferenceGraph] = _DifferenceGraph()
         self.disjunctions = []
         for clause in premise.disjunctions():
             splits = _normalize((), (clause,))[1]
-            keys = frozenset(self.components.get(v, v)
-                             for a in clause for v in a.vars())
             self.disjunctions.append(_Disjunction(
-                keys, splits, graph.alternatives(splits)))
+                frozenset(v for a in clause for v in a.vars()), frozenset(),
+                splits, self.graph.alternatives(splits)))
+        self.normal = ([], [])
+        self.alternatives: list = []  # the premise's ``!=`` splits' edges
+        self.groups: Dict[SymVar, list] = {}
         # Effort the conjuncts' edges cost: up to and including the edge
         # that closed a negative cycle, if one did.
         self.cost = 0
         self.closed = False
-        self.graph: Optional[_DifferenceGraph] = None
-        if self.normal is None:
+        self.formula = Formula()
+        self.extend(premise)
+
+    def extend(self, premise: Formula) -> None:
+        """Compile ``premise`` in place: the compiled formula followed by
+        unit clauses, or any formula when this one is new."""
+        atoms = [c[0] for c in premise.clauses[len(self.formula.clauses):]
+                 if len(c) == 1]
+        self.formula = premise
+        self.fm: Optional[_Solved] = None
+        _join(self.groups, atoms)
+        self.disjunctions = [d._replace(keys=frozenset(map(self._key, d.vars)))
+                             for d in self.disjunctions]
+        added = None if self.normal is None else _normalize(atoms, ())
+        if added is None:
+            self.normal = self.graph = None
             return
-        kept, splits = self.normal
-        edges = graph.encode(kept)
-        self.alternatives = graph.alternatives(splits)
-        if edges is None or self.alternatives is None:
+        self.normal = (self.normal[0] + added[0], self.normal[1] + added[1])
+        edges = self.graph and self.graph.encode(added[0])
+        alternatives = self.graph and self.graph.alternatives(added[1])
+        if edges is None or alternatives is None:
+            self.graph = None
             return
-        self.graph = graph
+        self.alternatives += alternatives
         for e in edges:
-            self.cost += 1
-            if not graph.add(*e):
-                self.closed = True
+            if self.closed:
                 break
+            self.cost += 1
+            self.closed = not self.graph.add(*e)
+
+    def _key(self, v: SymVar) -> SymVar:
+        """One variable of ``v``'s connected component."""
+        group = self.groups.get(v)
+        return v if group is None else group[0]
 
     def relevant(self, goal_vars: set) -> list:
         """The disjunctions connected to the goal by shared variables, in
@@ -829,7 +874,7 @@ class _Premise:
         disjunctions."""
         if not goal_vars:
             return self.disjunctions
-        keys = {self.components.get(v, v) for v in goal_vars}
+        keys = set(map(self._key, goal_vars))
         return [d for d in self.disjunctions if not keys.isdisjoint(d.keys)]
 
     def refutes(self, goal: Clause, budget: _Budget) -> bool:
@@ -855,8 +900,12 @@ class _Premise:
                 return self.closed or graph.refute(
                     edges, self.alternatives + alternatives
                     + [a for d in selected for a in d.alternatives], budget)
-        return _refute_fm(kept + goal_kept, splits + goal_splits
-                          + [c for d in selected for c in d.splits], budget)
+        clauses = splits + goal_splits + [c for d in selected for c in d.splits]
+        fm = self.fm = self.fm or _solve(kept)
+        if fm.spent > budget.left:
+            # The premise's equalities alone run out of effort.
+            return _refute_fm(kept + goal_kept, clauses, budget)
+        return _refute_from(fm, goal_kept, clauses, budget)
 
 
 class Entailment:
@@ -873,9 +922,9 @@ class Entailment:
         self.state_plans: Dict[object, object] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
-        # The premise of the last refutation, compiled: consecutive queries
-        # mostly share their premise.
-        self._premise: Optional[_Premise] = None
+        # The premises of the last refutations, compiled, the latest first:
+        # consecutive queries mostly share a premise or extend the latest.
+        self._premises: list = []
 
     def fresh(self, hint: str = "v") -> SymVar:
         """A new variable; ids count up from 1 within this engine."""
@@ -898,19 +947,29 @@ class Entailment:
 
     def _entails_uncached(self, premise: Formula, conclusion: Formula) -> Verdict:
         for clause in conclusion.clauses:
-            if not self._entails_clause(premise, clause):
+            budget = _Budget(self.effort)
+            if not self._compiled(premise).refutes(clause, budget):
+                if budget.left < 0:
+                    self.exhausted += 1
+                    log.warning("entailment effort %d exhausted; answering "
+                                "not proven", self.effort)
                 return Verdict.NOT_PROVEN
         return Verdict.VALID
 
-    def _entails_clause(self, premise: Formula, clause: Clause) -> bool:
-        compiled = self._premise
-        if compiled is None or compiled.formula != premise:
-            compiled = self._premise = _Premise(premise)
-        budget = _Budget(self.effort)
-        if compiled.refutes(clause, budget):
-            return True
-        if budget.left < 0:
-            self.exhausted += 1
-            log.warning("entailment effort %d exhausted; answering not proven",
-                        self.effort)
-        return False
+    def _compiled(self, premise: Formula) -> _Premise:
+        """``premise`` compiled: one of the two held, the latest extended by
+        the unit clauses ``premise`` appends to it, or a new one."""
+        held = self._premises
+        for compiled in held:
+            if compiled.formula == premise:
+                if compiled is not held[0]:
+                    held.reverse()
+                return compiled
+        if held:
+            n = len(held[0].formula.clauses)
+            if (premise.clauses[:n] == held[0].formula.clauses
+                    and all(len(c) == 1 for c in premise.clauses[n:])):
+                held[0].extend(premise)
+                return held[0]
+        self._premises = [_Premise(premise)] + held[:1]
+        return self._premises[0]

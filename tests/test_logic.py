@@ -8,14 +8,16 @@ hold (the engine is incomplete by design).
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from typing import Mapping
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from listterm import logic
+from listterm.cli import main
 from listterm.logic import (
     Atom,
     Entailment,
@@ -362,21 +364,23 @@ def _reference_refutes(p, clause):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_difference_graph_agrees_with_fourier_motzkin(data):
-    # Goals on one premise reuse its compiled form; a second premise in
-    # between evicts it, and the first is then compiled again.
+    # Goals on one premise reuse its compiled form; two other premises in
+    # between evict it from the engine's two held ones, and the first is
+    # then compiled again.
     draw = data.draw
     vs = [SymVar(i, "d") for i in range(1, draw(st.integers(1, 5)) + 1)]
     p = _difference_formula(draw, vs, draw(st.integers(1, 4)))
-    other = _difference_formula(draw, vs, draw(st.integers(1, 4)))
+    others = [_difference_formula(draw, vs, draw(st.integers(1, 4)))
+              for _ in range(2)]
     goals = [_difference_formula(draw, vs, 1)
              for _ in range(draw(st.integers(2, 4)))]
     queries = [(p, g) for g in goals[:2]]
-    queries += [(other, _difference_formula(draw, vs, 1))]
+    queries += [(other, _difference_formula(draw, vs, 1)) for other in others]
     queries += [(p, g) for g in goals[2:]]
     queries += [(p, Formula(tuple(g.clauses[0] for g in goals)))]
     engine = Entailment(effort=UNBOUNDED)
     for premise, goal in queries:
-        with mock.patch.object(logic, "_refute_fm") as fm:
+        with mock.patch.object(logic, "_refute_from") as fm:
             graph = engine.entails(premise, goal)
         assert not fm.called  # the graph decided it
         valid = all(_reference_refutes(premise, c) for c in goal.clauses)
@@ -394,15 +398,106 @@ def test_difference_graph_agrees_with_fourier_motzkin(data):
             effort=effort).entails(premise, goal), f"{premise} => {goal}"
 
 
+def _linear_atom(draw, vs, rels) -> Atom:
+    """An atom over one or two of ``vs``, coefficients +-1 or +-2."""
+    t = Term(draw(st.integers(-3, 3)))
+    for v in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=2,
+                           unique=True)):
+        t = t + Term.of(v).scale(draw(st.sampled_from([-2, -1, 1, 2])))
+    return Atom.make(draw(st.sampled_from(rels)), t)
+
+
+def _assert_compiled_as_fresh(held, premise, vs):
+    """``held``, reused or extended, compiles ``premise`` as a new
+    ``_Premise`` does: the same normal form, the same disjunctions selected
+    for each variable, and the same graph cost and closing."""
+    fresh = logic._Premise(premise)
+    assert held.formula == premise and held.normal == fresh.normal
+    assert (held.graph is None) is (fresh.graph is None)
+    if fresh.graph is not None:
+        assert (held.cost, held.closed) == (fresh.cost, fresh.closed)
+    for v in vs:
+        assert [d.splits for d in held.relevant({v})] == [
+            d.splits for d in fresh.relevant({v})], (premise, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_held_and_extended_premises_answer_as_a_fresh_engine(data):
+    # One engine asks goals over three interleaved premises, so its two held
+    # premises are reused and evicted, then over one of them extended in
+    # place by unit facts: a != fact, a difference x - y <= c, and then
+    # y - x <= -c - 1, which closes a negative cycle with it.  Premises are
+    # difference logic or not (decided on the graph or by Fourier-Motzkin).
+    draw = data.draw
+    vs = [SymVar(i, "e") for i in range(1, 4)]
+    effort = draw(st.one_of(st.integers(1, 30), st.just(UNBOUNDED)))
+
+    def atom(rels=("=", "!=", "<="), over=vs) -> Atom:
+        if draw(st.booleans()):
+            return _difference_atom(draw, over)
+        return _linear_atom(draw, over, rels)
+
+    def premise() -> Formula:
+        if draw(st.booleans()):
+            return _difference_formula(draw, vs, draw(st.integers(1, 3)))
+        return Formula(tuple(tuple(atom() for _ in range(draw(st.integers(1, 2))))
+                             for _ in range(draw(st.integers(1, 3)))))
+
+    def goal(over=vs) -> Formula:
+        # A goal without = (or !=, whose negation is one) asks <= alone.
+        rels = ("=", "!=", "<=") if draw(st.booleans()) else ("<=",)
+        return Formula.of(tuple(atom(rels, over)
+                                for _ in range(draw(st.integers(1, 2)))))
+
+    premises = [premise() for _ in range(3)]
+    queries = [(premises[i], goal()) for i in draw(
+        st.lists(st.integers(0, 2), min_size=3, max_size=8))]
+    base = draw(st.sampled_from(premises))
+    x, y = draw(st.permutations(vs))[:2]
+    c = draw(st.integers(-2, 2))
+    extended = Formula.of(base, Atom.ne(x, draw(st.integers(0, 3))),
+                          Atom.le(Term.of(x) - Term.of(y), c),
+                          *[atom() for _ in range(draw(st.integers(0, 1)))])
+    closed = Formula.of(extended, Atom.le(Term.of(y) - Term.of(x), -c - 1))
+    assume(extended not in premises)
+    # No earlier query asks ``x <= 100``: this one is not a cache hit, so
+    # ``base`` is the latest held premise when ``extended`` is asked.
+    base_query = len(queries)
+    queries.append((base, Formula.of(Atom.le(x, 100))))
+    # Goals on the extension's variables select the disjunctions that its
+    # difference connects to them.
+    queries += [(extended, goal([x, y])) for _ in range(3)]
+    queries += [(closed, goal([x, y])) for _ in range(2)]
+    engine = Entailment(effort=effort)
+    for i, (p, g) in enumerate(queries):
+        asked, exhausted = engine.queries, engine.exhausted
+        verdict = engine.entails(p, g)
+        fresh = Entailment(effort=effort)
+        assert verdict is fresh.entails(p, g), f"{p} => {g}"
+        if engine.queries > asked:  # not answered from the cache
+            assert engine.exhausted - exhausted == fresh.exhausted, f"{p} => {g}"
+            _assert_compiled_as_fresh(engine._premises[0], p, vs)
+        if verdict is Verdict.VALID:
+            assert brute_force_valid(p, g, 5), f"unsound: {p} => {g}"
+        if i == base_query:
+            held = engine._premises[0]
+    # ``extended`` and ``closed`` were compiled by extending ``base``'s.
+    assert engine._premises[0] is held and held.formula == closed
+
+
 def test_non_difference_atom_is_decided_by_fourier_motzkin():
     x, y = V[:2]
     p = Formula.conj([Atom.le(Term.of(x).scale(2), y), Atom.le(y, 3)])
     g = Formula.of(Atom.le(x, 1))
     assert logic._Premise(p).graph is None  # not difference logic
-    with mock.patch.object(logic, "_refute_fm",
-                           wraps=logic._refute_fm) as fm:
-        assert Entailment().entails(p, g) is Verdict.VALID
+    engine = Entailment()
+    with mock.patch.object(logic, "_refute_from",
+                           wraps=logic._refute_from) as fm:
+        assert engine.entails(p, g) is Verdict.VALID
+    # The premise's Fourier-Motzkin part, its equalities solved, decided it.
     assert fm.call_count == 1
+    assert fm.call_args.args[0] is engine._premises[0].fm is not None
     assert brute_force_valid(p, g, 8)
 
 
@@ -436,8 +531,8 @@ def test_effort_cut_off_in_a_branch_leaves_the_premise_intact():
     assert engine.entails(p, first) is Verdict.NOT_PROVEN
     assert engine.exhausted == 1
     fresh = logic._Premise(p).graph
-    assert (engine._premise.graph.succ, engine._premise.graph.pi) == (
-        fresh.succ, fresh.pi)
+    held = engine._premises[0].graph
+    assert (held.succ, held.pi) == (fresh.succ, fresh.pi)
     assert not brute_force_valid(p, second, 12)
     assert engine.entails(p, second) is Entailment(effort=4).entails(
         p, second) is Verdict.NOT_PROVEN
@@ -454,6 +549,31 @@ def test_relevant_disjunctions_match_the_reachability_fixpoint(data):
     expected = _reachable_clauses(p.disjunctions(), set(goal), conjuncts)
     got = [d.splits for d in logic._Premise(p).relevant(set(goal))]
     assert got == [logic._normalize((), (c,))[1] for c in expected]
+
+
+# --- premise reuse in whole analyses ----------------------------------------
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("name, compiles, extensions", [
+    ("build_only", 38, 21),
+    ("build_traverse_ptr", 75, 38),
+    ("build_search_value", 96, 50),
+])
+def test_premise_compiles_and_extensions_are_pinned(name, compiles, extensions):
+    """A query with one of the engine's two held premises reuses it, and
+    one that appends unit clauses to the latest extends it.  An engine that
+    held one premise and never extended it compiled 88, 218 and 256
+    premises on these programs."""
+    with mock.patch.object(logic._Premise, "__init__", autospec=True,
+                           side_effect=logic._Premise.__init__) as init, \
+            mock.patch.object(logic._Premise, "extend", autospec=True,
+                              side_effect=logic._Premise.extend) as extend:
+        assert main(["analyze", str(CORPUS / f"{name}.ll")]) == 0
+    # A compile extends its new, empty premise once.
+    assert (init.call_count, extend.call_count - init.call_count) == (
+        compiles, extensions)
 
 
 # --- equalities without the engine ------------------------------------------

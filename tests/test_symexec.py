@@ -367,10 +367,11 @@ TRAVERSE = """\
     """
 
 
-def traversal_state(long, partner):
+def traversal_input(long, partner):
     """``cur`` holds the chain value of the summary's head node, so the
-    field address lands in its second node.  With ``partner`` a prefix
-    summary ends at the traversed summary's root."""
+    field address lands in its second node.  The summary's length is >= 2
+    with ``long``, 1 without, and undecided with ``long=None``.  With
+    ``partner`` a prefix summary ends at the traversed summary's root."""
     prog = parse(TRAVERSE)
     eng = Entailment()
     ptr = PtrType(AggType("list"))
@@ -379,7 +380,7 @@ def traversal_state(long, partner):
     li = [ListInvariant(a, n, AggType("list"),
                         (LIField(0, I32, v, v_last),
                          LIField(8, ptr, nx, nx_last)), 2)]
-    kb = [Atom.ge(n, 2) if long else Atom.eq(n, 1)]
+    kb = [] if long is None else [Atom.ge(n, 2) if long else Atom.eq(n, 1)]
     pre = None
     if partner:
         b, m, u, u_last, ub = (eng.fresh(h) for h in
@@ -391,12 +392,17 @@ def traversal_state(long, partner):
         kb.append(Atom.ge(m, 1))
     s = AbstractState.make(prog.entry_position, lv={"cur": nx}, li=li,
                            kb=Formula.conj(kb))
+    return prog, eng, s, li[0], pre
+
+
+def traversal_state(long, partner):
+    prog, eng, s, l, pre = traversal_input(long, partner)
     r = step(s, prog, eng)
     assert r.edge_kind == EVALUATION and len(r.successors) == 1
     t = r.successors[0]
     assert not isinstance(t, ErrState)
     assert t.pos == ProgramPosition("entry", 1)
-    return eng, s, t, li[0], pre
+    return eng, s, t, l, pre
 
 
 def holds(eng, s, *atoms):
@@ -475,6 +481,119 @@ def test_split_traversal_of_length_one_summary_is_absorbed_by_prefix():
     assert_absorbed(eng, t, l, pre)
     assert_dissolved(eng, t, l)
     assert_destination(eng, t, l)
+
+
+def test_traversal_of_undecided_length_splits_first():
+    """With the length neither >= 2 nor 1, traversal first refines on it;
+    each refined state then traverses, as its twin with that length
+    decided from the start does."""
+    prog, eng, s, l, _ = traversal_input(long=None, partner=False)
+    r = step(s, prog, eng)
+    assert r.edge_kind == REFINEMENT
+    for refined, atom in zip(r.successors, (Atom.ge(l.length, 2),
+                                            Atom.eq(l.length, 1))):
+        assert refined.pos == s.pos and refined.kb == Formula.of(s.kb, atom)
+        t = step(refined, prog, eng).successors[0]
+        assert not isinstance(t, ErrState) and t.pos == ProgramPosition(
+            "entry", 1)
+        assert_destination(eng, t, l)
+    assert len(step(r.successors[0], prog, eng).successors[0].li) == 1
+    assert step(r.successors[1], prog, eng).successors[0].li == ()
+
+
+BRANCH = """\
+    define i32 @main() {
+    entry:
+      br i1 c, label yes, label no
+    yes:
+      ret i32 0
+    no:
+      ret i32 0
+    }
+    """
+
+
+def test_branch_on_symbolic_condition_follows_the_knowledge_base():
+    """A symbolic condition that the facts decide jumps as its constant
+    twin does; an undecided one refines into condition 1 and condition 0."""
+    prog, eng = parse(BRANCH), Entailment()
+    c = eng.fresh("c")
+
+    def target(cond, *facts):
+        s = AbstractState.make(prog.entry_position, lv={"c": cond},
+                               kb=Formula.conj(facts))
+        r = step(s, prog, eng)
+        assert r.edge_kind == EVALUATION
+        return r.successors[0].pos.block
+
+    assert target(c, Atom.eq(c, 1)) == target(1) == "yes"
+    assert target(c, Atom.eq(c, 0)) == target(0) == "no"
+    s = AbstractState.make(prog.entry_position, lv={"c": c})
+    r = step(s, prog, eng)
+    assert r.edge_kind == REFINEMENT
+    assert [t.kb for t in r.successors] == [Formula.of(Atom.eq(c, 1)),
+                                            Formula.of(Atom.eq(c, 0))]
+    assert [step(t, prog, eng).successors[0].pos.block
+            for t in r.successors] == ["yes", "no"]
+
+
+FIELD = """\
+    list = type { i32, list* }
+    define i32 @main() {
+    entry:
+      q = getelementptr list, list* p, i32 0, i32 k
+      ret i32 0
+    }
+    """
+
+
+def test_symbolic_field_index_needs_a_provable_constant():
+    """A symbolic field index that the facts fix at 1 addresses the second
+    field, as the constant index 1 does; without that fact the step goes
+    to the error state."""
+    prog, eng = parse(FIELD), Entailment()
+    a, k = eng.fresh("a"), eng.fresh("k")
+
+    def address(index, *facts):
+        s = AbstractState.make(prog.entry_position, lv={"p": a, "k": index},
+                               kb=Formula.conj(facts))
+        r = step(s, prog, eng)
+        assert r.edge_kind == EVALUATION
+        return r.successors[0]
+
+    for t in (address(k, Atom.eq(k, 1)), address(1)):
+        assert holds(eng, t, Atom.eq(dict(t.lv)["q"], Term.of(a) + 8))
+    assert isinstance(address(k, Atom.ge(k, 0)), ErrState)
+
+
+STORE = """\
+    define i32 @main() {{
+    entry:
+      store i32 7, i32* {}
+      ret i32 0
+    }}
+    """
+
+
+@pytest.mark.parametrize("addr", [4096, "p"])
+def test_store_to_constant_address_names_it(addr):
+    """A store to the constant address of an allocation gets a fresh
+    variable equal to that address for its points-to entry; its twin
+    through a variable holding the address uses that variable."""
+    prog, eng = parse(STORE.format(addr)), Entailment()
+    lo, hi = eng.fresh("lo"), eng.fresh("hi")
+    s = AbstractState.make(
+        prog.entry_position, lv={"p": lo}, al=[Allocation(lo, hi)],
+        kb=Formula.conj([Atom.eq(lo, 4096), Atom.eq(hi, Term.of(lo) + 15)]))
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION
+    t = r.successors[0]
+    assert not isinstance(t, ErrState) and len(t.pt) == 1
+    entry = t.pt[0]
+    assert (entry.ty, entry.value) == (I32, 7)
+    assert isinstance(entry.addr, SymVar) and (entry.addr == lo) is (
+        addr == "p")
+    assert holds(eng, t, Atom.eq(entry.addr, 4096))
 
 
 # --- flagship program landmarks -------------------------------------------------
