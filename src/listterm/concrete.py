@@ -26,7 +26,7 @@ from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
 from . import ir
 from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
-from .ir import DataLayout, Instruction, Program, ProgramPosition, type_size
+from .ir import ICMP, Instruction, Layout, Program, ProgramPosition, type_size
 from .logic import EQ, LE, NE, Atom, Entailment, Formula, OffsetClosure, SymVar
 
 
@@ -159,20 +159,14 @@ def _step(c: ConcreteState, ins: Instruction, prog: Program,
 
         elif isinstance(ins, ir.GepField):
             idx = _operand(c, ins.index)
-            offs = layout.offsets_of(ins.agg.name)
+            offs = layout[ins.agg.name].offsets
             if not 0 <= idx < len(offs):
                 raise _Fault  # no such field
             n.asgn = {**c.asgn, ins.dst: _operand(c, ins.base) + offs[idx]}
 
         elif isinstance(ins, ir.Icmp):
-            a = _operand(c, ins.lhs)
-            b = _operand(c, ins.rhs)
-            result = {
-                "eq": a == b, "ne": a != b,
-                "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
-                "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-            }[ins.pred]
-            n.asgn = {**c.asgn, ins.dst: int(result)}
+            held = ICMP[ins.pred](_operand(c, ins.lhs), _operand(c, ins.rhs))
+            n.asgn = {**c.asgn, ins.dst: int(held)}
 
         elif isinstance(ins, ir.BrCond):
             cond = _operand(c, ins.cond)
@@ -379,7 +373,7 @@ class _Plan:
     pt: Tuple[Tuple[Ref, int, Ref], ...]  # the points-to entries no step reads
 
 
-def _compile(s: AbstractState, formula: Formula, layout: DataLayout) -> _Plan:
+def _compile(s: AbstractState, formula: Formula, layout: Layout) -> _Plan:
     """Order the state's bindings: program variables; then equalities
     solved for their one unbound class, points-to reads and summary walks
     as their inputs get bound; then witnesses for the classes left.  Each
@@ -593,7 +587,7 @@ def _search(plan: _Plan, i: int, val: List[Optional[int]],
         for addr, size, value in plan.pt)
 
 
-def represents(c: ConcreteState, s: StateOrErr, layout: DataLayout,
+def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
                engine: Entailment) -> bool:
     """Is the concrete state an instance of the abstract state?
 

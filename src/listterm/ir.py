@@ -5,14 +5,22 @@ declarations, a single ``@main`` function with labeled basic blocks, and the
 handful of instructions needed for heap-manipulating loop programs (load,
 store, both getelementptr forms, icmp, branches, add, bitcast, malloc,
 nondet, free, ret).  Everything is immutable after parsing.
+
+This module says once what the IR means, and the interpreter and the
+symbolic rules both read it: a program's ``layout`` holds one
+:class:`Aggregate` per struct (field types, byte offsets, padded size and
+chain field), and :data:`ICMP` gives the comparison each ``icmp``
+predicate makes.  Values are unbounded integers, so the signed and
+unsigned forms of a comparison are the same comparison.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Collection, Dict, List, Optional, Tuple, Union
 
 
 class ParseError(Exception):
@@ -60,47 +68,55 @@ IrType = Union[IntType, PtrType, AggType]
 I8, I32 = IntType(8), IntType(32)
 
 _INT_SIZES = {1: 1, 8: 1, 32: 4, 64: 8}
+PTR_SIZE = 8  # a fixed 64-bit little-endian layout with natural alignment
 
 
 @dataclass(frozen=True)
-class DataLayout:
-    """Fixed 64-bit little-endian layout with natural alignment.
+class Aggregate:
+    """A struct's layout: its field types, each field's byte offset, its
+    padded size, and the 1-based index of its pointer-to-self field when
+    there is exactly one (None when there are none or several)."""
 
-    Aggregate field offsets and padded sizes are precomputed per program.
-    """
+    fields: Tuple[IrType, ...]
+    offsets: Tuple[int, ...]
+    size: int
+    rec_index: Optional[int]
 
-    ptr_size: int
-    field_offsets: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    aggregate_sizes: Tuple[Tuple[str, int], ...]
+    @staticmethod
+    def of(name: str, fields: Tuple[IrType, ...]) -> "Aggregate":
+        # Aggregates nest only through pointers, so every field (an integer
+        # or a pointer) has a fixed size and is aligned to it.
+        sizes = [type_size(f, {}) for f in fields]
+        offsets, end = [], 0
+        for size in sizes:
+            offsets.append((end + size - 1) // size * size)
+            end = offsets[-1] + size
+        align = max(sizes)
+        hits = [i + 1 for i, f in enumerate(fields)
+                if f == PtrType(AggType(name))]
+        return Aggregate(fields, tuple(offsets),
+                         (end + align - 1) // align * align,
+                         hits[0] if len(hits) == 1 else None)
 
-    def offsets_of(self, name: str) -> Tuple[int, ...]:
-        for n, offs in self.field_offsets:
-            if n == name:
-                return offs
-        raise KeyError(f"unknown aggregate {name!r}")
 
-    def size_of_aggregate(self, name: str) -> int:
-        for n, s in self.aggregate_sizes:
-            if n == name:
-                return s
-        raise KeyError(f"unknown aggregate {name!r}")
+Layout = Dict[str, Aggregate]  # each struct's record, by name
 
 
-def type_size(ty: IrType, layout: DataLayout) -> int:
+def type_size(ty: IrType, layout: Layout) -> int:
     """Byte size of a type under the given layout."""
     if isinstance(ty, IntType):
         return _INT_SIZES[ty.width]
     if isinstance(ty, PtrType):
-        return layout.ptr_size
-    return layout.size_of_aggregate(ty.name)
+        return PTR_SIZE
+    return layout[ty.name].size
 
 
-def field_offset(ty: AggType, i: int, layout: DataLayout) -> int:
-    """Byte offset of 1-based field ``i`` within aggregate ``ty``."""
-    offs = layout.offsets_of(ty.name)
-    if not 1 <= i <= len(offs):
-        raise IndexError(f"field index {i} out of range for {ty.name}")
-    return offs[i - 1]
+# The comparison each icmp predicate makes on unbounded integers.
+ICMP = {"eq": operator.eq, "ne": operator.ne,
+        "ult": operator.lt, "slt": operator.lt,
+        "ule": operator.le, "sle": operator.le,
+        "ugt": operator.gt, "sgt": operator.gt,
+        "uge": operator.ge, "sge": operator.ge}
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +162,7 @@ class GepField:
 @dataclass(frozen=True)
 class Icmp:
     dst: str
-    pred: str  # eq, ne, ult, ule, ugt, uge, slt, sle, sgt, sge
+    pred: str  # a key of ICMP
     ty: IrType
     lhs: Operand
     rhs: Operand
@@ -228,8 +244,7 @@ class ProgramPosition:
 class Program:
     entry: str
     blocks: Tuple[Tuple[str, Tuple[Instruction, ...]], ...]
-    layout: DataLayout
-    aggregates: Tuple[Tuple[str, Tuple[IrType, ...]], ...]
+    layout: Layout  # sorted by name
 
     @cached_property
     def _blocks(self) -> Dict[str, Tuple[Instruction, ...]]:
@@ -244,12 +259,6 @@ class Program:
 
     def instruction_at(self, pos: ProgramPosition) -> Instruction:
         return self.block(pos.block)[pos.index]
-
-    def agg_fields(self, name: str) -> Tuple[IrType, ...]:
-        for n, fs in self.aggregates:
-            if n == name:
-                return fs
-        raise KeyError(f"unknown aggregate {name!r}")
 
     @cached_property
     def _positions(self) -> Dict[Tuple[str, int], ProgramPosition]:
@@ -268,15 +277,6 @@ class Program:
         return self.position(pos.block, pos.index + 1)
 
 
-def recursive_index(prog: Program, name: str) -> Optional[int]:
-    """1-based index of the unique pointer-to-self field, if there is
-    exactly one; None otherwise (zero or several)."""
-    hits = [i + 1 for i, f in enumerate(prog.agg_fields(name))
-            if isinstance(f, PtrType) and isinstance(f.pointee, AggType)
-            and f.pointee.name == name]
-    return hits[0] if len(hits) == 1 else None
-
-
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
@@ -286,8 +286,7 @@ _TYPE_DECL = re.compile(rf"({_IDENT})\s*=\s*type\s*\{{(.*)\}}\s*$")
 _LABEL = re.compile(rf"({_IDENT})\s*:\s*$")
 
 
-def _parse_type(text: str, known: Dict[str, Tuple[IrType, ...]],
-                line: int) -> IrType:
+def _parse_type(text: str, known: Collection[str], line: int) -> IrType:
     text = text.strip()
     stars = 0
     while text.endswith("*"):
@@ -322,35 +321,12 @@ def _parse_operand(text: str, line: int) -> Operand:
     raise ParseError(f"cannot parse operand {text!r}", line)
 
 
-def _build_layout(aggs: Dict[str, Tuple[IrType, ...]]) -> DataLayout:
-    layout = DataLayout(8, (), ())
-    offsets: Dict[str, Tuple[int, ...]] = {}
-    sizes: Dict[str, int] = {}
-    # Aggregates may only nest through pointers, so one pass suffices and
-    # every field (an integer or a pointer) is aligned to its size.
-    for name, fields in aggs.items():
-        off = 0
-        offs: List[int] = []
-        max_al = 1
-        for f in fields:
-            al = type_size(f, layout)
-            max_al = max(max_al, al)
-            off = (off + al - 1) // al * al
-            offs.append(off)
-            off += al
-        total = (off + max_al - 1) // max_al * max_al
-        offsets[name] = tuple(offs)
-        sizes[name] = total
-    return DataLayout(8, tuple(sorted(offsets.items())),
-                      tuple(sorted(sizes.items())))
-
-
 _CALL_RE = re.compile(
     rf"({_IDENT})\s*=\s*call\s+(\S+)\s+@(\w+)\s*\((.*)\)\s*$")
 _FREE_RE = re.compile(rf"call\s+void\s+@free\s*\(\s*(\S+)\s+({_IDENT})\s*\)\s*$")
 
 
-def _parse_instruction(text: str, known: Dict[str, Tuple[IrType, ...]],
+def _parse_instruction(text: str, known: Collection[str],
                        line: int) -> Instruction:
     text = text.strip()
 
@@ -423,8 +399,7 @@ def _parse_instruction(text: str, known: Dict[str, Tuple[IrType, ...]],
         if not im:
             raise ParseError("malformed icmp", line)
         pred = im.group(1)
-        if pred not in ("eq", "ne", "ult", "ule", "ugt", "uge",
-                        "slt", "sle", "sgt", "sge"):
+        if pred not in ICMP:
             raise ParseError(f"unknown icmp predicate {pred!r}", line)
         return Icmp(dst, pred, _parse_type(im.group(2), known, line),
                     _parse_operand(im.group(3), line),
@@ -472,7 +447,7 @@ def _parse_instruction(text: str, known: Dict[str, Tuple[IrType, ...]],
 
 def parse_program(text: str) -> Program:
     """Parse IR source text into an immutable :class:`Program`."""
-    aggs: Dict[str, Tuple[IrType, ...]] = {}
+    aggs: Dict[str, Optional[Aggregate]] = {}
     blocks: Dict[str, List[Instruction]] = {}
     # The line of each block's label, then of each of its instructions.
     lines: Dict[str, List[int]] = {}
@@ -491,7 +466,7 @@ def parse_program(text: str) -> Program:
             name, body = m.group(1), m.group(2)
             if name in aggs:
                 raise ParseError(f"duplicate type {name!r}", lineno)
-            aggs[name] = ()  # visible to self-references while parsing fields
+            aggs[name] = None  # visible to self-references in its fields
             fields = tuple(_parse_type(p, aggs, lineno)
                            for p in body.split(",") if p.strip())
             if not fields:
@@ -499,7 +474,7 @@ def parse_program(text: str) -> Program:
             if any(isinstance(f, AggType) for f in fields):
                 raise ParseError(f"nested aggregate by value in {name!r}",
                                  lineno)
-            aggs[name] = fields
+            aggs[name] = Aggregate.of(name, fields)
             continue
 
         if re.fullmatch(r"define\s+i32\s+@main\s*\(\s*\)\s*\{", line):
@@ -560,8 +535,7 @@ def parse_program(text: str) -> Program:
     return Program(
         entry=order[0],
         blocks=tuple((n, tuple(blocks[n])) for n in order),
-        layout=_build_layout(aggs),
-        aggregates=tuple(sorted(aggs.items())),
+        layout=dict(sorted(aggs.items())),
     )
 
 
@@ -612,9 +586,10 @@ def format_instruction(ins: Instruction) -> str:
 
 def pretty_print(prog: Program) -> str:
     out: List[str] = []
-    for name, fields in prog.aggregates:
-        out.append(f"{name} = type {{ " + ", ".join(map(str, fields)) + " }")
-    if prog.aggregates:
+    for name, agg in prog.layout.items():
+        out.append(f"{name} = type {{ " + ", ".join(map(str, agg.fields))
+                   + " }")
+    if prog.layout:
         out.append("")
     out.append("define i32 @main() {")
     for bname, body in prog.blocks:

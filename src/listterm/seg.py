@@ -32,7 +32,7 @@ from .absdom import (
     state_formula,
     value_key,
 )
-from .ir import AggType, Program, recursive_index, type_size
+from .ir import AggType, Program, type_size
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
                     rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
@@ -106,12 +106,9 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
     """Maximal concrete chain of ``ty`` nodes beginning at ``start``:
     per node a full-size allocation with a points-to entry per field, linked
     through the recursive field."""
-    j = recursive_index(prog, ty.name)
-    if j is None:
+    agg = prog.layout[ty.name]
+    if agg.rec_index is None:
         return None
-    size = type_size(ty, prog.layout)
-    fields = prog.agg_fields(ty.name)
-    offs = prog.layout.offsets_of(ty.name)
     f = state_formula(s, engine)
     closure = OffsetClosure(f)
     starts: List[SymVar] = []
@@ -123,7 +120,7 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
     while True:
         alloc = next(
             (a for a in s.al if a not in used
-             and closure.diff(a.hi, a.lo) == size - 1
+             and closure.diff(a.hi, a.lo) == agg.size - 1
              and _equal(closure, f, engine, current, a.lo)),
             None)
         if alloc is None:
@@ -131,7 +128,7 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
         node_vals: List[Value] = []
         node_entries: List[PointsTo] = []
         ok = True
-        for fty, off in zip(fields, offs):
+        for fty, off in zip(agg.fields, agg.offsets):
             entry = next(
                 (p for p in s.pt if p.ty == fty
                  and closure.diff(p.addr, alloc.lo) == off), None)
@@ -147,7 +144,7 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
         ends.append(alloc.hi)
         values.append(tuple(node_vals))
         entries.append(tuple(node_entries))
-        current = node_vals[j - 1]
+        current = node_vals[agg.rec_index - 1]
         if isinstance(current, int) and current == 0:
             break
     if not starts:
@@ -303,12 +300,12 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
     merged_li: List[ListInvariant] = []
     kb_atoms: List[Atom] = []
     chains: Tuple[List[ListMatch], List[ListMatch]] = ([], [])
-    agg_types = [AggType(name) for name, _ in prog.aggregates
-                 if recursive_index(prog, name) is not None]
+    list_types = [(AggType(name), agg) for name, agg in prog.layout.items()
+                  if agg.rec_index is not None]
     for v1, v2, m in list(M.pairs):
         if not isinstance(m, SymVar):
             continue
-        for ty in agg_types:
+        for ty, agg in list_types:
             d1 = _describe_list(s, v1, ty, prog, engine)
             if d1 is None:
                 continue
@@ -322,14 +319,13 @@ def merge_states(s: AbstractState, s2: AbstractState, prog: Program,
                 continue
             x_len = M.pair(d1.length, d2.length, "len", force_var=True)
             li_fields = []
-            for fty, off, a, b, c, d in zip(
-                    prog.agg_fields(ty.name), prog.layout.offsets_of(ty.name),
-                    d1.firsts, d2.firsts, d1.lasts, d2.lasts):
+            for fty, off, a, b, c, d in zip(agg.fields, agg.offsets, d1.firsts,
+                                            d2.firsts, d1.lasts, d2.lasts):
                 li_fields.append(LIField(off, fty, M.pair(a, b, "fst"),
                                          M.pair(c, d, "lst")))
             merged_li.append(ListInvariant(
                 ad=m, length=x_len, ty=ty, fields=tuple(li_fields),
-                rec_index=recursive_index(prog, ty.name)))
+                rec_index=agg.rec_index))
             # A summary has at least one node, a chain exactly its length.
             lower = min(d.length if isinstance(d, ListMatch) else 1
                         for d in (d1, d2))

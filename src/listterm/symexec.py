@@ -14,6 +14,7 @@ whatever the shape of the summaries, is one rule (:func:`_traverse`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
@@ -28,7 +29,7 @@ from .absdom import (
     Value,
     state_formula,
 )
-from .ir import Program, ProgramPosition, type_size
+from .ir import Program, type_size
 from .logic import Atom, Entailment, Formula, SymVar, Term
 
 EVALUATION = "evaluation"
@@ -369,19 +370,16 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
             return None
         target = Term.of(pa) + Term.of(t)
     else:
+        offsets = prog.layout[ins.agg.name].offsets
         t = s.lv_of(ins.index)
         if isinstance(t, SymVar):
             # A symbolic field index needs a provable constant.
             f = state_formula(s, engine)
-            t = next((i for i in range(len(prog.agg_fields(ins.agg.name)))
+            t = next((i for i in range(len(offsets))
                       if engine.holds(f, Atom.eq(t, i))), None)
-        if t is None:
+        if t is None or not 0 <= t < len(offsets):
             return None
-        try:
-            off = ir.field_offset(ins.agg, t + 1, prog.layout)
-        except IndexError:
-            return None
-        target = Term.of(pa) + off
+        target = Term.of(pa) + offsets[t]
     return _define(s, ins, prog, engine, target)
 
 
@@ -389,26 +387,20 @@ def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
 # icmp and branches
 # --------------------------------------------------------------------------
 
+# The atom of each comparison in ``ir.ICMP``, and the atom of its negation.
+_ATOMS = {operator.eq: (Atom.eq, Atom.ne), operator.ne: (Atom.ne, Atom.eq),
+          operator.lt: (Atom.lt, Atom.ge), operator.le: (Atom.le, Atom.gt),
+          operator.gt: (Atom.gt, Atom.le), operator.ge: (Atom.ge, Atom.lt)}
+
+
 def _icmp_atoms(pred: str, a: Term, b: Term) -> Tuple[Atom, Atom]:
-    """(atom, complement) for the predicate; unsigned domain, so a
-    disequality against zero splits into >= 1 versus = 0."""
-    if pred == "eq":
-        return Atom.eq(a, b), Atom.ne(a, b)
-    if pred == "ne":
-        if b == Term(0):
-            return Atom.ge(a, 1), Atom.eq(a, 0)
-        if a == Term(0):
-            return Atom.ge(b, 1), Atom.eq(b, 0)
-        return Atom.ne(a, b), Atom.eq(a, b)
-    if pred in ("ult", "slt"):
-        return Atom.lt(a, b), Atom.ge(a, b)
-    if pred in ("ule", "sle"):
-        return Atom.le(a, b), Atom.gt(a, b)
-    if pred in ("ugt", "sgt"):
-        return Atom.gt(a, b), Atom.le(a, b)
-    if pred in ("uge", "sge"):
-        return Atom.ge(a, b), Atom.lt(a, b)
-    raise ValueError(f"unknown predicate {pred!r}")
+    """(atom, complement) for ``a pred b``: the comparison ``ir.ICMP`` gives
+    the predicate, on unbounded integers like every other value, so
+    ``ne`` against 0 is a disequality and ``x <= -1`` stays possible."""
+    if pred not in ir.ICMP:
+        raise ValueError(f"unknown predicate {pred!r}")
+    atom, comp = _ATOMS[ir.ICMP[pred]]
+    return atom(a, b), comp(a, b)
 
 
 def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
@@ -433,7 +425,7 @@ def rule_brcond(s: AbstractState, ins: ir.BrCond, prog: Program,
         return None
 
     def goto(block: str) -> AbstractState:
-        return s.replace_components(pos=ProgramPosition(block, 0))
+        return s.replace_components(pos=prog.position(block, 0))
 
     if cond in (0, 1):
         return goto(ins.then_block if cond else ins.else_block)
@@ -448,7 +440,7 @@ def rule_brcond(s: AbstractState, ins: ir.BrCond, prog: Program,
 
 def rule_br(s: AbstractState, ins: ir.Br, prog: Program,
             engine: Entailment) -> AbstractState:
-    return s.replace_components(pos=ProgramPosition(ins.block, 0))
+    return s.replace_components(pos=prog.position(ins.block, 0))
 
 
 # --------------------------------------------------------------------------

@@ -76,11 +76,11 @@ EXPORT_DIGESTS = {
     "build_only.ll": (
         516, "a4eade2a85be0832", "161537821015e3b9", "a133df5ffba3d7b1"),
     "build_search_value.ll": (
-        1847, "7ab2e7d2ecead9b0", "d8e7f0482aa3f36a", "3f30e0fb1d750185"),
+        1847, "7ab2e7d2ecead9b0", "be4e788ca9e506b9", "405e1f8374cefb8e"),
     "build_traverse_field.ll": (
-        1330, "7fefc3f2a1511e4a", "10ae57b4daea89c5", "1af92be6d9e2fb85"),
+        1330, "7fefc3f2a1511e4a", "47cd64de9cc15cad", "bc3cd8ba76582680"),
     "build_traverse_ptr.ll": (
-        1331, "5ea7dc2bc455a484", "e993acd19aea5424", "c92c5d8e86fd94cc"),
+        1331, "5ea7dc2bc455a484", "328b904a69f8166d", "88215b6c66548ec3"),
     "count_up.ll": (
         53, "8b0c513aa40289d7", "52ee395623e57e71", "38651e994e3288ee"),
     "cyclic_traverse.ll": (

@@ -242,6 +242,62 @@ def test_check_error_program_zero_violations(capsys):
 # --- flags ----------------------------------------------------------------------
 
 
+# ``x != 0`` leaves ``x <= -1`` possible: an ``i32`` that wraps below zero,
+# and a pointer moved below the start of its allocation.
+NEGATIVE_BELOW_ZERO = {
+    "i32": """\
+define i32 @main() {
+entry:
+  n = call i32 @nondet_uint()
+  x = add i32 n, -1
+  c = icmp ne i32 x, 0
+  br i1 c, label yes, label no
+yes:
+  d = icmp slt i32 x, 0
+  br i1 d, label bad, label no
+bad:
+  v = load i32, i32* null
+  ret i32 v
+no:
+  ret i32 0
+}
+""",
+    "pointer": """\
+define i32 @main() {
+entry:
+  p = call i8* @malloc(i64 8)
+  q = getelementptr i8, i8* p, i64 -100
+  c = icmp ne i8* q, null
+  br i1 c, label yes, label no
+yes:
+  d = icmp slt i8* q, null
+  br i1 d, label bad, label no
+bad:
+  v = load i32, i32* null
+  ret i32 v
+no:
+  ret i32 0
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_BELOW_ZERO))
+def test_disequality_with_zero_keeps_negative_values(tmp_path, capsys, name):
+    """Each program reaches its null load when ``x`` is negative (seed 2
+    runs into it).  So the analysis reaches ERR, and every run it checks
+    is represented by the graph."""
+    f = tmp_path / f"{name}.ll"
+    f.write_text(NEGATIVE_BELOW_ZERO[name])
+    assert cli(capsys, "run", f, "--seed", 2)[0] == EXIT_ERR_STATE
+    code, out, _ = cli(capsys, "analyze", f)
+    assert code == EXIT_ERR_STATE
+    assert "ERR-reached" in out
+    code, out, _ = cli(capsys, "check", f, "--runs", 20)
+    assert code == EXIT_PROVED
+    assert "20 runs, 0 representation violations" in out
+
+
 def test_explicit_zero_limits_are_kept(capsys):
     """An explicit 0 is a limit that stops the work; it is not replaced by
     the default."""

@@ -3,13 +3,15 @@ parameter a function takes is read by it, every module-level definition is
 read somewhere in the package or its tests, every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
-outside the package decides a query), and a symbolic step goes to the error
-state in one place."""
+outside the package decides a query), a symbolic step goes to the error
+state in one place, and only ``ir.py`` says what the IR means."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+
+from listterm.ir import ICMP
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "listterm"
 
@@ -250,3 +252,32 @@ def test_only_step_goes_to_err():
     """Rules return None when their side conditions are not proven; only
     ``step``, once every rule has, names the error state."""
     assert err_sites(ast.parse((SRC / "symexec.py").read_text())) == ["step"]
+
+
+def ir_meaning_sites(tree: ast.Module):
+    """(line, what) for each string constant that names an ``icmp``
+    predicate and each call that builds a ``ProgramPosition``: what a
+    predicate compares and which positions exist are ``ir.py``'s to say."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in ICMP:
+            found.append((node.lineno, repr(node.value)))
+        elif _called(node) == "ProgramPosition":
+            found.append((node.lineno, "ProgramPosition(...)"))
+    return sorted(found)
+
+
+def test_only_ir_says_what_the_ir_means():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "ir.py"
+             for line, what in ir_meaning_sites(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_ir_meaning_sites_are_found():
+    source = """
+if pred in ("ult", "slt"): pos = ir.ProgramPosition(b, 0)
+ProgramPosition("entry", 1); f"{pred}"; "equal"; 0
+"""
+    assert [what for _, what in ir_meaning_sites(ast.parse(source))] == [
+        "'slt'", "'ult'", "ProgramPosition(...)", "ProgramPosition(...)"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from listterm.ir import (
     AggType,
@@ -26,10 +27,8 @@ from listterm.ir import (
     PtrType,
     Ret,
     Store,
-    field_offset,
     parse_program,
     pretty_print,
-    recursive_index,
     type_size,
 )
 
@@ -78,18 +77,16 @@ def test_layout_sizes_and_offsets():
     assert type_size(AggType("list"), lay) == 16
     assert type_size(I32, lay) == 4
     assert type_size(PtrType(AggType("list")), lay) == 8
-    assert field_offset(AggType("list"), 1, lay) == 0
-    assert field_offset(AggType("list"), 2, lay) == 8
-    with pytest.raises(IndexError):
-        field_offset(AggType("list"), 3, lay)
+    assert lay["list"].size == 16
+    assert lay["list"].offsets == (0, 8)
 
 
 def test_recursive_index_detection():
     p = parse_program(MINI)
-    assert recursive_index(p, "list") == 2
+    assert p.layout["list"].rec_index == 2
     q = parse_program("pair = type { i32, i32 }\n" + MINI.replace(
         "list = type { i32, list* }", "list = type { i32, list* }"))
-    assert recursive_index(q, "pair") is None
+    assert q.layout["pair"].rec_index is None
 
 
 def test_multi_recursive_flagged_not_rejected():
@@ -98,7 +95,7 @@ def test_multi_recursive_flagged_not_rejected():
     src = src.replace("v_ad = getelementptr list, list* curr, i32 0, i32 0\n"
                       "  store i32 n, i32* v_ad\n  ", "")
     p = parse_program(src)
-    assert recursive_index(p, "list") is None
+    assert p.layout["list"].rec_index is None
 
 
 def test_null_literal_and_negative_int():
@@ -188,13 +185,27 @@ def test_leading_example_block_shape():
     assert isinstance(body_w[1], GepByte) and body_w[1].offset == 8
 
 
-def test_aggregate_field_packing_invariant():
-    p = parse_program(MINI)
-    lay = p.layout
-    for name, fields in p.aggregates:
-        offs = lay.offsets_of(name)
-        total = lay.size_of_aggregate(name)
-        for i in range(len(fields) - 1):
-            assert offs[i] + type_size(fields[i], lay) <= offs[i + 1]
-        assert offs[0] == 0
-        assert offs[-1] + type_size(fields[-1], lay) <= total
+FIELD_SIZES = {"i1": 1, "i8": 1, "i32": 4, "i64": 8, "s*": 8, "other*": 8}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(FIELD_SIZES)), min_size=1, max_size=5))
+def test_aggregate_field_packing_invariant(fields):
+    """Each field of ``s`` sits at an offset aligned to its size, after the
+    end of the field before it; the padded size is a multiple of the
+    largest field; the chain field is the unique pointer to ``s``; and the
+    program prints back to itself."""
+    p = parse_program("other = type { i32 }\n"
+                      f"s = type {{ {', '.join(fields)} }}\n"
+                      "define i32 @main() {\nentry:\n  ret i32 0\n}\n")
+    agg = p.layout["s"]
+    sizes = [FIELD_SIZES[f] for f in fields]
+    assert [type_size(f, p.layout) for f in agg.fields] == sizes
+    end = 0
+    for off, size in zip(agg.offsets, sizes):
+        assert off % size == 0 and off >= end
+        end = off + size
+    assert agg.size % max(sizes) == 0 and agg.size >= end
+    hits = [i + 1 for i, f in enumerate(fields) if f == "s*"]
+    assert agg.rec_index == (hits[0] if len(hits) == 1 else None)
+    assert parse_program(pretty_print(p)) == p

@@ -363,6 +363,45 @@ def test_check_generalization_rejects_bogus_map(build_only_seg):
     assert not check_generalization(src, merged, bad, prog, eng)
 
 
+A, B, C = sv(1, "a"), sv(2, "b"), sv(3, "c")
+ABAR, BBAR, CBAR = sv(11, "a"), sv(12, "b"), sv(13, "c")
+
+
+def generalizes(al=(), pt=(), al_bar=(), pt_bar=()):
+    """Does the state over ``ABAR, BBAR, CBAR`` with ``al_bar``/``pt_bar``
+    generalize the one over ``A, B, C`` with ``al``/``pt``, under the map
+    that sends each barred variable to its plain twin?"""
+    s = AbstractState.make(POS, lv={"p": A, "q": B, "r": C}, al=al, pt=pt)
+    sbar = AbstractState.make(POS, lv={"p": ABAR, "q": BBAR, "r": CBAR},
+                              al=al_bar, pt=pt_bar)
+    return check_generalization(s, sbar, {ABAR: A, BBAR: B, CBAR: C},
+                                load("straight_line.ll"), Entailment())
+
+
+@pytest.mark.parametrize("lo,hi,accepted",
+                         [(A, B, True), (A, C, False), (C, B, False)],
+                         ids=["image", "other-hi", "other-lo"])
+def test_check_generalization_needs_the_allocation_image(lo, hi, accepted):
+    """The older allocation [abar, bbar] needs one at its image [a, b]; a
+    twin whose only allocation has another end is rejected."""
+    assert generalizes(al=[Allocation(lo, hi)],
+                       al_bar=[Allocation(ABAR, BBAR)]) is accepted
+
+
+@pytest.mark.parametrize("addr,ty,value,accepted",
+                         [(A, I32, B, True), (C, I32, B, False),
+                          (A, LISTP, B, False), (A, I32, C, False)],
+                         ids=["image", "other-addr", "other-type",
+                              "other-value"])
+def test_check_generalization_needs_the_points_to_image(addr, ty, value,
+                                                        accepted):
+    """The older entry abar -> bbar (an ``i32``) needs an entry a -> b of
+    the same type; a twin whose only entry differs in its address, its type
+    or its value is rejected."""
+    assert generalizes(pt=[PointsTo(addr, ty, value)],
+                       pt_bar=[PointsTo(ABAR, I32, BBAR)]) is accepted
+
+
 # --- driver -------------------------------------------------------------------
 
 def test_build_seg_outcomes():

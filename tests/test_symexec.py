@@ -24,6 +24,7 @@ from listterm.absdom import (AbstractState, Allocation, ErrState, LIField,
 from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
                           nondet_stream)
 from listterm.concrete import run_concrete
+from listterm import ir
 from listterm.ir import (I32, AggType, ProgramPosition, PtrType, Ret,
                          parse_program)
 from listterm.logic import Atom, Entailment, Formula, SymVar, Term, Verdict
@@ -333,17 +334,23 @@ ICMP = {"eq": operator.eq, "ne": operator.ne,
         "uge": operator.ge, "sge": operator.ge}
 
 
+def test_ir_compares_on_unbounded_integers():
+    """The table that the parser, the interpreter and the symbolic rules
+    read: signed and unsigned forms make the same comparison."""
+    assert ir.ICMP == ICMP
+
+
 @pytest.mark.parametrize("pred", sorted(ICMP))
 def test_icmp_atom_holds_exactly_when_the_comparison_does(pred):
-    """On non-negative values, the atom of each predicate holds exactly when
-    the comparison does and its complement is its negation; this includes
-    the unsigned forms of a comparison against 0 on either side."""
+    """The atom of each predicate holds exactly when the comparison does,
+    negative values included, and its complement is its negation; this
+    includes a comparison against 0 on either side."""
     x, y = SymVar(1, "x"), SymVar(2, "y")
     for lhs, rhs in [(Term.of(x), Term.of(y)), (Term.of(x), Term(0)),
                      (Term(0), Term.of(y))]:
         atom, comp = _icmp_atoms(pred, lhs, rhs)
-        for vx in range(4):
-            for vy in range(4):
+        for vx in range(-3, 4):
+            for vy in range(-3, 4):
                 at = {x: vx, y: vy}
                 expected = ICMP[pred](lhs.evaluate(at), rhs.evaluate(at))
                 assert atom.evaluate(at) is expected, (lhs, rhs, at)
@@ -564,6 +571,21 @@ def test_symbolic_field_index_needs_a_provable_constant():
     for t in (address(k, Atom.eq(k, 1)), address(1)):
         assert holds(eng, t, Atom.eq(dict(t.lv)["q"], Term.of(a) + 8))
     assert isinstance(address(k, Atom.ge(k, 0)), ErrState)
+
+
+@pytest.mark.parametrize("index,err", [(1, False), (2, True), (-1, True)])
+def test_constant_field_index_must_name_a_field(index, err):
+    """A constant field index past either end of a two-field struct steps
+    to the error state; its twin with index 1 addresses the second field."""
+    prog, eng = parse(FIELD.replace("i32 k", f"i32 {index}")), Entailment()
+    a = eng.fresh("a")
+    s = AbstractState.make(prog.entry_position, lv={"p": a})
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION
+    assert isinstance(r.successors[0], ErrState) is err
+    if not err:
+        t = r.successors[0]
+        assert holds(eng, t, Atom.eq(dict(t.lv)["q"], Term.of(a) + 8))
 
 
 STORE = """\
