@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .ir import AggType, IrType, ProgramPosition
+from .ir import AggType, IrType, ProgramPosition, Record
 from .logic import Atom, Entailment, Formula, SymVar, Value, rename_formula
 
 
@@ -102,8 +102,7 @@ class ListInvariant:
         return f"{self.ad} ={self.ty}/{self.length}=> [{fs}]"
 
 
-@dataclass(frozen=True)
-class ErrState:
+class ErrState(Record):
     """The distinguished error state: undefined behavior not excluded."""
 
     def __str__(self) -> str:
@@ -163,11 +162,9 @@ class AbstractState:
              pt: Iterable[PointsTo] = (),
              li: Iterable[ListInvariant] = (),
              kb: Formula = Formula()) -> "AbstractState":
-        lv_items = sorted(dict(lv).items()) if not isinstance(lv, dict) \
-            else sorted(lv.items())
         return AbstractState(
             pos=pos,
-            lv=tuple(lv_items),
+            lv=tuple(sorted(dict(lv).items())),
             al=tuple(sorted(al, key=Allocation.sort_key)),
             pt=tuple(sorted(pt, key=PointsTo.sort_key)),
             li=tuple(sorted(li, key=ListInvariant.sort_key)),

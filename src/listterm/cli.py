@@ -8,8 +8,8 @@ graph). Flags are the only settings, and each subcommand takes only the
 flags it reads.
 
 Exit codes for analyze: 0 proved, 1 bad input (an unreadable or malformed
-program, a bad or negative flag, or an unwritable artifact path), 2 error
-state reachable, 3 unknown.
+program, a bad or negative flag, or an unwritable artifact path) or a closed
+standard output, 2 error state reachable, 3 unknown.
 """
 
 from __future__ import annotations
@@ -439,7 +439,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    return args.func(args, prog)
+    try:
+        code = args.func(args, prog)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed standard output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
 from . import ir
 from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
-from .ir import ICMP, Instruction, Layout, Program, ProgramPosition, type_size
+from .ir import (ICMP, Instruction, Layout, Program, ProgramPosition, Record,
+                 type_size)
 from .logic import EQ, LE, NE, Atom, Entailment, Formula, OffsetClosure, SymVar
 
 
@@ -334,8 +335,7 @@ CAtom = Tuple[str, int, Terms]
 CClause = Tuple[CAtom, ...]
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(Record):
     """Plan step: place one list summary on the heap (:func:`_extents`)."""
 
     root: Ref
@@ -347,8 +347,7 @@ class _Walk:
     anchors: Tuple[Tuple[Ref, int], ...]  # the last node's pt: address, offset
 
 
-@dataclass(frozen=True)
-class _Solve:
+class _Solve(Record):
     """Plan step: bind class ``cls`` to the least value the rows
     ``k * cls + const + terms <= 0`` over bound classes allow, else the
     greatest, else ``default``: an equality's two rows leave one value."""
@@ -358,8 +357,7 @@ class _Solve:
     default: int = 0
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """An abstract state compiled for :func:`represents`."""
 
     lv: Tuple[Tuple[str, Ref], ...]

@@ -23,6 +23,47 @@ from functools import cached_property
 from typing import Collection, Dict, List, Optional, Tuple, Union
 
 
+class Record:
+    """An immutable record for classes built only a few times per run.  Its
+    fields are its class's annotated names, in order, with class attributes
+    as defaults.  It equals only its own class's records, and hashes and
+    prints as a frozen dataclass, but defining one generates no code."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(values) < len(args) + len(kwargs) or values.keys() - fields \
+                or not all(n in values or hasattr(self, n) for n in fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for n in fields:  # in one order, so that instances share their keys
+            object.__setattr__(self, n, values.get(n, getattr(self, n, None)))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(self._fields, self._values())) + ")"
+
+    def __setattr__(self, name: str, _value: object = None) -> None:
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class ParseError(Exception):
     """Syntax or resolution error, carrying line and column information."""
 
@@ -71,8 +112,7 @@ _INT_SIZES = {1: 1, 8: 1, 32: 4, 64: 8}
 PTR_SIZE = 8  # a fixed 64-bit little-endian layout with natural alignment
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(Record):
     """A struct's layout: its field types, each field's byte offset, its
     padded size, and the 1-based index of its pointer-to-self field when
     there is exactly one (None when there are none or several)."""
@@ -126,22 +166,19 @@ ICMP = {"eq": operator.eq, "ne": operator.ne,
 Operand = Union[str, int]  # program variable name or integer literal
 
 
-@dataclass(frozen=True)
-class Load:
+class Load(Record):
     dst: str
     ty: IrType
     addr: Operand
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(Record):
     ty: IrType
     value: Operand
     addr: Operand
 
 
-@dataclass(frozen=True)
-class GepByte:
+class GepByte(Record):
     """``dst = getelementptr i8, i8* base, iN offset``: raw byte arithmetic."""
 
     dst: str
@@ -149,8 +186,7 @@ class GepByte:
     offset: Operand
 
 
-@dataclass(frozen=True)
-class GepField:
+class GepField(Record):
     """``dst = getelementptr ty, ty* base, iN 0, iN index``: field address."""
 
     dst: str
@@ -159,8 +195,7 @@ class GepField:
     index: Operand  # 0-based field index operand
 
 
-@dataclass(frozen=True)
-class Icmp:
+class Icmp(Record):
     dst: str
     pred: str  # a key of ICMP
     ty: IrType
@@ -168,53 +203,45 @@ class Icmp:
     rhs: Operand
 
 
-@dataclass(frozen=True)
-class BrCond:
+class BrCond(Record):
     cond: Operand
     then_block: str
     else_block: str
 
 
-@dataclass(frozen=True)
-class Br:
+class Br(Record):
     block: str
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     dst: str
     ty: IrType
     lhs: Operand
     rhs: Operand
 
 
-@dataclass(frozen=True)
-class Bitcast:
+class Bitcast(Record):
     dst: str
     from_ty: IrType
     src: Operand
     to_ty: IrType
 
 
-@dataclass(frozen=True)
-class Malloc:
+class Malloc(Record):
     dst: str
     size: Operand  # bytes
 
 
-@dataclass(frozen=True)
-class NondetInt:
+class NondetInt(Record):
     dst: str
     width: int
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(Record):
     ptr: Operand
 
 
-@dataclass(frozen=True)
-class Ret:
+class Ret(Record):
     value: Optional[Operand] = None
 
 
@@ -231,7 +258,7 @@ def branch_targets(ins: Instruction) -> Tuple[str, ...]:
     return (ins.block,) if isinstance(ins, Br) else ()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ProgramPosition:
     block: str
     index: int
@@ -240,8 +267,7 @@ class ProgramPosition:
         return f"{self.block}:{self.index}"
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     entry: str
     blocks: Tuple[Tuple[str, Tuple[Instruction, ...]], ...]
     layout: Layout  # sorted by name
@@ -543,44 +569,36 @@ def parse_program(text: str) -> Program:
 # Pretty printer
 # --------------------------------------------------------------------------
 
-def _fmt_operand(o: Operand) -> str:
-    return str(o)
-
-
 def format_instruction(ins: Instruction) -> str:
     if isinstance(ins, Load):
-        return f"{ins.dst} = load {ins.ty}, {ins.ty}* {_fmt_operand(ins.addr)}"
+        return f"{ins.dst} = load {ins.ty}, {ins.ty}* {ins.addr}"
     if isinstance(ins, Store):
-        return (f"store {ins.ty} {_fmt_operand(ins.value)}, "
-                f"{ins.ty}* {_fmt_operand(ins.addr)}")
+        return f"store {ins.ty} {ins.value}, {ins.ty}* {ins.addr}"
     if isinstance(ins, GepByte):
-        return (f"{ins.dst} = getelementptr i8, i8* {_fmt_operand(ins.base)}, "
-                f"i64 {_fmt_operand(ins.offset)}")
+        return (f"{ins.dst} = getelementptr i8, i8* {ins.base}, "
+                f"i64 {ins.offset}")
     if isinstance(ins, GepField):
         return (f"{ins.dst} = getelementptr {ins.agg}, {ins.agg}* "
-                f"{_fmt_operand(ins.base)}, i32 0, i32 {_fmt_operand(ins.index)}")
+                f"{ins.base}, i32 0, i32 {ins.index}")
     if isinstance(ins, Icmp):
-        return (f"{ins.dst} = icmp {ins.pred} {ins.ty} "
-                f"{_fmt_operand(ins.lhs)}, {_fmt_operand(ins.rhs)}")
+        return f"{ins.dst} = icmp {ins.pred} {ins.ty} {ins.lhs}, {ins.rhs}"
     if isinstance(ins, BrCond):
-        return (f"br i1 {_fmt_operand(ins.cond)}, label {ins.then_block}, "
+        return (f"br i1 {ins.cond}, label {ins.then_block}, "
                 f"label {ins.else_block}")
     if isinstance(ins, Br):
         return f"br label {ins.block}"
     if isinstance(ins, Add):
-        return (f"{ins.dst} = add {ins.ty} {_fmt_operand(ins.lhs)}, "
-                f"{_fmt_operand(ins.rhs)}")
+        return f"{ins.dst} = add {ins.ty} {ins.lhs}, {ins.rhs}"
     if isinstance(ins, Bitcast):
-        return (f"{ins.dst} = bitcast {ins.from_ty} {_fmt_operand(ins.src)} "
-                f"to {ins.to_ty}")
+        return f"{ins.dst} = bitcast {ins.from_ty} {ins.src} to {ins.to_ty}"
     if isinstance(ins, Malloc):
-        return f"{ins.dst} = call i8* @malloc(i64 {_fmt_operand(ins.size)})"
+        return f"{ins.dst} = call i8* @malloc(i64 {ins.size})"
     if isinstance(ins, NondetInt):
         return f"{ins.dst} = call i32 @nondet_uint()"
     if isinstance(ins, Free):
-        return f"call void @free(i8* {_fmt_operand(ins.ptr)})"
+        return f"call void @free(i8* {ins.ptr})"
     if isinstance(ins, Ret):
-        return "ret void" if ins.value is None else f"ret i32 {_fmt_operand(ins.value)}"
+        return "ret void" if ins.value is None else f"ret i32 {ins.value}"
     raise TypeError(f"unknown instruction {ins!r}")
 
 

@@ -16,19 +16,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .absdom import AbstractState, Value, state_formula
+from .ir import Record
 from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, OffsetClosure,
                     SymVar, Term)
 from .seg import COMPLETE, GENERALIZATION, Seg
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Record):
     node: int
     vars: Tuple[SymVar, ...]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     src: int
     dst: int
     guard: Formula
@@ -47,16 +46,14 @@ class ITS:
     transitions: List[Transition] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Record):
     scc: Tuple[int, ...]
     rank: Term
     decrease: Tuple[Atom, ...]  # proved per closing transition
     bound: Tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class TerminationResult:
+class TerminationResult(Record):
     terminating: bool
     certificates: Tuple[RankCertificate, ...]
     reason: str = ""
@@ -84,14 +81,12 @@ def _sccs(nodes: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
     on_stack: Set[int] = set()
     stack: List[int] = []
     out: List[List[int]] = []
-    counter = [0]
 
     for root in nodes:
         if root in index:
             continue
         work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -99,8 +94,7 @@ def _sccs(nodes: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(succ.get(w, ()))))
@@ -132,12 +126,8 @@ def _cycle_nodes(seg: Seg) -> Set[int]:
         succ.setdefault(e.src, []).append(e.dst)
     for v in succ:
         succ[v].sort()
-    nodes = sorted(range(len(seg.states)))
-    cyc: Set[int] = set()
-    for comp in _sccs(nodes, succ):
-        if len(comp) > 1:
-            cyc.update(comp)
-    return cyc
+    return {n for comp in _sccs(range(len(seg.states)), succ)
+            if len(comp) > 1 for n in comp}
 
 
 def extract_its(seg: Seg, engine: Entailment) -> ITS:

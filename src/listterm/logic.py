@@ -75,7 +75,7 @@ class SymVar:
 Value = Union[SymVar, int]
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """Linear combination ``const + sum(coeff * var)``; no zero coefficients."""
 
@@ -164,7 +164,7 @@ class Term:
 EQ, NE, LE = "=", "!=", "<="
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Normalized relation ``term REL 0`` with REL in {=, !=, <=}."""
 
@@ -295,7 +295,7 @@ class Atom:
 Clause = Tuple[Atom, ...]
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 

@@ -32,7 +32,7 @@ from .absdom import (
     state_formula,
     value_key,
 )
-from .ir import AggType, Program, type_size
+from .ir import AggType, Program, Record, type_size
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
                     rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
@@ -76,8 +76,7 @@ class Seg:
 # Concrete list detection
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ListMatch:
+class ListMatch(Record):
     ty: AggType
     length: int
     starts: Tuple[SymVar, ...]          # allocation start per element

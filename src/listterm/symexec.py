@@ -15,7 +15,7 @@ whatever the shape of the summaries, is one rule (:func:`_traverse`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
 from . import ir
@@ -29,25 +29,16 @@ from .absdom import (
     Value,
     state_formula,
 )
-from .ir import Program, type_size
+from .ir import Program, Record, type_size
 from .logic import Atom, Entailment, Formula, SymVar, Term
 
 EVALUATION = "evaluation"
 REFINEMENT = "refinement"
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(Record):
     edge_kind: str
     successors: Tuple[StateOrErr, ...]
-
-    @staticmethod
-    def eval_to(s: StateOrErr) -> "StepResult":
-        return StepResult(EVALUATION, (s,))
-
-    @staticmethod
-    def refine(a: AbstractState, b: AbstractState) -> "StepResult":
-        return StepResult(REFINEMENT, (a, b))
 
 
 # What a rule gives: a successor, a refinement, or None when it does not apply.
@@ -69,8 +60,9 @@ def _define(s: AbstractState, ins, prog: Program, engine: Entailment,
 
 def _split(s: AbstractState, atom: Atom, complement: Atom) -> StepResult:
     """Refine ``s`` into the case ``atom`` and the case ``complement``."""
-    return StepResult.refine(s.replace_components(kb=_kb_add(s, atom)),
-                             s.replace_components(kb=_kb_add(s, complement)))
+    return StepResult(REFINEMENT, (
+        s.replace_components(kb=_kb_add(s, atom)),
+        s.replace_components(kb=_kb_add(s, complement))))
 
 
 def _covered(s: AbstractState, f: Formula, engine: Entailment, ad: Term,
@@ -540,5 +532,5 @@ def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
     for rule in rules:
         if (out := rule(s, ins, prog, engine)) is not None:
             return out if isinstance(out, StepResult) else \
-                StepResult.eval_to(out)
-    return StepResult.eval_to(ERR)
+                StepResult(EVALUATION, (out,))
+    return StepResult(EVALUATION, (ERR,))

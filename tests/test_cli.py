@@ -5,7 +5,10 @@ text."""
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,26 @@ def test_run_names_the_repeat_of_a_diverging_run(capsys, name, fuel, repeat):
     assert code == EXIT_UNKNOWN
     assert out == ""
     assert err == f"diverges: {repeat}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "build_traverse_field.ll", "--json"],
+    ["run", "build_only.ll", "--seed", "3", "--trace"],
+], ids=["analyze-json", "run-trace"])
+def test_closed_stdout_exits_without_traceback(args):
+    """The reader has closed the pipe before the first line is written."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "listterm.cli", args[0],
+             str(CORPUS / args[1]), *args[2:]],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
+    assert done.returncode == EXIT_PARSE_ERROR
 
 
 def test_nondet_stream_reproducible():

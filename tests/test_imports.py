@@ -4,7 +4,8 @@ read somewhere in the package or its tests, every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
-state in one place, and only ``ir.py`` says what the IR means."""
+state in one place, only ``ir.py`` says what the IR means, and only the
+classes below are dataclasses."""
 
 from __future__ import annotations
 
@@ -281,3 +282,60 @@ ProgramPosition("entry", 1); f"{pred}"; "equal"; 0
 """
     assert [what for _, what in ir_meaning_sites(ast.parse(source))] == [
         "'slt'", "'ult'", "ProgramPosition(...)", "ProgramPosition(...)"]
+
+
+# The package's dataclasses, each with why it is one.  ``@dataclass``
+# generates and compiles its methods at import, so a record that a run
+# builds only a few times derives from ``ir.Record`` instead.
+DATACLASSES = {
+    "ir.IntType": "compared and hashed in every type check of a step",
+    "ir.PtrType": "compared and hashed in every type check of a step",
+    "ir.AggType": "compared and hashed in every type check of a step",
+    "ir.ProgramPosition": "compared at every step of a checked concrete run",
+    "logic.SymVar": "hashed in every formula; order=True sorts variables",
+    "logic.Term": "tens of thousands built and hashed per analysis",
+    "logic.Atom": "tens of thousands built and hashed per analysis",
+    "logic.Formula": "thousands built and hashed per analysis",
+    "absdom.Allocation": "hashed with every state and memory",
+    "absdom.PointsTo": "hashed with every state and memory",
+    "absdom.LIField": "hashed with every state; dataclasses.replace edits it",
+    "absdom.ListInvariant": "hashed with every state; replace edits it",
+    "absdom.Memory": "the state-formula cache key, hashed per lookup",
+    "absdom.AbstractState": "the plan cache key, hashed per represents call",
+    "concrete.ConcreteState": "built and compared at every concrete step",
+    "concrete.Trace": "a mutable container",
+    "its.ITS": "a mutable container",
+    "seg.Seg": "a mutable container",
+    "seg.Edge": "tests pass it to dataclasses.replace",
+}
+
+
+def dataclass_names(tree: ast.Module):
+    """The classes of a module that a ``dataclass`` decorator makes."""
+    def name(node: ast.AST) -> str:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node, "id", "")
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and any(name(d) == "dataclass" for d in node.decorator_list))
+
+
+def test_only_hot_classes_are_dataclasses():
+    found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+             for name in dataclass_names(ast.parse(path.read_text()))}
+    assert found == set(DATACLASSES)
+
+
+def test_dataclass_classes_are_found():
+    source = """
+@dataclass
+class A: pass
+@dataclass(frozen=True, slots=True)
+class B: pass
+@dataclasses.dataclass(order=True)
+class C: pass
+@other
+class D(Record): pass
+"""
+    assert dataclass_names(ast.parse(source)) == ["A", "B", "C"]

@@ -112,6 +112,30 @@ e:
     assert ins.rhs == 0
 
 
+def test_records_behave_as_frozen_dataclasses():
+    """Instructions are ``Record``s: equal only within one class, hashed as
+    their field tuple, printed as the dataclasses they replace, immutable,
+    and built from positional, keyword or default fields."""
+    assert Br("x") != Free("x") and not Br("x") == Free("x")
+    assert Br("x") == Br("x") and Br("x") != Br("y") and Br("x") != ("x",)
+    ins = Icmp("c", "ult", I32, "n", 0)
+    assert hash(ins) == hash(("c", "ult", I32, "n", 0))
+    assert repr(ins) == ("Icmp(dst='c', pred='ult', ty=IntType(width=32), "
+                         "lhs='n', rhs=0)")
+    with pytest.raises(AttributeError):
+        ins.pred = "slt"
+    with pytest.raises(AttributeError):
+        del ins.pred
+    assert ins.pred == "ult"
+    assert Icmp("c", "ult", I32, rhs=0, lhs="n") == ins
+    assert Ret().value is None and Ret() == Ret(None) == Ret(value=None)
+    assert Ret(value=3).value == 3
+    for args, kwargs in [((), {}), (("a", "b"), {}), (("a",), {"block": "b"}),
+                         ((), {"label": "a"})]:
+        with pytest.raises(TypeError):
+            Br(*args, **kwargs)
+
+
 def test_positions_and_successor():
     p = parse_program(MINI)
     pos = p.entry_position
