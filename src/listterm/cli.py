@@ -35,7 +35,6 @@ from .seg import (
     GENERALIZATION,
     MAX_MERGES,
     MAX_NODES,
-    Edge,
     Seg,
     build_seg,
     to_dot,
@@ -211,7 +210,20 @@ def classify_eval_edge(seg: Seg, prog: Program, src: int, dst: int) -> str:
     return OTHER
 
 
-def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
+def edge_index(seg: Seg, prog: Program) -> tuple:
+    """Per node, its silent out-edges and its (target, class) steps."""
+    silent, steps = {}, {}
+    for e in seg.edges:
+        if e.kind == EVALUATION:
+            steps.setdefault(e.src, []).append(
+                (e.dst, classify_eval_edge(seg, prog, e.src, e.dst)))
+        else:
+            silent.setdefault(e.src, []).append(e)
+    return silent, steps
+
+
+def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment,
+                *, index: Optional[tuple] = None
                 ) -> Tuple[Counter, List[Tuple[int, str, int, int]]]:
     """Follow a concrete run through the graph and check every followed edge.
 
@@ -232,18 +244,14 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
     same candidates; from there it would only repeat the checks it has done,
     so every step of the infinite run is checked.
 
+    ``index`` is :func:`edge_index`; one heap memo serves the run's states.
+
     Returns (checks per edge class, violations). A violation is (step of
     the run whose state the edge's target does not represent, edge class,
     src, dst), or (step, OTHER, -1, -1) when no candidate is left.
     """
-    silent: Dict[int, List[Edge]] = {}
-    steps: Dict[int, List[Tuple[int, str]]] = {}
-    for e in seg.edges:
-        if e.kind == EVALUATION:
-            steps.setdefault(e.src, []).append(
-                (e.dst, classify_eval_edge(seg, prog, e.src, e.dst)))
-        else:
-            silent.setdefault(e.src, []).append(e)
+    silent, steps = index or edge_index(seg, prog)
+    heaps: dict = {}
     counts: Counter = Counter()
     violations: List[Tuple[int, str, int, int]] = []
     loop = trace.loop
@@ -258,7 +266,8 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment
             c = trace.states[i if loop is None or i < loop
                              else loop + (i - loop) % lap]
             memo[n, i] = isinstance(st, ErrState) or (
-                st.pos == c.pos and represents(c, st, prog.layout, engine))
+                st.pos == c.pos and represents(c, st, prog.layout, engine,
+                                                heaps=heaps))
         return memo[n, i]
 
     def frontier(node: int) -> bool:
@@ -327,15 +336,15 @@ def differential_check(prog: Program, seg: Seg, seeds: Sequence[int],
     (:func:`match_trace`).  A run that neither halts nor repeats a state
     within ``fuel`` steps is counted as fuel-exhausted and checked on
     those steps."""
-    violations = []
-    exhausted = 0
+    violations, exhausted = [], 0
+    index = edge_index(seg, prog)  # one per graph, shared by every run
     for seed in seeds:
         try:
             trace = run_concrete(prog, nondet_stream(seed), fuel=fuel)
         except FuelExhausted as e:
             trace = e.trace
             exhausted += 1
-        bad = match_trace(trace, seg, prog, engine)[1]
+        bad = match_trace(trace, seg, prog, engine, index=index)[1]
         if bad:
             violations.append((seed, bad[0][0]))
     return len(seeds), violations, exhausted

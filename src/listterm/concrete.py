@@ -13,15 +13,16 @@ equality classes of its state formula and a plan that binds them: program
 variables first, then solved equalities, points-to reads and list summaries
 walked along their recursive field, each placement the heap allows tried in
 turn.  Extents are read off the heap, not guessed (Brotherston, Gorogiannis,
-Kanovich & Rowe, POPL 2016), and list lengths have no bound.
+Kanovich & Rowe, POPL 2016), and list lengths have no bound.  So one run's
+checks share a memo of each heap, keyed by the identity of its memory dict
+and allocation list, that lives as long as the walk of that run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from . import ir
 from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
@@ -300,7 +301,7 @@ def format_trace(t: Trace) -> str:
 # --------------------------------------------------------------------------
 
 def walk_chain(mem: Mapping[int, int], bs: int, rec: int, ad: int,
-               fields: List[Tuple[int, int]],
+               fields: Sequence[Tuple[int, int]],
                allocations: Container[Tuple[int, int]]
                ) -> Iterator[Tuple[int, List[int]]]:
     """The nodes of the chain from ``ad`` with their field values, following
@@ -531,7 +532,20 @@ def _satisfied(clauses: Iterable[CClause], val: List[Optional[int]]) -> bool:
     return True
 
 
-def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
+class _Heap:
+    """What the representation check reads off one heap: its allocations,
+    and each chain :func:`walk_chain` yields per (bs, rec, fields, root)."""
+
+    def __init__(self, c: ConcreteState):
+        self.mem, self.blocks = c.mem, c.allocations  # their ids are its key
+        self.allocations = set(c.allocations)
+        self.roots: Dict[int, List[int]] = {}
+        for lo, hi in c.allocations:
+            self.roots.setdefault(hi - lo + 1, []).append(lo)
+        self.chains: Dict[tuple, List[Tuple[int, List[int]]]] = {}
+
+
+def _extents(w: _Walk, val: List[Optional[int]], heap: _Heap
              ) -> Iterator[List[Optional[int]]]:
     """The bindings for every placement of the summary the heap allows.
 
@@ -540,18 +554,19 @@ def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
     the chain :func:`walk_chain` accepts and may end at any of its nodes
     that agrees with the bound length and last values.  The end node gives
     the length, the last values and the addresses of the ``anchors``."""
-    roots = [lo for lo, hi in c.allocations if hi - lo + 1 == w.node_size] \
-        if w.find else [_value(val, w.root)]
-    allocations, fields = set(c.allocations), [f[:2] for f in w.fields]
+    roots = heap.roots.get(w.node_size, []) if w.find else \
+        [_value(val, w.root)]
+    fields = tuple(f[:2] for f in w.fields)
     for root in roots:
         v = list(val)
-        chain = walk_chain(c.mem, w.node_size, w.rec, root, fields,
-                           allocations)
-        head = next(chain, None)
-        if head is None or not _bind(v, w.root, root) or not all(
-                _bind(v, f[2], x) for f, x in zip(w.fields, head[1])):
+        key = w.node_size, w.rec, fields, root
+        if (chain := heap.chains.get(key)) is None:
+            chain = heap.chains[key] = list(walk_chain(
+                heap.mem, w.node_size, w.rec, root, fields, heap.allocations))
+        if not chain or not _bind(v, w.root, root) or not all(
+                _bind(v, f[2], x) for f, x in zip(w.fields, chain[0][1])):
             continue
-        for k, (end, values) in enumerate(itertools.chain([head], chain)):
+        for k, (end, values) in enumerate(chain):
             v2 = list(v)
             if _bind(v2, w.length, k + 1) and all(
                     _bind(v2, f[3], x) for f, x in zip(w.fields, values)) \
@@ -561,32 +576,32 @@ def _extents(w: _Walk, val: List[Optional[int]], c: ConcreteState
 
 
 def _search(plan: _Plan, i: int, val: List[Optional[int]],
-            c: ConcreteState) -> bool:
+            heap: _Heap) -> bool:
     """Run the plan from step ``i``, trying each placement a walk allows."""
     for i in range(i, len(plan.steps)):
-        if not _satisfied(plan.checks[i], val):
+        if plan.checks[i] and not _satisfied(plan.checks[i], val):
             return False
         step = plan.steps[i]
         if isinstance(step, _Walk):
-            return any(_search(plan, i + 1, v, c)
-                       for v in _extents(step, val, c))
+            return any(_search(plan, i + 1, v, heap)
+                       for v in _extents(step, val, heap))
         if isinstance(step, _Solve):
             _solve(val, step)
         else:
-            addr, size, value = step
-            if not _bind(val, value, read_le(c.mem, _value(val, addr), size)):
+            addr, size, out = step
+            if not _bind(val, out, read_le(heap.mem, _value(val, addr), size)):
                 return False
     # Walks placed every summary on a chain the list predicate accepts.
-    allocations = set(c.allocations)
     return _satisfied(plan.checks[-1], val) and all(
-        (_value(val, lo), _value(val, hi)) in allocations
+        (_value(val, lo), _value(val, hi)) in heap.allocations
         for lo, hi in plan.al) and all(
-        read_le(c.mem, _value(val, addr), size) == _value(val, value)
+        read_le(heap.mem, _value(val, addr), size) == _value(val, value)
         for addr, size, value in plan.pt)
 
 
 def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
-               engine: Entailment) -> bool:
+               engine: Entailment, *,
+               heaps: Optional[Dict[Tuple[int, int], _Heap]] = None) -> bool:
     """Is the concrete state an instance of the abstract state?
 
     The state is compiled once per engine (:func:`_compile`).  Program
@@ -598,6 +613,9 @@ def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
     Classes that nothing binds take witnesses, which equalities extend;
     then the allocation images and the points-to entries no step read are
     checked.
+
+    ``heaps`` memoizes what walks read off each heap, keyed by the ids of
+    its memory dict and allocation list, for one run; no answer changes.
 
     No bound remains, on list lengths or on the number of placements tried:
     both are finite, read off the heap.  True is always an instance; only a
@@ -617,4 +635,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
     for x, r in plan.lv:
         if not _bind(val, r, c.asgn.get(x)):
             return False
-    return _search(plan, 0, val, c)
+    heaps = {} if heaps is None else heaps
+    key = id(c.mem), id(c.allocations)
+    heap = heaps.get(key) or heaps.setdefault(key, _Heap(c))
+    return _search(plan, 0, val, heap)

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from listterm.absdom import (
     ListInvariant,
     PointsTo,
 )
-from listterm.cli import OTHER, TRAV, match_trace
+from listterm.cli import EXT, GEN, OTHER, TRAV, match_trace
 from listterm.concrete import (
     ConcreteState,
     FuelExhausted,
@@ -396,6 +397,46 @@ def test_represents_a_long_list():
     assert is_instance(c, list_state())
 
 
+def test_a_heap_memo_keeps_every_answer():
+    """Two states of one run share their allocation list, and a store
+    relinks the first node's recursive field as ``_step`` does: a copied
+    memory dict.  Under one memo each answer is the memo-free one, so the
+    second state's one-node chain is not read from the first's entry."""
+    c = concrete_two_node_list()
+    mem = dict(c.mem)
+    mem.update(zip(range(1416, 1424), encode_le(0, 8)))
+    relinked = ConcreteState(c.pos, c.asgn, c.allocations, mem)
+    s = list_state(extra_kb=[Atom.eq(sv(4, "x_len"), 2)])
+    layout, engine, heaps = load("straight_line.ll").layout, Entailment(), {}
+    got = [represents(x, s, layout, engine, heaps=heaps)
+           for x in (c, relinked, c)]
+    assert got == [True, False, True]
+    assert got == [represents(x, s, layout, engine)
+                   for x in (c, relinked, c)]
+    assert len(heaps) == 2
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 6])
+def test_a_heap_memo_keeps_the_answer_for_an_unbound_root(length):
+    """A summary that nothing roots is tried at every node-sized
+    allocation; only node 5 - length starts a chain of that length."""
+    r, a, v1, n1, x1 = (sv(i, h) for i, h in enumerate(
+        ("r", "a", "v1", "n1", "x1"), start=1))
+    s = AbstractState.make(
+        ProgramPosition("b", 0), lv={},
+        li=[ListInvariant(r, a, LIST, (LIField(0, I32, v1, x1),
+                                       LIField(8, LISTP, n1, 0)), 2)],
+        kb=Formula.conj([Atom.eq(a, length)]))
+    _, mem, allocations = long_chain(5)
+    c = ConcreteState(ProgramPosition("b", 0), allocations=allocations
+                      + [(200, 207)], mem=mem)
+    layout, engine, heaps = load("straight_line.ll").layout, Entailment(), {}
+    with_memo = [represents(c, s, layout, engine, heaps=heaps)
+                 for _ in range(2)]
+    assert with_memo == [represents(c, s, layout, engine)] * 2 == \
+        [length <= 5] * 2
+
+
 def overlapping_summaries(extra_kb=()):
     """Three summaries over one chain, in the shape the search loop of
     build_search_value reaches: the second starts at the first's last node
@@ -543,8 +584,8 @@ def checked_lengths(monkeypatch, name, fuel):
     from listterm import cli
     prog, engine, checked = load(name), Entailment(), []
     match = cli.match_trace
-    monkeypatch.setattr(cli, "match_trace", lambda trace, *rest: (
-        checked.append(len(trace.instructions)), match(trace, *rest))[1])
+    monkeypatch.setattr(cli, "match_trace", lambda trace, *rest, **kw: (
+        checked.append(len(trace.instructions)), match(trace, *rest, **kw))[1])
     result = cli.differential_check(prog, build_seg(prog, engine), [0], fuel,
                                     engine)
     return result, checked
@@ -558,6 +599,43 @@ def test_differential_check_checks_a_diverging_run_to_its_lasso(
     expected = ((1, [], 1), [10]) if fuel < 22 else ((1, [], 0), [22])
     assert checked_lengths(monkeypatch, "cyclic_traverse.ll", fuel) == \
         expected
+
+
+# Per program, seeds 0..11 replayed at the default fuel: the checks per
+# edge class that match_trace counts, then represents calls and True answers.
+REPLAY = {
+    "build_search_value.ll": ({EXT: 16, GEN: 35, OTHER: 1033, TRAV: 16},
+                              1325, 1227),
+    "build_traverse_ptr.ll": ({EXT: 16, GEN: 43, OTHER: 1072, TRAV: 22},
+                              1350, 1266),
+    "cyclic_traverse.ll": ({GEN: 12, OTHER: 300}, 324, 324),
+}
+
+
+@pytest.mark.parametrize("name", REPLAY)
+def test_replay_asks_the_same_checks_with_the_same_answers(monkeypatch,
+                                                           name):
+    """The replay's checks and answers are pinned, so a memo that skipped a
+    check, or changed an answer, would show here."""
+    from listterm import cli
+    prog, engine = load(name), Entailment()
+    seg, counts, answers = build_seg(prog, engine), Counter(), []
+    match, rep = cli.match_trace, cli.represents
+
+    def counted_match(*args, **kw):
+        result = match(*args, **kw)
+        counts.update(result[0])
+        return result
+
+    def counted_rep(*args, **kw):
+        answers.append(rep(*args, **kw))
+        return answers[-1]
+
+    monkeypatch.setattr(cli, "match_trace", counted_match)
+    monkeypatch.setattr(cli, "represents", counted_rep)
+    assert cli.differential_check(prog, seg, range(12), 10_000, engine) \
+        == (12, [], 0)
+    assert (counts, len(answers), sum(answers)) == REPLAY[name]
 
 
 def test_differential_check_counts_a_halt_past_the_fuel_as_exhausted(

@@ -18,11 +18,13 @@ from listterm.absdom import (
 from listterm.ir import AggType, I32, ProgramPosition, PtrType, parse_program
 from listterm.logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
                             Term)
+from listterm.symexec import StepResult
 from listterm.seg import (
     COMPLETE,
     CONTAINS_ERR,
     GENERALIZATION,
     INCOMPLETE,
+    REFINEMENT,
     build_seg,
     can_merge,
     check_generalization,
@@ -286,6 +288,57 @@ def test_check_generalization_rejects_entry_inside_materialized_chain(
     assert not check_generalization(s_pad, sbar_pad, mu_pad, prog, eng)
 
 
+def summary_generalizes(prog, engine, s, **changes):
+    """Does a one-summary state over the chain from ``p`` generalize ``s``
+    (:func:`two_node_state`, or a twin of it), under the map that sends the
+    summary to that chain, with ``changes`` to its images?"""
+    n1, n2 = dict(s.lv)["p"], sv(3, "n2")
+    r, length = sv(21, "r"), sv(22, "len")
+    f1, l1, f2, l2 = sv(23, "f1"), sv(24, "l1"), sv(25, "f2"), sv(26, "l2")
+    sbar = AbstractState.make(
+        POS, lv={"p": r},
+        li=[ListInvariant(ad=r, length=length, ty=LIST,
+                          fields=(LIField(0, I32, f1, l1),
+                                  LIField(8, LISTP, f2, l2)),
+                          rec_index=2)],
+        kb=Formula.conj([Atom.ge(length, 1)]))
+    images = {"r": n1, "len": 2, "f1": sv(9, "v1"), "l1": sv(10, "v2"),
+              "f2": n2, "l2": 0, **changes}
+    mu = {v: images[v.hint] for v in (r, length, f1, l1, f2, l2)}
+    return check_generalization(s, sbar, mu, prog, engine)
+
+
+def test_check_generalization_needs_a_chain_to_materialize(build_only_seg):
+    """The summary stands for the chain from p; a twin whose first node
+    lacks its value entry holds no such chain."""
+    prog, eng, _ = build_only_seg
+    s, (n1, _, v1, _) = two_node_state(prog)
+    assert summary_generalizes(prog, eng, s)
+    broken = s.replace_components(pt=[p for p in s.pt if p.value != v1])
+    assert not summary_generalizes(prog, eng, broken)
+
+
+@pytest.mark.parametrize("length,accepted", [(2, True), (1, False),
+                                             (3, False)])
+def test_check_generalization_needs_the_chain_length(build_only_seg, length,
+                                                     accepted):
+    prog, eng, _ = build_only_seg
+    s, _ = two_node_state(prog)
+    assert summary_generalizes(prog, eng, s, len=length) is accepted
+
+
+@pytest.mark.parametrize("changes", [
+    {"f1": sv(10, "v2")}, {"l1": sv(9, "v1")}, {"f2": 0}, {"l2": sv(3, "n2")},
+], ids=["first-value", "last-value", "first-next", "last-next"])
+def test_check_generalization_needs_the_chain_ends(build_only_seg, changes):
+    """The chain's first values are (v1, n2) and its last (v2, null); a map
+    that sends one of them elsewhere is rejected."""
+    prog, eng, _ = build_only_seg
+    s, _ = two_node_state(prog)
+    assert summary_generalizes(prog, eng, s)
+    assert not summary_generalizes(prog, eng, s, **changes)
+
+
 def test_can_merge_requires_equal_domains(build_only_seg):
     prog, eng, _ = build_only_seg
     s, _ = two_node_state(prog)
@@ -367,15 +420,46 @@ A, B, C = sv(1, "a"), sv(2, "b"), sv(3, "c")
 ABAR, BBAR, CBAR = sv(11, "a"), sv(12, "b"), sv(13, "c")
 
 
-def generalizes(al=(), pt=(), al_bar=(), pt_bar=()):
+def generalizes(al=(), pt=(), al_bar=(), pt_bar=(), pos_bar=POS,
+                names_bar="pqr", mu=()):
     """Does the state over ``ABAR, BBAR, CBAR`` with ``al_bar``/``pt_bar``
     generalize the one over ``A, B, C`` with ``al``/``pt``, under the map
-    that sends each barred variable to its plain twin?"""
+    that sends each barred variable to its plain twin, and ``mu`` more?"""
     s = AbstractState.make(POS, lv={"p": A, "q": B, "r": C}, al=al, pt=pt)
-    sbar = AbstractState.make(POS, lv={"p": ABAR, "q": BBAR, "r": CBAR},
+    sbar = AbstractState.make(pos_bar, lv=dict(zip(names_bar,
+                                                   (ABAR, BBAR, CBAR))),
                               al=al_bar, pt=pt_bar)
-    return check_generalization(s, sbar, {ABAR: A, BBAR: B, CBAR: C},
+    return check_generalization(s, sbar, {ABAR: A, BBAR: B, CBAR: C,
+                                          **dict(mu)},
                                 load("straight_line.ll"), Entailment())
+
+
+@pytest.mark.parametrize("pos,accepted",
+                         [(POS, True), (ProgramPosition("cmpF", 1), False)],
+                         ids=["same", "other"])
+def test_check_generalization_needs_the_same_position(pos, accepted):
+    assert generalizes(pos_bar=pos) is accepted
+
+
+@pytest.mark.parametrize("names,accepted", [("pqr", True), ("pqx", False)],
+                         ids=["same", "other"])
+def test_check_generalization_needs_the_same_variable_names(names,
+                                                            accepted):
+    """The older state's program variables must be the newer one's."""
+    assert generalizes(names_bar=names) is accepted
+
+
+DBAR = sv(14, "d")
+
+
+@pytest.mark.parametrize("mu,accepted", [({DBAR: B}, True), ({}, False)],
+                         ids=["mapped", "unmapped"])
+def test_check_generalization_needs_every_older_variable_mapped(mu,
+                                                                accepted):
+    """The older allocation [abar, dbar] images [a, b] only once the map
+    sends dbar, a variable no program variable holds, to b."""
+    assert generalizes(al=[Allocation(A, B)],
+                       al_bar=[Allocation(ABAR, DBAR)], mu=mu) is accepted
 
 
 @pytest.mark.parametrize("lo,hi,accepted",
@@ -410,6 +494,47 @@ def test_build_seg_outcomes():
                          ("null_deref.ll", CONTAINS_ERR)]:
         seg = build_seg(load(name), Entailment())
         assert seg.outcome == expect, name
+
+
+BRANCH = """\
+define i32 @main() {
+entry:
+  n = call i32 @nondet_uint()
+  c = icmp slt i32 n, 3
+  br i1 c, label yes, label no
+yes:
+  ret i32 0
+no:
+  ret i32 0
+}
+"""
+
+
+def test_build_seg_prunes_an_unsatisfiable_successor(monkeypatch):
+    """The ``icmp`` splits on ``n <= 2`` or ``n >= 3``.  A step that also
+    gives the first case ``n >= 3`` leaves it a contradictory knowledge
+    base, so it is a leaf and ``yes`` is never reached, while its
+    satisfiable twin steps on to ``no``."""
+    from listterm import seg as seg_module
+    real = seg_module.step
+
+    def step(s, prog, engine):
+        result = real(s, prog, engine)
+        if result.edge_kind != REFINEMENT:
+            return result
+        dead, live = result.successors
+        n = dict(dead.lv)["n"]
+        dead = dead.replace_components(
+            kb=dead.kb.and_(Formula.conj([Atom.ge(n, 3)])))
+        return StepResult(REFINEMENT, (dead, live))
+
+    monkeypatch.setattr(seg_module, "step", step)
+    seg = build_seg(parse_program(BRANCH), Entailment())
+    dead, live = (e.dst for e in seg.edges if e.kind == REFINEMENT)
+    assert not [e for e in seg.edges if e.src == dead]
+    assert [e.dst for e in seg.edges if e.src == live]
+    assert sorted({st.pos.block for st in seg.states}) == ["entry", "no"]
+    assert seg.outcome == COMPLETE
 
 
 def test_build_seg_has_loop_closing_edge():
