@@ -256,19 +256,19 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment,
     violations: List[Tuple[int, str, int, int]] = []
     loop = trace.loop
     lap = len(trace.states) - 1 - (loop or 0)  # the loop's length
-    # Does node n represent the run's state at step i? Kept for one step
-    # at a time.
+    # Does node n represent the state the run reads at step i? Kept by
+    # (node, index of that state) for the whole walk, so later laps of a
+    # lasso reuse the answers of earlier ones.
     memo: Dict[Tuple[int, int], bool] = {}
 
     def rep(n: int, i: int) -> bool:
-        if (n, i) not in memo:
-            st = seg.states[n]
-            c = trace.states[i if loop is None or i < loop
-                             else loop + (i - loop) % lap]
-            memo[n, i] = isinstance(st, ErrState) or (
+        k = i if loop is None or i < loop else loop + (i - loop) % lap
+        if (n, k) not in memo:
+            st, c = seg.states[n], trace.states[k]
+            memo[n, k] = isinstance(st, ErrState) or (
                 st.pos == c.pos and represents(c, st, prog.layout, engine,
                                                 heaps=heaps))
-        return memo[n, i]
+        return memo[n, k]
 
     def frontier(node: int) -> bool:
         if node in silent or node in steps:
@@ -310,7 +310,6 @@ def match_trace(trace: Trace, seg: Seg, prog: Program, engine: Entailment,
             if key in walked:
                 break
             walked.add(key)
-        memo.clear()
         stepped: List[int] = []
         for n in cands:
             if n not in steps:

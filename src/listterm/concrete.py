@@ -118,21 +118,16 @@ def _malloc_address(c: ConcreteState, size: int) -> int:
         a += 1
 
 
-def concrete_step(c: ConcreteState, prog: Program,
-                  nondet: Iterator[int]) -> ConcreteState:
-    """Execute one instruction; returns a fresh state, never mutating ``c``.
+def _step(c: ConcreteState, ins: Instruction, prog: Program,
+          nondet: Iterator[int]) -> ConcreteState:
+    """Execute ``ins``, the instruction at ``c.pos``; returns a fresh state,
+    never mutating ``c``.
 
     The new state shares ``asgn``, ``mem`` and ``allocations`` with ``c``
     unless the instruction changes them, which copies them first, so a
     state must not be mutated once a step has been taken from it.  A failing
     instruction raises :class:`_Fault`, and the state it leads to keeps
     ``c``'s position and contents, halted with an error."""
-    return _step(c, prog.instruction_at(c.pos), prog, nondet)
-
-
-def _step(c: ConcreteState, ins: Instruction, prog: Program,
-          nondet: Iterator[int]) -> ConcreteState:
-    """:func:`concrete_step` with the instruction at ``c.pos`` looked up."""
     assert not c.halted and not c.error
     n = ConcreteState(c.pos, c.asgn, c.allocations, c.mem)
     layout = prog.layout

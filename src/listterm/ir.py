@@ -106,8 +106,6 @@ class AggType:
 
 IrType = Union[IntType, PtrType, AggType]
 
-I8, I32 = IntType(8), IntType(32)
-
 _INT_SIZES = {1: 1, 8: 1, 32: 4, 64: 8}
 PTR_SIZE = 8  # a fixed 64-bit little-endian layout with natural alignment
 
@@ -249,6 +247,14 @@ Instruction = Union[Load, Store, GepByte, GepField, Icmp, BrCond, Br, Add,
                     Bitcast, Malloc, NondetInt, Free, Ret]
 
 TERMINATORS = (Br, BrCond, Ret)
+
+
+def operands(ins: Instruction) -> Tuple[Operand, ...]:
+    """The values an instruction reads: its fields annotated ``Operand``
+    (annotations are text, as this module postpones them), in field order;
+    a return's optional value is not one."""
+    return tuple(getattr(ins, n) for n, t in
+                 type(ins).__annotations__.items() if t == "Operand")
 
 
 def branch_targets(ins: Instruction) -> Tuple[str, ...]:

@@ -370,13 +370,11 @@ def export_its(its: ITS) -> str:
         upd = t.update_map()
         for x in dst_loc.vars:
             if x in upd:
-                body.append(f"(= {primed.get(x, names[x] + 'p')} "
-                            f"{term_sexpr(upd[x], names)})")
+                body.append(f"(= {primed[x]} {term_sexpr(upd[x], names)})")
         body.append(f"(L{t.src} " + " ".join(
             names[v] for v in src_loc.vars) + ")")
-        head_args = " ".join(
-            primed[x] if x in primed and x in upd else names[x]
-            for x in dst_loc.vars)
+        head_args = " ".join(primed[x] if x in upd else names[x]
+                             for x in dst_loc.vars)
         lines.append("(rule (=> (and " + " ".join(body) + ") "
                      f"(L{t.dst} {head_args})))")
     return "\n".join(lines) + "\n"

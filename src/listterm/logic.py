@@ -34,8 +34,9 @@ close), and, once a goal needs them, its equalities solved.  Each goal
 normalizes only its own negation and pushes its edges onto the graph, to
 pop them when it is decided or out of effort, or goes on from a copy of the
 solved equalities; it is charged the premise's work as if it had done it.
-No other procedure decides a query: the engine is the whole of the trusted
-arithmetic.
+No other procedure decides a query.  The trusted arithmetic is the engine
+and :class:`OffsetClosure`, whose offsets answer some equalities
+(``seg._equal``) and rank decreases (``its._known_drop``) with no query.
 """
 
 from __future__ import annotations

@@ -552,11 +552,7 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
                 mu[v] = -a.term.const * c
                 progress = True
 
-    if any(v not in mu for v in sbar.sym_vars):
-        return None
-    if not check_generalization(s, sbar, mu, prog, engine):
-        return None
-    return mu
+    return mu if check_generalization(s, sbar, mu, prog, engine) else None
 
 
 # --------------------------------------------------------------------------

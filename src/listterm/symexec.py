@@ -7,9 +7,12 @@ memory-safety side conditions are not proven.  ``RULES`` gives each
 instruction type's rules in priority order: stores try list extension
 before the plain store rule, getelementptr tries list traversal before
 plain pointer arithmetic, loads try allocated memory before list
-summaries.  :func:`step` takes the first result, and only when every rule
-returns None is the successor the absorbing error state.  List traversal,
-whatever the shape of the summaries, is one rule (:func:`_traverse`).
+summaries.  :func:`step` goes to the absorbing error state at once when an
+operand of the instruction (:func:`ir.operands`) has no value, so a rule
+reads every operand bound; otherwise it takes the first result, and only
+when every rule returns None is the successor the error state.  List
+traversal, whatever the shape of the summaries, is one rule
+(:func:`_traverse`).
 """
 
 from __future__ import annotations
@@ -87,11 +90,8 @@ def _disjoint(f: Formula, engine: Entailment, p: PointsTo, lo: Term,
 
 def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
                         engine: Entailment) -> Optional[AbstractState]:
-    ad = s.lv_of(ins.addr)
-    if ad is None:
-        return None
     f = state_formula(s, engine)
-    ad_t = Term.of(ad)
+    ad_t = Term.of(s.lv_of(ins.addr))
     if not _covered(s, f, engine, ad_t, type_size(ins.ty, prog.layout)):
         return None
     for p in s.pt:
@@ -102,11 +102,8 @@ def rule_load_allocated(s: AbstractState, ins: ir.Load, prog: Program,
 
 def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
                              engine: Entailment) -> Optional[AbstractState]:
-    ad = s.lv_of(ins.addr)
-    if ad is None:
-        return None
     f = state_formula(s, engine)
-    ad_t = Term.of(ad)
+    ad_t = Term.of(s.lv_of(ins.addr))
     for l in s.li:
         for fld in l.fields:
             if fld.fty != ins.ty:
@@ -123,9 +120,6 @@ def rule_load_list_invariant(s: AbstractState, ins: ir.Load, prog: Program,
 def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
                      engine: Entailment) -> Optional[AbstractState]:
     ad = s.lv_of(ins.addr)
-    val = s.lv_of(ins.value)
-    if ad is None or val is None:
-        return None
     f = state_formula(s, engine)
     ad_t = Term.of(ad)
     size = type_size(ins.ty, prog.layout)
@@ -148,18 +142,15 @@ def rule_store_plain(s: AbstractState, ins: ir.Store, prog: Program,
             kb = _kb_add(s, Atom.eq(target_addr, ad))
         else:
             target_addr = ad
-    new_pt.append(PointsTo(target_addr, ins.ty, val))
+    new_pt.append(PointsTo(target_addr, ins.ty, s.lv_of(ins.value)))
     return s.replace_components(pos=prog.successor(s.pos), pt=new_pt, kb=kb)
 
 
 def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                         engine: Entailment) -> Optional[AbstractState]:
-    ad = s.lv_of(ins.addr)
-    val = s.lv_of(ins.value)
-    if ad is None or val is None:
-        return None
     f = state_formula(s, engine)
-    ad_t = Term.of(ad)
+    ad_t = Term.of(s.lv_of(ins.addr))
+    val = s.lv_of(ins.value)
     for l in s.li:
         size = type_size(l.ty, prog.layout)
         j = l.rec_index
@@ -232,15 +223,11 @@ def _traversal_candidate(s: AbstractState, ins, engine: Entailment
     the summary's first chain value, i.e. point at the second node."""
     f = state_formula(s, engine)
     pa = s.lv_of(ins.base)
-    if pa is None:
-        return None
     for l in s.li:
         rec = l.rec_field
         acc = None
         if isinstance(ins, ir.GepByte):
             t = s.lv_of(ins.offset)
-            if t is None:
-                continue
             for i, fld in enumerate(l.fields, start=1):
                 if engine.holds(f, Atom.eq(Term.of(t), fld.off)):
                     acc = i
@@ -249,8 +236,6 @@ def _traversal_candidate(s: AbstractState, ins, engine: Entailment
             if ins.agg != l.ty:
                 continue
             t = s.lv_of(ins.index)
-            if t is None:
-                continue
             # The 0-based field operand selects 1-based field t+1.
             for i in range(1, len(l.fields) + 1):
                 if engine.holds(f, Atom.eq(Term.of(t) + 1, i)):
@@ -354,13 +339,8 @@ def rule_traverse(s: AbstractState, ins, prog: Program,
 def rule_getelementptr_plain(s: AbstractState, ins, prog: Program,
                              engine: Entailment) -> Optional[AbstractState]:
     pa = s.lv_of(ins.base)
-    if pa is None:
-        return None
     if isinstance(ins, ir.GepByte):
-        t = s.lv_of(ins.offset)
-        if t is None:
-            return None
-        target = Term.of(pa) + Term.of(t)
+        target = Term.of(pa) + Term.of(s.lv_of(ins.offset))
     else:
         offsets = prog.layout[ins.agg.name].offsets
         t = s.lv_of(ins.index)
@@ -397,11 +377,8 @@ def _icmp_atoms(pred: str, a: Term, b: Term) -> Tuple[Atom, Atom]:
 
 def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
               engine: Entailment) -> Outcome:
-    lhs = s.lv_of(ins.lhs)
-    rhs = s.lv_of(ins.rhs)
-    if lhs is None or rhs is None:
-        return None
-    atom, comp = _icmp_atoms(ins.pred, Term.of(lhs), Term.of(rhs))
+    atom, comp = _icmp_atoms(ins.pred, Term.of(s.lv_of(ins.lhs)),
+                             Term.of(s.lv_of(ins.rhs)))
     f = state_formula(s, engine)
     for outcome, value in ((atom, 1), (comp, 0)):
         if engine.holds(f, outcome):
@@ -413,8 +390,6 @@ def rule_icmp(s: AbstractState, ins: ir.Icmp, prog: Program,
 def rule_brcond(s: AbstractState, ins: ir.BrCond, prog: Program,
                 engine: Entailment) -> Outcome:
     cond = s.lv_of(ins.cond)
-    if cond is None:
-        return None
 
     def goto(block: str) -> AbstractState:
         return s.replace_components(pos=prog.position(block, 0))
@@ -441,20 +416,14 @@ def rule_br(s: AbstractState, ins: ir.Br, prog: Program,
 
 def rule_add(s: AbstractState, ins: ir.Add, prog: Program,
              engine: Entailment) -> Optional[AbstractState]:
-    a = s.lv_of(ins.lhs)
-    b = s.lv_of(ins.rhs)
-    if a is None or b is None:
-        return None
-    return _define(s, ins, prog, engine, Term.of(a) + Term.of(b))
+    return _define(s, ins, prog, engine,
+                   Term.of(s.lv_of(ins.lhs)) + Term.of(s.lv_of(ins.rhs)))
 
 
 def rule_bitcast(s: AbstractState, ins: ir.Bitcast, prog: Program,
                  engine: Entailment) -> Optional[AbstractState]:
-    v = s.lv_of(ins.src)
-    if v is None:
-        return None
     return s.replace_components(pos=prog.successor(s.pos),
-                                lv=s.bind(ins.dst, v))
+                                lv=s.bind(ins.dst, s.lv_of(ins.src)))
 
 
 def rule_nondet_int(s: AbstractState, ins: ir.NondetInt, prog: Program,
@@ -481,14 +450,14 @@ def rule_malloc(s: AbstractState, ins: ir.Malloc, prog: Program,
 
 def rule_free(s: AbstractState, ins: ir.Free, prog: Program,
               engine: Entailment) -> Optional[AbstractState]:
-    ptr = s.lv_of(ins.ptr)
-    if ptr is None or s.li:
+    if s.li:
         # With summaries present we cannot cheaply rule out aliasing into
         # summarized nodes; freeing them is unsupported.
         return None
     f = state_formula(s, engine)
+    ptr = Term.of(s.lv_of(ins.ptr))
     for alloc in s.al:
-        if not engine.holds(f, Atom.eq(Term.of(ptr), alloc.lo)):
+        if not engine.holds(f, Atom.eq(ptr, alloc.lo)):
             continue
         lo_t, hi_t = Term.of(alloc.lo), Term.of(alloc.hi)
         kept = [p for p in s.pt if _disjoint(f, engine, p, lo_t, hi_t, prog)]
@@ -521,14 +490,17 @@ def is_return(s: AbstractState, prog: Program) -> bool:
 
 def step(s: AbstractState, prog: Program, engine: Entailment) -> StepResult:
     """Apply the first of the instruction's rules whose side conditions
-    hold; with none, the step goes to the error state.  Never raises on bad
-    memory access: the error state is the signal."""
+    hold; with none, or with an operand that has no value, the step goes to
+    the error state.  Never raises on bad memory access: the error state is
+    the signal."""
     ins = prog.instruction_at(s.pos)
     if isinstance(ins, ir.Ret):
         raise ValueError("step called on a return state")
     rules = RULES.get(type(ins))
     if rules is None:
         raise TypeError(f"unknown instruction {ins!r}")
+    if any(s.lv_of(x) is None for x in ir.operands(ins)):
+        return StepResult(EVALUATION, (ERR,))
     for rule in rules:
         if (out := rule(s, ins, prog, engine)) is not None:
             return out if isinstance(out, StepResult) else \

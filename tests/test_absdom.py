@@ -16,11 +16,13 @@ from listterm.absdom import (
     is_satisfiable,
     state_formula,
 )
-from listterm.ir import AggType, I8, I32, ProgramPosition, PtrType, parse_program
+from listterm.ir import (AggType, IntType, ProgramPosition, PtrType,
+                         parse_program)
 from listterm.logic import Atom, Entailment, Formula, SymVar, Verdict
 from listterm.seg import build_seg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+I8, I32 = IntType(8), IntType(32)
 
 POS = ProgramPosition("b", 0)
 LIST = AggType("list")

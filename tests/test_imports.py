@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, every
 parameter a function takes is read by it, every module-level definition is
-read somewhere in the package or its tests, every import sits at module
+read by the package or its benchmark (or listed), every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
@@ -74,7 +74,7 @@ def test_no_unused_parameters():
     assert found == []
 
 
-TESTS = SRC.parent.parent / "tests"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def module_definitions(tree: ast.Module):
@@ -103,14 +103,29 @@ def read_names(tree: ast.Module):
                  and isinstance(node.ctx, ast.Load)}
 
 
+# Definitions that neither the package nor the benchmark reads, each with
+# why it stays.
+UNREAD_DEFINITIONS = {
+    "ir.pretty_print": "tests print parsed programs with it, and the corpus "
+                       "mutants of ROADMAP item 6 will",
+    "its.parse_its_text": "criterion 7 reads exported systems back with it, "
+                          "and the proof checker of ROADMAP item 2 will",
+}
+
+
 def test_no_unreferenced_definitions():
+    """A name that only tests read counts as unread: code that neither the
+    CLI nor the benchmark runs is deleted, or listed above while it is
+    unread."""
     read = set().union(*(read_names(ast.parse(path.read_text()))
-                         for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]))
-    found = [f"{path.name}:{line}: {name}"
-             for path in sorted(SRC.glob("*.py"))
-             for line, name in module_definitions(ast.parse(path.read_text()))
-             if name not in read and name != "__version__"]
-    assert found == []
+                         for path in [*SRC.glob("*.py"),
+                                      *PERFBENCH.glob("*.py")]))
+    unread = {f"{path.stem}.{name}": f"{path.name}:{line}: {name}"
+              for path in sorted(SRC.glob("*.py"))
+              for line, name in module_definitions(ast.parse(path.read_text()))
+              if name not in read and name != "__version__"}
+    assert [v for k, v in unread.items() if k not in UNREAD_DEFINITIONS] == []
+    assert set(UNREAD_DEFINITIONS) <= set(unread)
 
 
 def nested_imports(tree: ast.Module):

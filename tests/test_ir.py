@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,8 @@ from listterm.ir import (
     Free,
     GepByte,
     GepField,
-    I32,
     Icmp,
+    Instruction,
     IntType,
     Load,
     Malloc,
@@ -27,12 +28,14 @@ from listterm.ir import (
     PtrType,
     Ret,
     Store,
+    operands,
     parse_program,
     pretty_print,
     type_size,
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+I32 = IntType(32)
 
 MINI = """
 list = type { i32, list* }
@@ -134,6 +137,34 @@ def test_records_behave_as_frozen_dataclasses():
                          ((), {"label": "a"})]:
         with pytest.raises(TypeError):
             Br(*args, **kwargs)
+
+
+LIST = AggType("list")
+
+# One instance of each instruction class, and the operands it reads.
+OPERANDS = [
+    (Load("v", I32, "p"), ("p",)),
+    (Store(I32, "v", "p"), ("v", "p")),
+    (GepByte("q", "p", 8), ("p", 8)),
+    (GepField("q", LIST, "p", 1), ("p", 1)),
+    (Icmp("b", "eq", I32, "x", 0), ("x", 0)),
+    (BrCond("b", "yes", "no"), ("b",)),
+    (Br("yes"), ()),
+    (Add("y", I32, "x", 1), ("x", 1)),
+    (Bitcast("q", PtrType(IntType(8)), "m", PtrType(LIST)), ("m",)),
+    (Malloc("m", 16), (16,)),
+    (NondetInt("n", 32), ()),
+    (Free("m"), ("m",)),
+    (Ret(0), ()),
+]
+
+
+def test_operands_are_the_fields_annotated_operand():
+    """What ``step`` checks for a value before any rule runs; a return's
+    value is not read by a step."""
+    assert {type(ins) for ins, _ in OPERANDS} == set(get_args(Instruction))
+    assert [operands(ins) for ins, _ in OPERANDS] == [
+        ops for _, ops in OPERANDS]
 
 
 def test_positions_and_successor():

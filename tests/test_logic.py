@@ -7,6 +7,7 @@ hold (the engine is incomplete by design).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import pathlib
 import random
@@ -574,6 +575,42 @@ def test_premise_compiles_and_extensions_are_pinned(name, compiles, extensions):
     # A compile extends its new, empty premise once.
     assert (init.call_count, extend.call_count - init.call_count) == (
         compiles, extensions)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# build_only's analysis: its uncached questions, the digest of each one's
+# ``premise|conclusion|verdict`` in order, and the digest of the effort
+# every budget spent, in the order the budgets were made.
+QUESTION_STREAM = (516, "a23f34a3e631687f", "0a76314871ff68a8")
+
+
+def test_question_stream_is_pinned(monkeypatch):
+    """Every question an analysis asks the engine, its answer and the effort
+    spent on it, in order: a change that asks another question, answers
+    one otherwise or spends other effort on it shows here.  Re-pinning
+    follows ROADMAP's rules for criterion 3's query column."""
+    asked, budgets = [], []
+    uncached = Entailment._entails_uncached
+
+    class Budget(logic._Budget):
+        def __init__(self, limit: int):
+            super().__init__(limit)
+            self.limit = limit
+            budgets.append(self)
+
+    def recorded(self, premise, conclusion):
+        verdict = uncached(self, premise, conclusion)
+        asked.append(f"{premise}|{conclusion}|{verdict.name}")
+        return verdict
+
+    monkeypatch.setattr(logic, "_Budget", Budget)
+    monkeypatch.setattr(Entailment, "_entails_uncached", recorded)
+    assert main(["analyze", str(CORPUS / "build_only.ll")]) == 0
+    assert (len(asked), _digest(asked), _digest(
+        str(b.limit - b.left) for b in budgets)) == QUESTION_STREAM
 
 
 # --- equalities without the engine ------------------------------------------

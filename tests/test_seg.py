@@ -15,7 +15,8 @@ from listterm.absdom import (
     PointsTo,
     state_formula,
 )
-from listterm.ir import AggType, I32, ProgramPosition, PtrType, parse_program
+from listterm.ir import (AggType, IntType, ProgramPosition, PtrType,
+                         parse_program)
 from listterm.logic import (Atom, Entailment, Formula, OffsetClosure, SymVar,
                             Term)
 from listterm.symexec import StepResult
@@ -36,6 +37,7 @@ from listterm.seg import (
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+I32 = IntType(32)
 LIST = AggType("list")
 LISTP = PtrType(LIST)
 POS = ProgramPosition("cmpF", 0)

@@ -19,21 +19,22 @@ from collections import Counter
 
 import pytest
 
-from listterm.absdom import (AbstractState, Allocation, ErrState, LIField,
-                             ListInvariant, state_formula)
+from listterm.absdom import (ERR, AbstractState, Allocation, ErrState,
+                             LIField, ListInvariant, state_formula)
 from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
                           nondet_stream)
 from listterm.concrete import run_concrete
-from listterm import ir
-from listterm.ir import (I32, AggType, ProgramPosition, PtrType, Ret,
+from listterm.ir import (AggType, IntType, ProgramPosition, PtrType, Ret,
                          parse_program)
 from listterm.logic import Atom, Entailment, Formula, SymVar, Term, Verdict
 from listterm.seg import (GENERALIZATION, build_seg, check_generalization,
                           find_list)
-from listterm.symexec import (EVALUATION, REFINEMENT, _icmp_atoms, is_return,
-                              step)
+from listterm import ir, symexec
+from listterm.symexec import (EVALUATION, REFINEMENT, StepResult, _icmp_atoms,
+                              is_return, step)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+I32 = IntType(32)
 
 
 def parse(src):
@@ -305,14 +306,52 @@ UNBOUND_OPERAND = {
 }
 
 
-@pytest.mark.parametrize("ins", UNBOUND_OPERAND.values(), ids=UNBOUND_OPERAND)
-def test_unbound_operand_steps_to_error(ins):
+def unbound_operand_state(ins, bound):
+    """The program, engine and entry state of an ``UNBOUND_OPERAND`` case,
+    with ``x`` bound to a variable too when ``bound``."""
     body = ins if ins.startswith("br ") else ins + "\n  br label yes"
     prog, eng = parse_program(UNBOUND_PROGRAM.format(body)), Entailment()
-    s = AbstractState.make(prog.entry_position, lv={"p": eng.fresh("p")})
+    lv = {"p": eng.fresh("p")}
+    if bound:
+        lv["x"] = eng.fresh("x")
+    return prog, eng, AbstractState.make(prog.entry_position, lv=lv)
+
+
+@pytest.mark.parametrize("ins", UNBOUND_OPERAND.values(), ids=UNBOUND_OPERAND)
+def test_unbound_operand_steps_to_error(ins):
+    prog, eng, s = unbound_operand_state(ins, bound=False)
     r = step(s, prog, eng)
     assert r.edge_kind == EVALUATION
     assert isinstance(r.successors[0], ErrState)
+
+
+class RuleRan(Exception):
+    pass
+
+
+@pytest.fixture
+def raising_rules(monkeypatch):
+    """Every rule of every instruction type raises ``RuleRan``."""
+    def rule(*_args):
+        raise RuleRan
+
+    monkeypatch.setattr(symexec, "RULES", {
+        t: (rule,) * len(rules) for t, rules in symexec.RULES.items()})
+
+
+@pytest.mark.parametrize("ins", UNBOUND_OPERAND.values(), ids=UNBOUND_OPERAND)
+def test_unbound_operand_is_refused_before_any_rule(raising_rules, ins):
+    """``step`` alone decides an unbound operand, so a rule reads every
+    operand bound."""
+    prog, eng, s = unbound_operand_state(ins, bound=False)
+    assert step(s, prog, eng) == StepResult(EVALUATION, (ERR,))
+
+
+@pytest.mark.parametrize("ins", UNBOUND_OPERAND.values(), ids=UNBOUND_OPERAND)
+def test_bound_operands_reach_the_rules(raising_rules, ins):
+    prog, eng, s = unbound_operand_state(ins, bound=True)
+    with pytest.raises(RuleRan):
+        step(s, prog, eng)
 
 
 def test_return_position_is_recognized_and_not_stepped():
