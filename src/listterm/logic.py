@@ -19,7 +19,8 @@ Only ``=`` and ``<=`` atoms remain.  When each is a difference atom
 (``x - y <= c`` or ``x <= c``, or the equality of one), the refutation runs
 on a difference-constraint graph: each branch of the case split over the
 clauses adds edges, and a negative cycle refutes the branch (Cotton &
-Maler, SAT 2006).  For difference constraints, rational and integer
+Maler, SAT 2006), or the whole clause if it runs through none of the
+branch's edges.  For difference constraints, rational and integer
 feasibility coincide, so this is exact.  Any other query falls back to
 equality substitution plus Fourier-Motzkin elimination on :class:`Term`
 rows, each tightened to integers by :meth:`Atom.make`, re-run on every
@@ -30,11 +31,12 @@ Consecutive queries mostly share a premise, alternate between two, or
 extend the last by unit clauses, so an engine keeps its two latest premises
 compiled and extends the latest in place: its normal form, components, a
 graph holding its edges with a feasible potential (or the cycle they
-close), and, once a goal needs them, its equalities solved.  Each goal
-normalizes only its own negation and pushes its edges onto the graph, to
-pop them when it is decided or out of effort, or goes on from a copy of the
-solved equalities; it is charged the premise's work as if it had done it.
-No other procedure decides a query.  The trusted arithmetic is the engine
+close), and, once a goal needs them, its equalities solved and a model of
+it.  A goal the model falsifies is not entailed.  Any other normalizes only
+its own negation and pushes its edges onto the graph, to pop them when it
+is decided or out of effort, or goes on from a copy of the solved
+equalities; it is charged the premise's work as if it had done it.  No
+other procedure decides a query.  The trusted arithmetic is the engine
 and :class:`OffsetClosure`, whose offsets answer some equalities
 (``seg._equal``) and rank decreases (``its._known_drop``) with no query.
 """
@@ -280,14 +282,10 @@ class Atom:
         return val <= 0
 
     def is_trivially_true(self) -> bool:
-        if self.term.coeffs:
-            return False
-        return self.evaluate({})
+        return not self.term.coeffs and self.evaluate({})
 
     def is_trivially_false(self) -> bool:
-        if self.term.coeffs:
-            return False
-        return not self.evaluate({})
+        return not self.term.coeffs and not self.evaluate({})
 
     def __str__(self) -> str:
         return f"{self.term} {self.rel} 0"
@@ -645,16 +643,22 @@ class _DifferenceGraph:
     edge, ``pi[v] <= pi[u] + w``; adding an edge restores it by relaxing
     from the edge's target only, so a conjunction stays consistent until an
     edge closes a negative cycle (Cotton & Maler, SAT 2006).  A variable
-    gets its node when an atom on it is encoded.  During a refutation every
-    edge and every branch costs one unit of ``budget``; the first-in
-    first-out relaxation after one edge is bounded by nodes times edges, as
-    in Bellman-Ford."""
+    gets its node when an atom on it is encoded.  An edge's level is 0 for
+    the premise and the goal, i + 1 for a branch of the i-th alternative
+    list; a branch refuted by a negative cycle without its own level
+    refutes its whole clause (backjumping, as in DPLL(T)).  ``trail`` logs
+    the edges added and potentials lowered, to undo a branch.  During a
+    refutation every edge and every branch costs one unit of ``budget``;
+    the first-in first-out relaxation after one edge is bounded by nodes
+    times edges, as in Bellman-Ford."""
 
     def __init__(self):
         self.index: Dict[SymVar, int] = {}
         self.succ: list = [[]]
         self.pi = [0]
+        self.trail: list = []  # (node, old potential), or (u, None) per edge
         self.budget: Optional[_Budget] = None  # the running refutation's
+        self.leaf: Optional[list] = None  # its consistent leaf's potential
 
     def _node(self, v: SymVar) -> int:
         node = self.index.get(v)
@@ -682,13 +686,8 @@ class _DifferenceGraph:
 
     def encode(self, atoms: Sequence[Atom]) -> Optional[list]:
         """The edges of a conjunction of difference atoms, or None."""
-        edges: list = []
-        for a in atoms:
-            e = self.edges_of(a)
-            if e is None:
-                return None
-            edges.extend(e)
-        return edges
+        edges = [self.edges_of(a) for a in atoms]
+        return None if None in edges else [e for es in edges for e in es]
 
     def alternatives(self, clauses: Sequence[Clause]) -> Optional[list]:
         """Per clause, the edge tuple of each branch, or None unless every
@@ -696,78 +695,96 @@ class _DifferenceGraph:
         alts = [[self.edges_of(a) for a in clause] for clause in clauses]
         return None if any(None in branches for branches in alts) else alts
 
-    def add(self, u: int, v: int, w: int) -> bool:
-        """Add ``x_v - x_u <= w``; False when it closes a negative cycle."""
-        self.succ[u].append((v, w))
-        pi = self.pi
+    def add(self, u: int, v: int, w: int, level: int = 0) -> Optional[set]:
+        """Add ``x_v - x_u <= w`` at ``level``; the levels of the negative
+        cycle it closes, or None."""
+        self.succ[u].append((v, w, level))
+        trail, pi = self.trail, self.pi
+        trail.append((u, None))
         if pi[u] + w >= pi[v]:
-            return True
-        # Any negative cycle runs through the new edge, so it shows as a
-        # path back to u that would lower pi[u].
+            return None
+        # Any negative cycle runs through the new edge: a path back to u,
+        # along the edges in ``via`` that last lowered each node.
+        via = {v: (u, level)}
+        trail.append((v, pi[v]))
         pi[v] = pi[u] + w
         queue = [v]
         for x in queue:
             px = pi[x]
-            for y, wy in self.succ[x]:
+            for y, wy, ly in self.succ[x]:
                 if px + wy < pi[y]:
                     if y == u:
-                        return False
+                        levels = {ly}
+                        while x != u:
+                            x, ly = via[x]
+                            levels.add(ly)
+                        return levels
+                    via[y] = (x, ly)
+                    trail.append((y, pi[y]))
                     pi[y] = px + wy
                     queue.append(y)
-        return True
+        return None
 
     def _spend(self) -> None:
         if not self.budget.spend():
             raise _OutOfEffort
 
-    def _extend(self, edges) -> bool:
-        """Add ``edges`` for one unit each; False at a negative cycle."""
-        for e in edges:
+    def _extend(self, edges, level: int) -> Optional[set]:
+        """Add ``edges`` for one unit each, up to a negative cycle's."""
+        for u, v, w in edges:
             self._spend()
-            if not self.add(*e):
-                return False
-        return True
+            levels = self.add(u, v, w, level)
+            if levels is not None:
+                return levels
+        return None
 
-    def _mark(self, edges) -> tuple:
-        return self.pi[:], [(u, len(self.succ[u])) for u, _, _ in edges]
-
-    def _restore(self, mark: tuple) -> None:
-        """Take off every edge added since ``mark``, restoring ``pi``."""
-        self.pi, ends = mark
-        for u, m in ends:
-            del self.succ[u][m:]
+    def _restore(self, mark: int) -> None:
+        """Undo every edge and potential logged since ``mark``."""
+        trail, pi, succ = self.trail, self.pi, self.succ
+        for node, old in reversed(trail[mark:]):
+            if old is None:
+                succ[node].pop()
+            else:
+                pi[node] = old
+        del trail[mark:]
 
     def refute(self, edges: list, alternatives: list, budget: _Budget
                ) -> bool:
         """True iff the graph plus ``edges`` plus one branch of every
         alternative list is provably inconsistent, for every choice of
-        branches.  The graph is left as it was: a node added for the query
-        keeps no edge and potential 0, as if it were new."""
-        self.budget = budget
-        mark = self._mark(edges)
+        branches; else ``leaf`` is the first consistent choice's potential,
+        if one was reached.  The graph is left as it was: a node added for
+        the query keeps no edge and potential 0, as if it were new."""
+        self.budget, self.leaf = budget, None
+        mark = len(self.trail)
         try:
-            return not self._extend(edges) or self._refute_branches(
-                alternatives, 0)
+            return (self._extend(edges, 0) is not None
+                    or self._refute_branches(alternatives, 0) is not None)
         except _OutOfEffort:
             return False
         finally:
+            # Also when the effort runs out: the graph outlives the query.
             self._restore(mark)
 
-    def _refute_branches(self, alternatives: list, i: int) -> bool:
+    def _refute_branches(self, alternatives: list, i: int) -> Optional[set]:
+        """None when some choice of branches from the i-th list on is
+        consistent; otherwise the levels its refutations used, but i + 1."""
         if i == len(alternatives):
-            return False
+            self.leaf = self.pi[:]
+            return None
+        level, used = i + 1, set()
         for branch in alternatives[i]:
             self._spend()
-            mark = self._mark(branch)
-            try:
-                refuted = (not self._extend(branch)
-                           or self._refute_branches(alternatives, i + 1))
-            finally:
-                # Also when the effort runs out: the graph outlives the query.
-                self._restore(mark)
-            if not refuted:
-                return False
-        return True
+            mark = len(self.trail)
+            # A cycle's levels are never empty; ``refute`` undoes a cut-off.
+            levels = (self._extend(branch, level)
+                      or self._refute_branches(alternatives, level))
+            self._restore(mark)
+            if levels is None or level not in levels:
+                return levels  # consistent, or every other branch refuted
+            used |= levels
+        used.discard(level)
+        return used
 
 
 def _negate_atom(a: Atom) -> Atom:
@@ -815,7 +832,9 @@ class _Premise:
     negative cycle.  A goal's edges are added on top and taken off again,
     so the graph is back at the premise for the next goal.  ``graph`` is
     None when the premise is not difference logic.  ``fm``, the conjuncts'
-    equalities solved, is built for the first goal that needs it."""
+    equalities solved, is built for the first goal that needs it, and so is
+    ``model``, values that satisfy a premise of difference logic throughout
+    (a goal it falsifies needs no search); both are dropped on extension."""
 
     def __init__(self, premise: Formula):
         self.graph: Optional[_DifferenceGraph] = _DifferenceGraph()
@@ -842,6 +861,8 @@ class _Premise:
                  if len(c) == 1]
         self.formula = premise
         self.fm: Optional[_Solved] = None
+        self.model: Optional[Dict[SymVar, int]] = None
+        self.searched = False
         _join(self.groups, atoms)
         self.disjunctions = [d._replace(keys=frozenset(map(self._key, d.vars)))
                              for d in self.disjunctions]
@@ -860,7 +881,8 @@ class _Premise:
             if self.closed:
                 break
             self.cost += 1
-            self.closed = not self.graph.add(*e)
+            self.closed = self.graph.add(*e) is not None
+        self.graph.trail.clear()  # the conjuncts' edges stay
 
     def _key(self, v: SymVar) -> SymVar:
         """One variable of ``v``'s connected component."""
@@ -878,12 +900,34 @@ class _Premise:
         keys = set(map(self._key, goal_vars))
         return [d for d in self.disjunctions if not keys.isdisjoint(d.keys)]
 
+    def _search_model(self, effort: int) -> Optional[Dict[SymVar, int]]:
+        """The first consistent leaf of the split over the ``!=`` splits and
+        every disjunction, as a value per variable; a node that no premise
+        atom touches, or none, reads as potential 0, as in a fresh graph."""
+        graph = self.graph
+        if graph is None or self.closed or any(
+                d.alternatives is None for d in self.disjunctions):
+            return None
+        branches = [a for d in self.disjunctions for a in d.alternatives]
+        graph.refute([], self.alternatives + branches, _Budget(effort))
+        pi, index = graph.leaf, graph.index
+        return pi and {v: (pi[index[v]] if v in index else 0) - pi[0]
+                       for v in itertools.chain(self.groups, *(
+                           d.vars for d in self.disjunctions))}
+
     def refutes(self, goal: Clause, budget: _Budget) -> bool:
         """True iff the premise, the negation of ``goal`` and the relevant
         disjunctions are provably unsat.  A difference-logic query is
         decided on the graph; any other goes whole to Fourier-Motzkin."""
         if self.normal is None:
             return True
+        if not self.searched:  # with a budget of its own, of this one's size
+            self.searched, self.model = True, self._search_model(budget.left)
+        model = self.model
+        if model is not None and all(
+                v in model for a in goal for v in a.vars()) and not any(
+                a.evaluate(model) for a in goal):
+            return False
         negated = _normalize([_negate_atom(a) for a in goal], ())
         if negated is None:
             return True

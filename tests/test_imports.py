@@ -265,8 +265,10 @@ def err_sites(tree: ast.Module):
 
 
 def test_only_step_goes_to_err():
-    """Rules return None when their side conditions are not proven; only
-    ``step``, once every rule has, names the error state."""
+    """Only ``step`` names the error state: before any rule runs, when an
+    operand of the instruction has no value, and once every rule has
+    returned None, which a rule does only when its side conditions are not
+    proven."""
     assert err_sites(ast.parse((SRC / "symexec.py").read_text())) == ["step"]
 
 

@@ -408,15 +408,20 @@ def _linear_atom(draw, vs, rels) -> Atom:
     return Atom.make(draw(st.sampled_from(rels)), t)
 
 
-def _assert_compiled_as_fresh(held, premise, vs):
+def _assert_compiled_as_fresh(held, premise, vs, effort):
     """``held``, reused or extended, compiles ``premise`` as a new
     ``_Premise`` does: the same normal form, the same disjunctions selected
-    for each variable, and the same graph cost and closing."""
+    for each variable, the same graph cost and closing, and the same model,
+    which satisfies the premise."""
     fresh = logic._Premise(premise)
     assert held.formula == premise and held.normal == fresh.normal
     assert (held.graph is None) is (fresh.graph is None)
     if fresh.graph is not None:
         assert (held.cost, held.closed) == (fresh.cost, fresh.closed)
+    if held.searched:  # by the goal just asked, unless the premise is false
+        assert held.model == fresh._search_model(effort), premise
+    if held.model is not None:
+        assert eval_formula(held.model, premise), (premise, held.model)
     for v in vs:
         assert [d.splits for d in held.relevant({v})] == [
             d.splits for d in fresh.relevant({v})], (premise, v)
@@ -478,7 +483,7 @@ def test_held_and_extended_premises_answer_as_a_fresh_engine(data):
         assert verdict is fresh.entails(p, g), f"{p} => {g}"
         if engine.queries > asked:  # not answered from the cache
             assert engine.exhausted - exhausted == fresh.exhausted, f"{p} => {g}"
-            _assert_compiled_as_fresh(engine._premises[0], p, vs)
+            _assert_compiled_as_fresh(engine._premises[0], p, vs, effort)
         if verdict is Verdict.VALID:
             assert brute_force_valid(p, g, 5), f"unsound: {p} => {g}"
         if i == base_query:
@@ -552,6 +557,133 @@ def test_relevant_disjunctions_match_the_reachability_fixpoint(data):
     assert got == [logic._normalize((), (c,))[1] for c in expected]
 
 
+# --- backjumping and the premise model --------------------------------------
+
+def _plain_refute_branches(graph, alternatives, i):
+    """The case split without backjumping: every branch of every clause,
+    depth first, until a consistent leaf (None); an empty level set when
+    every choice is refuted."""
+    if i == len(alternatives):
+        return None
+    for branch in alternatives[i]:
+        graph._spend()
+        mark = len(graph.trail)
+        try:
+            refuted = (graph._extend(branch, i + 1) is not None
+                       or _plain_refute_branches(graph, alternatives, i + 1)
+                       is not None)
+        finally:
+            graph._restore(mark)
+        if not refuted:
+            return None
+    return set()
+
+
+def _reference_entails(premise, goal, effort):
+    """A fresh engine's verdict and exhausted count with the plain case
+    split and no premise model."""
+    with mock.patch.object(logic._DifferenceGraph, "_refute_branches",
+                           _plain_refute_branches), \
+            mock.patch.object(logic._Premise, "_search_model",
+                              return_value=None):
+        engine = Entailment(effort=effort)
+        return engine.entails(premise, goal), engine.exhausted
+
+
+def _difference_queries(draw, prefix):
+    """Goals over two or three premises of up to 6 clauses with
+    disjunctions and ``!=``, interleaved; goals may name a variable that
+    the premise lacks."""
+    vs = [SymVar(i, prefix) for i in range(1, draw(st.integers(2, 4)) + 1)]
+    premises = [_difference_formula(draw, vs, draw(st.integers(1, 6)))
+                for _ in range(draw(st.integers(2, 3)))]
+    return [(draw(st.sampled_from(premises)),
+             _difference_formula(draw, vs, draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(2, 6)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_backjumping_and_the_model_answer_as_the_plain_case_split(data):
+    # With less effort spent, a query the plain split ran out on may now be
+    # decided; it must then be VALID for the plain split given no bound.
+    draw = data.draw
+    effort = draw(st.one_of(st.integers(1, 30), st.just(UNBOUNDED)))
+    engine = Entailment(effort=effort)
+    for premise, goal in _difference_queries(draw, "b"):
+        exhausted = engine.exhausted
+        verdict = engine.entails(premise, goal)
+        reference, cut_off = _reference_entails(premise, goal, effort)
+        assert engine.exhausted - exhausted <= cut_off, f"{premise} => {goal}"
+        if not cut_off or verdict is Verdict.NOT_PROVEN:
+            assert verdict is reference, f"{premise} => {goal}"
+        else:
+            assert _reference_entails(premise, goal, UNBOUNDED)[0] is (
+                Verdict.VALID), f"{premise} => {goal}"
+        if verdict is Verdict.VALID:
+            assert brute_force_valid(premise, goal, 6), (
+                f"unsound: {premise} => {goal}")
+
+
+def _has_negative_cycle(edges, nodes: int) -> bool:
+    """Bellman-Ford from a source with a 0 edge to every node: do the
+    ``(u, v, w)`` edges hold a cycle whose weights sum below 0?"""
+    dist = [0] * nodes
+    for _ in range(nodes):
+        lowered = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v], lowered = dist[u] + w, True
+        if not lowered:
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_conflict_levels_name_a_negative_cycle(data):
+    # The levels ``add`` returns include the new edge's, and the edges of
+    # those levels alone close a negative cycle: so does every branch that
+    # shares them, which is what a backjump skips.
+    conflicts = []
+    add = logic._DifferenceGraph.add
+
+    def checked(graph, u, v, w, level=0):
+        levels = add(graph, u, v, w, level)
+        if levels is not None:
+            edges = [(x, y, wy) for x, out in enumerate(graph.succ)
+                     for y, wy, ly in out if ly in levels]
+            assert level in levels and _has_negative_cycle(
+                edges, len(graph.pi)), (levels, graph.succ)
+            conflicts.append(levels)
+        return levels
+
+    engine = Entailment(effort=UNBOUNDED)
+    with mock.patch.object(logic._DifferenceGraph, "add", checked):
+        for premise, goal in _difference_queries(data.draw, "c"):
+            engine.entails(premise, goal)
+    assume(conflicts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_premise_model_satisfies_every_clause_of_its_premise(data):
+    # The model is searched on the first goal, and drawn from every
+    # disjunction, not only those the goal selects.
+    draw = data.draw
+    vs = [SymVar(i, "m") for i in range(1, draw(st.integers(1, 4)) + 1)]
+    premise = _difference_formula(draw, vs, draw(st.integers(1, 6)))
+    engine = Entailment(effort=UNBOUNDED)
+    engine.entails(premise, Formula.of(Atom.le(draw(st.sampled_from(vs)), 0)))
+    model = engine._premises[0].model
+    if model is None:  # only an unsat premise has none, given no bound
+        assert brute_force_valid(premise, Formula.of(Atom.false()), 6)
+    else:
+        assert set(model) == set(premise.vars())
+        assert all(any(a.evaluate(model) for a in clause)
+                   for clause in premise.clauses), (premise, model)
+
+
 # --- premise reuse in whole analyses ----------------------------------------
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -583,8 +715,10 @@ def _digest(lines) -> str:
 
 # build_only's analysis: its uncached questions, the digest of each one's
 # ``premise|conclusion|verdict`` in order, and the digest of the effort
-# every budget spent, in the order the budgets were made.
-QUESTION_STREAM = (516, "a23f34a3e631687f", "0a76314871ff68a8")
+# every budget spent, in the order the budgets were made (premise model
+# searches included).  Backjumping and the premise model changed only the
+# effort column, from "0a76314871ff68a8".
+QUESTION_STREAM = (516, "a23f34a3e631687f", "4ef9850d0a65af83")
 
 
 def test_question_stream_is_pinned(monkeypatch):
@@ -611,6 +745,59 @@ def test_question_stream_is_pinned(monkeypatch):
     assert main(["analyze", str(CORPUS / "build_only.ll")]) == 0
     assert (len(asked), _digest(asked), _digest(
         str(b.limit - b.left) for b in budgets)) == QUESTION_STREAM
+
+
+# Per corpus program: its uncached questions and the digest of each one's
+# ``premise|conclusion|verdict``, in order.  A change to the engine that
+# keeps every answer keeps these; they were measured before backjumping and
+# the premise model, which kept them.
+CORPUS_QUESTIONS = {
+    "build_append": (2333, "7c4f642bf4a96fc1"),
+    "build_only": (516, "a23f34a3e631687f"),
+    "build_search_value": (1847, "4194312affeec53d"),
+    "build_traverse_field": (1330, "db09772fd3db127a"),
+    "build_traverse_ptr": (1331, "ffb30442dd4683f9"),
+    "count_up": (53, "29173f1c75dea38b"),
+    "cyclic_traverse": (49, "3f5304d37ba44976"),
+    "infinite_loop": (11, "9b2fb9e5288f7a12"),
+    "null_deref": (7, "46b18ca120c70f9a"),
+    "store_into_invariant": (473, "d590b166bc9e61b7"),
+    "straight_line": (13, "3379b59ec29b1a2b"),
+}
+
+
+def test_every_corpus_question_keeps_its_answer(monkeypatch):
+    asked = []
+    uncached = Entailment._entails_uncached
+
+    def recorded(self, premise, conclusion):
+        verdict = uncached(self, premise, conclusion)
+        asked.append(f"{premise}|{conclusion}|{verdict.name}")
+        return verdict
+
+    monkeypatch.setattr(Entailment, "_entails_uncached", recorded)
+    got = {}
+    for path in sorted(CORPUS.glob("*.ll")):
+        asked.clear()
+        main(["analyze", str(path)])
+        got[path.stem] = (len(asked), _digest(asked))
+    assert got == CORPUS_QUESTIONS
+
+
+# build_only's analysis: the calls of the graph's case split and of its edge
+# insertion, model searches included.  Without backjumping and the premise
+# model they were 2,271 and 4,258.
+CASE_SPLITS = (713, 2201)
+
+
+def test_case_splits_are_pinned():
+    graph = logic._DifferenceGraph
+    with mock.patch.object(graph, "_refute_branches", autospec=True,
+                           side_effect=graph._refute_branches) as split, \
+            mock.patch.object(graph, "add", autospec=True,
+                              side_effect=graph.add) as add:
+        assert main(["analyze", str(CORPUS / "build_only.ll")]) == 0
+    assert (split.call_count, add.call_count) == CASE_SPLITS
 
 
 # --- equalities without the engine ------------------------------------------
