@@ -16,8 +16,8 @@ are saturated once and share one formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from functools import cached_property, partial
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .ir import AggType, IrType, ProgramPosition, Record
 from .logic import Atom, Entailment, Formula, SymVar, Value, rename_formula
@@ -322,6 +322,12 @@ def is_satisfiable(s: AbstractState, engine: Entailment) -> bool:
 # Renaming
 # --------------------------------------------------------------------------
 
+def rename_value(v: Value, ren: Mapping[SymVar, Value]) -> Value:
+    """``v`` renamed by ``ren``: an integer, or a variable ``ren`` does not
+    map, stays as it is."""
+    return ren.get(v, v) if isinstance(v, SymVar) else v
+
+
 def alpha_rename(s: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
     """Homomorphic renaming; the map must be injective on the state's
     variables (unmentioned variables stay fixed)."""
@@ -330,9 +336,7 @@ def alpha_rename(s: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
     if len(set(images)) != len(images):
         raise ValueError("renaming is not injective on the state's variables")
 
-    def r(v: Value) -> Value:
-        return ren.get(v, v) if isinstance(v, SymVar) else v
-
+    r = partial(rename_value, ren=ren)
     return AbstractState.make(
         pos=s.pos,
         lv={k: r(v) for k, v in s.lv},

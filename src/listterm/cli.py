@@ -21,13 +21,14 @@ import random
 import sys
 import time
 from collections import Counter
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .absdom import ErrState
 from .concrete import FuelExhausted, Trace, format_trace, represents, run_concrete
 from .ir import GepByte, GepField, ParseError, Program, Store, parse_program
 from .its import ITS, export_its, extract_its, prove_termination
-from .logic import Entailment
+from .logic import Entailment, linear_text
 from .seg import (
     COMPLETE,
     CONTAINS_ERR,
@@ -67,19 +68,8 @@ def _merge_count(seg: Seg) -> int:
 def _rank_str(rank) -> str:
     """Human-readable ranking function; variables are named by their hints,
     ordered by hint and then id."""
-    parts = []
-    for v, coeff in sorted(rank.coeffs, key=lambda vc: (vc[0].hint,
-                                                        vc[0].id)):
-        mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-        if not parts:
-            sign = "-" if coeff < 0 else ""
-        else:
-            sign = " - " if coeff < 0 else " + "
-        parts.append(f"{sign}{mag}{v.hint}")
-    if rank.const or not parts:
-        sign = "" if not parts else (" - " if rank.const < 0 else " + ")
-        parts.append(f"{sign}{abs(rank.const) if parts else rank.const}")
-    return "".join(parts)
+    coeffs = sorted(rank.coeffs, key=lambda vc: (vc[0].hint, vc[0].id))
+    return linear_text(rank.const, coeffs, attrgetter("hint"))
 
 
 def analysis_report(prog: Program, args: argparse.Namespace
@@ -166,11 +156,8 @@ def nondet_stream(seed: int):
 
 
 def cmd_run(args: argparse.Namespace, prog: Program) -> int:
-    try:
-        trace = run_concrete(prog, nondet_stream(args.seed), fuel=args.fuel)
-    except FuelExhausted:
-        print("fuel exhausted", file=sys.stderr)
-        return EXIT_UNKNOWN
+    trace = run_concrete(prog, nondet_stream(args.seed), fuel=args.fuel,
+                         partial=True)
     if args.trace:
         sys.stdout.write(format_trace(trace))
     if trace.loop is not None:
@@ -178,6 +165,9 @@ def cmd_run(args: argparse.Namespace, prog: Program) -> int:
               f"{trace.loop}", file=sys.stderr)
         return EXIT_UNKNOWN
     final = trace.final
+    if not final.halted:  # cut where the fuel ran out
+        print("fuel exhausted", file=sys.stderr)
+        return EXIT_UNKNOWN
     print(f"halted={final.halted} error={final.error} "
           f"steps={len(trace.instructions)}")
     return EXIT_ERR_STATE if final.error else EXIT_PROVED
@@ -188,7 +178,7 @@ def cmd_run(args: argparse.Namespace, prog: Program) -> int:
 # --------------------------------------------------------------------------
 
 # What a followed edge does; ``match_trace`` counts its checks per class.
-GEN = "generalization"  # the more abstract target represents the same state
+GEN = GENERALIZATION    # the more abstract target represents the same state
 EXT = "extension"       # a store that grows a summarized list segment
 TRAV = "traversal"      # an address computation moving a summary's root
 OTHER = "other"         # any other evaluation edge

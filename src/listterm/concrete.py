@@ -29,7 +29,8 @@ from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
 from .ir import (ICMP, Instruction, Layout, Program, ProgramPosition, Record,
                  type_size)
-from .logic import EQ, LE, NE, Atom, Entailment, Formula, OffsetClosure, SymVar
+from .logic import (EQ, NE, Atom, Entailment, Formula, OffsetClosure, SymVar,
+                    relation_holds)
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +469,7 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout) -> _Plan:
     checks: List[List[CClause]] = [[] for _ in known]
     for clause in formula.clauses:
         alts = [catom(a) for a in clause]
-        if any(not terms and _holds(rel, const) for rel, const, terms in alts):
+        if any(relation_holds(*a[:2]) for a in alts if not a[2]):
             continue  # true under every binding, e.g. an equality's class
         alts = [a for a in alts if a[2]]
         classes = {c for _, _, terms in alts for c, _ in terms}
@@ -484,12 +485,6 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout) -> _Plan:
         al=tuple((ref(a.lo), ref(a.hi)) for a in s.al),
         pt=tuple((ref(p.addr), type_size(p.ty, layout), ref(p.value))
                  for p in pts))
-
-
-def _holds(rel: str, value: int) -> bool:
-    if rel == LE:
-        return value <= 0
-    return value == 0 if rel == EQ else value != 0
 
 
 def _value(val: List[Optional[int]], r: Ref) -> int:
@@ -520,7 +515,7 @@ def _satisfied(clauses: Iterable[CClause], val: List[Optional[int]]) -> bool:
         for rel, const, terms in clause:
             for c, k in terms:
                 const += k * val[c]
-            if _holds(rel, const):
+            if relation_holds(rel, const):
                 break
         else:
             return False

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .absdom import AbstractState, Value, state_formula
 from .ir import Record
 from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, OffsetClosure,
-                    SymVar, Term)
+                    SymVar, Term, dense_renaming)
 from .seg import COMPLETE, GENERALIZATION, Seg
 
 
@@ -327,23 +327,18 @@ def clause_sexpr(clause: Clause, names: Mapping[SymVar, str]) -> str:
 
 
 def _canonical_names(its: ITS) -> Dict[SymVar, str]:
-    names: Dict[SymVar, str] = {}
+    """The export's names: the locations' variables, then per transition
+    its guard's and its update's, numbered by :func:`dense_renaming`."""
+    def order():
+        for n in sorted(its.locations):
+            yield from its.locations[n].vars
+        for t in its.transitions:
+            yield from t.guard.vars()
+            for x, term in t.update:
+                yield x
+                yield from term.vars()
 
-    def add(v: SymVar):
-        if v not in names:
-            names[v] = f"{v.hint}_{len(names) + 1}"
-
-    for n in sorted(its.locations):
-        for v in its.locations[n].vars:
-            add(v)
-    for t in its.transitions:
-        for v in t.guard.vars():
-            add(v)
-        for x, term in t.update:
-            add(x)
-            for v in term.vars():
-                add(v)
-    return names
+    return {v: w.name for v, w in dense_renaming(order()).items()}
 
 
 def export_its(its: ITS) -> str:

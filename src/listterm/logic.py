@@ -48,24 +48,20 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, order=True)
-class SymVar:
+class SymVar(NamedTuple):
     """A symbolic variable: an id, unique within one analysis, and a
-    cosmetic hint.  Equal id and hint make the same variable."""
+    cosmetic hint.  Equal id and hint make the same variable; as a tuple
+    it also equals a plain ``(id, hint)``, so no Value is compared to one."""
 
     id: int
     hint: str = "v"
-
-    def __hash__(self) -> int:
-        # Equal variables have equal ids; hashing the id alone skips the
-        # generated (id, hint) tuple hash.
-        return hash(self.id)
 
     @property
     def name(self) -> str:
@@ -76,6 +72,27 @@ class SymVar:
 
 
 Value = Union[SymVar, int]
+
+
+def dense_renaming(vs: Iterable[SymVar]) -> Dict[SymVar, SymVar]:
+    """Each variable of ``vs`` renamed, in order of first appearance, to
+    ``SymVar(k, hint)`` with k counting from 1: the exports' names, dense
+    where the engine's ids have gaps.  Repeats are ignored."""
+    return {v: SymVar(k, v.hint) for k, v in enumerate(dict.fromkeys(vs), 1)}
+
+
+def linear_text(const: int, coeffs: Iterable[Tuple[SymVar, int]],
+                name: Callable[[SymVar], str]) -> str:
+    """``const + sum(c * v)`` as text, in the order of ``coeffs``, each
+    variable written ``name(v)``: a coefficient of 1 or -1 is a sign alone,
+    and the constant comes last, unless it is 0 and something precedes it."""
+    text = ""
+    for v, c in coeffs:
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        text += f"{' - ' if c < 0 else ' + '}{mag}{name(v)}"
+    if const or not text:
+        text += f"{' - ' if const < 0 else ' + '}{abs(const)}"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,20 +168,17 @@ class Term:
         return total
 
     def __str__(self) -> str:
-        parts = []
-        for v, c in self.coeffs:
-            if c == 1:
-                parts.append(f"{v.name}")
-            elif c == -1:
-                parts.append(f"-{v.name}")
-            else:
-                parts.append(f"{c}*{v.name}")
-        if self.const or not parts:
-            parts.append(str(self.const))
-        return " + ".join(parts).replace("+ -", "- ")
+        return linear_text(self.const, self.coeffs, attrgetter("name"))
 
 
 EQ, NE, LE = "=", "!=", "<="
+
+
+def relation_holds(rel: str, value: int) -> bool:
+    """Does ``value rel 0`` hold?"""
+    if rel == LE:
+        return value <= 0
+    return value == 0 if rel == EQ else value != 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,13 +200,7 @@ class Atom:
         """The normal form of ``t rel 0``."""
         if not t.coeffs:
             # Ground atom: canonical representatives 0 <= 0 (true), 1 <= 0 (false).
-            if rel == EQ:
-                holds = t.const == 0
-            elif rel == NE:
-                holds = t.const != 0
-            else:
-                holds = t.const <= 0
-            return Atom(LE, Term(0 if holds else 1))
+            return Atom(LE, Term(0 if relation_holds(rel, t.const) else 1))
         g = math.gcd(*[c for _, c in t.coeffs])
         if rel in (EQ, NE):
             coeffs = t.coeff_map()
@@ -274,12 +282,7 @@ class Atom:
         return Atom.make(self.rel, self.term.substitute(subst))
 
     def evaluate(self, assignment: Mapping[SymVar, int]) -> bool:
-        val = self.term.evaluate(assignment)
-        if self.rel == EQ:
-            return val == 0
-        if self.rel == NE:
-            return val != 0
-        return val <= 0
+        return relation_holds(self.rel, self.term.evaluate(assignment))
 
     def is_trivially_true(self) -> bool:
         return not self.term.coeffs and self.evaluate({})

@@ -12,6 +12,7 @@ incomplete graph (resource bound hit).
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -29,12 +30,13 @@ from .absdom import (
     Value,
     alpha_rename,
     is_satisfiable,
+    rename_value,
     state_formula,
     value_key,
 )
 from .ir import AggType, Program, Record, type_size
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
-                    rename_formula)
+                    dense_renaming, rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
 
 GENERALIZATION = "generalization"
@@ -671,32 +673,17 @@ def build_seg(prog: Program, engine: Entailment, *, max_nodes: int = MAX_NODES,
 # --------------------------------------------------------------------------
 
 def _canonical_renaming(seg: Seg) -> Dict[SymVar, SymVar]:
-    """Names numbered densely by first appearance in the graph; the
-    engine's ids have gaps (not every fresh variable ends up in a state)."""
-    ren: Dict[SymVar, SymVar] = {}
-    counter = 1
-    for st in seg.states:
-        if isinstance(st, ErrState):
-            continue
-        for v in st.sym_vars:
-            if v not in ren:
-                ren[v] = SymVar(counter, v.hint)
-                counter += 1
-    for e in seg.edges:
-        for v, w in (e.instantiation or ()):
-            for x in (v, w):
-                if isinstance(x, SymVar) and x not in ren:
-                    ren[x] = SymVar(counter, x.hint)
-                    counter += 1
-    return ren
-
-
-def _rename_value(v: Value, ren: Dict[SymVar, SymVar]) -> Value:
-    return ren.get(v, v) if isinstance(v, SymVar) else v
+    """The export's names: the states' variables, then the instantiations',
+    numbered by :func:`dense_renaming`."""
+    return dense_renaming(itertools.chain(
+        (v for st in seg.states if not isinstance(st, ErrState)
+         for v in st.sym_vars),
+        (x for e in seg.edges for pair in e.instantiation or ()
+         for x in pair if isinstance(x, SymVar))))
 
 
 def _renamed(st: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
-    return alpha_rename(st, {v: w for v, w in ren.items() if v in st.sym_vars})
+    return alpha_rename(st, {v: ren[v] for v in st.sym_vars})
 
 
 def to_dot(seg: Seg) -> str:
@@ -733,7 +720,7 @@ def to_json(seg: Seg) -> str:
         item = {"src": e.src, "dst": e.dst, "kind": e.kind}
         if e.instantiation is not None:
             item["instantiation"] = {
-                str(_rename_value(v, ren)): str(_rename_value(w, ren))
+                str(rename_value(v, ren)): str(rename_value(w, ren))
                 for v, w in e.instantiation}
         edges.append(item)
     return json.dumps({"outcome": seg.outcome, "root": seg.root,

@@ -7,20 +7,24 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from listterm.cli import (
     EXIT_ERR_STATE,
     EXIT_PARSE_ERROR,
     EXIT_PROVED,
     EXIT_UNKNOWN,
+    _rank_str,
     main,
     nondet_stream,
 )
 from listterm.its import parse_its_text
+from listterm.logic import SymVar, Term
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -112,7 +116,88 @@ def test_json_verdict_for_error_program(capsys):
     assert doc["certificates"] == []
 
 
+def _reference_rank_str(rank) -> str:
+    """The rank text as ``cli._rank_str`` wrote it before it shared
+    ``logic.linear_text`` with ``Term.__str__``."""
+    parts = []
+    for v, coeff in sorted(rank.coeffs, key=lambda vc: (vc[0].hint,
+                                                        vc[0].id)):
+        mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
+        if not parts:
+            sign = "-" if coeff < 0 else ""
+        else:
+            sign = " - " if coeff < 0 else " + "
+        parts.append(f"{sign}{mag}{v.hint}")
+    if rank.const or not parts:
+        sign = "" if not parts else (" - " if rank.const < 0 else " + ")
+        parts.append(f"{sign}{abs(rank.const) if parts else rank.const}")
+    return "".join(parts)
+
+
+def _reference_term_str(t: Term) -> str:
+    """The term text as ``Term.__str__`` wrote it before it shared
+    ``logic.linear_text`` with ``cli._rank_str``."""
+    parts = []
+    for v, c in t.coeffs:
+        if c == 1:
+            parts.append(f"{v.name}")
+        elif c == -1:
+            parts.append(f"-{v.name}")
+        else:
+            parts.append(f"{c}*{v.name}")
+    if t.const or not parts:
+        parts.append(str(t.const))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+@st.composite
+def linear_terms(draw):
+    """Terms over up to five variables with distinct ids and mixed,
+    possibly repeated hints; the corpus's ranks (``-k + n``, ``-j + m``,
+    ``len``) have no other coefficient than 1 or -1, and no constant."""
+    n = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n,
+                        unique=True))
+    hints = draw(st.lists(st.sampled_from(["n", "len", "k", "tail_ptr", "v0",
+                                           "x.y"]), min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n,
+                           max_size=n))
+    return Term._make(draw(st.integers(-5, 5)), {
+        SymVar(i, h): c for i, h, c in zip(ids, hints, coeffs)})
+
+
+@given(linear_terms())
+def test_linear_terms_print_as_before(t):
+    assert _rank_str(t) == _reference_rank_str(t)
+    assert str(t) == _reference_term_str(t)
+
+
 # --- artifact emission ----------------------------------------------------------
+
+# A variable's name in an export: its hint, "_" and its number.  The
+# corpus's hints have no dot, and its program variables and blocks no such
+# suffix.
+EXPORTED_NAME = re.compile(r"\b[A-Za-z_]\w*_(\d+)\b")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.ll")))
+def test_exports_number_their_variables_from_one(tmp_path, capsys, name):
+    """The JSON graph and the transition system each number their
+    variables 1..n, one number per name."""
+    graph, its = tmp_path / "graph.json", tmp_path / "its.smt2"
+    cli(capsys, "analyze", CORPUS / name, "--emit-graph", graph,
+        "--emit-its", its)
+    doc = json.loads(graph.read_text())
+    texts = [" ".join([n.get("state", "") for n in doc["nodes"]] + [
+        f"{v} {w}" for e in doc["edges"]
+        for v, w in e.get("instantiation", {}).items()])]
+    texts += [its.read_text()] if its.exists() else []
+    for text in texts:
+        names = {m.group(0): int(m.group(1))
+                 for m in EXPORTED_NAME.finditer(text)}
+        assert sorted(names.values()) == list(range(1, len(names) + 1))
+
+
 
 
 def test_emit_graph_dot(tmp_path, capsys):
@@ -203,6 +288,14 @@ def test_run_fuel_exhaustion(capsys):
                        "--fuel", 5)
     assert code == EXIT_UNKNOWN
     assert "fuel" in err
+
+
+def test_run_trace_is_printed_when_the_fuel_runs_out(capsys):
+    code, out, err = cli(capsys, "run", CORPUS / "infinite_loop.ll",
+                         "--fuel", 5, "--trace")
+    assert code == EXIT_UNKNOWN
+    assert len(out.splitlines()) == 5
+    assert err == "fuel exhausted\n"
 
 
 @pytest.mark.parametrize("name, fuel, repeat", [

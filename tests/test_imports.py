@@ -4,8 +4,9 @@ read by the package or its benchmark (or listed), every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
-state in one place, only ``ir.py`` says what the IR means, and only the
-classes below are dataclasses."""
+state in one place, only ``ir.py`` says what the IR means, only
+``logic.py`` makes variables, and only the classes below are
+dataclasses."""
 
 from __future__ import annotations
 
@@ -301,6 +302,29 @@ ProgramPosition("entry", 1); f"{pred}"; "equal"; 0
         "'slt'", "'ult'", "ProgramPosition(...)", "ProgramPosition(...)"]
 
 
+def symvar_sites(tree: ast.Module):
+    """The line of each call that builds a ``SymVar``: an analysis's
+    variables come from its engine, and the exports' names from
+    ``logic.dense_renaming``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _called(node) == "SymVar")
+
+
+def test_only_logic_makes_variables():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "logic.py"
+             for line in symvar_sites(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_variable_sites_are_found():
+    source = """
+v = SymVar(1, "x")
+w = logic.SymVar(2); engine.fresh("x"); isinstance(v, SymVar)
+"""
+    assert symvar_sites(ast.parse(source)) == [2, 3]
+
+
 # The package's dataclasses, each with why it is one.  ``@dataclass``
 # generates and compiles its methods at import, so a record that a run
 # builds only a few times derives from ``ir.Record`` instead.
@@ -309,7 +333,6 @@ DATACLASSES = {
     "ir.PtrType": "compared and hashed in every type check of a step",
     "ir.AggType": "compared and hashed in every type check of a step",
     "ir.ProgramPosition": "compared at every step of a checked concrete run",
-    "logic.SymVar": "hashed in every formula; order=True sorts variables",
     "logic.Term": "tens of thousands built and hashed per analysis",
     "logic.Atom": "tens of thousands built and hashed per analysis",
     "logic.Formula": "thousands built and hashed per analysis",

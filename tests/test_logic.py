@@ -834,3 +834,10 @@ def test_fresh_vars_count_up_per_engine():
     a, b = Entailment(), Entailment()
     assert [a.fresh(), a.fresh("x"), b.fresh("x")] == [
         SymVar(1, "v"), SymVar(2, "x"), SymVar(1, "x")]
+
+
+def test_dense_renaming_numbers_by_first_appearance():
+    a, b, c = SymVar(7, "x"), SymVar(3, "len"), SymVar(12, "x")
+    assert logic.dense_renaming([a, b, a, c, b]) == {
+        a: SymVar(1, "x"), b: SymVar(2, "len"), c: SymVar(3, "x")}
+    assert logic.dense_renaming([]) == {}
