@@ -6,7 +6,9 @@ analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share this module's
 equality reasoning: :class:`OffsetClosure` answers constant offsets
 between variables without the engine, and its classes are the ones the
-representation oracle binds.
+representation oracle binds.  Variables, terms and atoms are tuples, so
+they are built, hashed and compared in C; as tuples they also equal plain
+ones, so no code compares one with a plain tuple, iterates or sizes one.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal, with only the premise's disjunctions that
@@ -57,8 +59,7 @@ log = logging.getLogger(__name__)
 
 class SymVar(NamedTuple):
     """A symbolic variable: an id, unique within one analysis, and a
-    cosmetic hint.  Equal id and hint make the same variable; as a tuple
-    it also equals a plain ``(id, hint)``, so no Value is compared to one."""
+    cosmetic hint.  Equal id and hint make the same variable."""
 
     id: int
     hint: str = "v"
@@ -95,21 +96,15 @@ def linear_text(const: int, coeffs: Iterable[Tuple[SymVar, int]],
     return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+def _by_id(vc: Tuple[SymVar, int]) -> int:
+    return vc[0].id
+
+
+class Term(NamedTuple):
     """Linear combination ``const + sum(coeff * var)``; no zero coefficients."""
 
     const: int = 0
     coeffs: Tuple[Tuple[SymVar, int], ...] = ()
-    # Terms, atoms and formulas are hashed on every engine cache lookup; each
-    # computes the dataclass's field-tuple hash once and keeps it here.
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.const, self.coeffs)))
-        return self._hash
 
     @staticmethod
     def of(x: Union["Term", SymVar, int]) -> "Term":
@@ -120,33 +115,34 @@ class Term:
         return Term(int(x), ())
 
     @staticmethod
-    def _make(const: int, coeffs: Dict[SymVar, int]) -> "Term":
-        items = tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
-                             key=lambda vc: vc[0].id))
-        return Term(const, items)
+    def _build(const: int, coeffs: Dict[SymVar, int]) -> "Term":
+        return Term(const, tuple(sorted(
+            [(v, c) for v, c in coeffs.items() if c != 0], key=_by_id)))
 
     def coeff_map(self) -> Dict[SymVar, int]:
         return dict(self.coeffs)
 
     def vars(self) -> Tuple[SymVar, ...]:
-        return tuple(v for v, _ in self.coeffs)
+        return tuple([v for v, _ in self.coeffs])
 
-    def __add__(self, other) -> "Term":
+    def __add__(self, other, sign: int = 1) -> "Term":
+        """``self + sign * other``."""
         other = Term.of(other)
+        const = self.const + sign * other.const
         if not other.coeffs:
-            return Term(self.const + other.const, self.coeffs)
+            return Term(const, self.coeffs)
         m = self.coeff_map()
         for v, c in other.coeffs:
-            m[v] = m.get(v, 0) + c
-        return Term._make(self.const + other.const, m)
+            m[v] = m.get(v, 0) + sign * c
+        return Term._build(const, m)
 
     def __sub__(self, other) -> "Term":
-        return self + Term.of(other).scale(-1)
+        return self.__add__(other, -1)
 
     def scale(self, k: int) -> "Term":
         if k == 0:
             return Term(0)
-        return Term(self.const * k, tuple((v, c * k) for v, c in self.coeffs))
+        return Term(self.const * k, tuple([(v, c * k) for v, c in self.coeffs]))
 
     def substitute(self, subst: Mapping[SymVar, "Term"]) -> "Term":
         if not any(v in subst for v, _ in self.coeffs):
@@ -157,7 +153,7 @@ class Term:
             const += c * t.const
             for w, cw in t.coeffs:
                 m[w] = m.get(w, 0) + c * cw
-        return Term._make(const, m)
+        return Term._build(const, m)
 
     def evaluate(self, assignment: Mapping[SymVar, int]) -> int:
         total = self.const
@@ -181,19 +177,11 @@ def relation_holds(rel: str, value: int) -> bool:
     return value == 0 if rel == EQ else value != 0
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     """Normalized relation ``term REL 0`` with REL in {=, !=, <=}."""
 
     rel: str
     term: Term
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rel, self.term)))
-        return self._hash
 
     @staticmethod
     def make(rel: str, t: Term) -> "Atom":
@@ -215,11 +203,11 @@ class Atom:
             if coeffs[first] < 0:
                 const = -const
                 coeffs = {v: -c for v, c in coeffs.items()}
-            return Atom(rel, Term._make(const, coeffs))
+            return Atom(rel, Term._build(const, coeffs))
         # rel == LE: integer tightening, sum(c/g * v) <= floor(-const/g);
         # dividing by g > 0 keeps the coefficients' order.
         bound = (-t.const) // g
-        return Atom(LE, Term(-bound, tuple((v, c // g) for v, c in t.coeffs)))
+        return Atom(LE, Term(-bound, tuple([(v, c // g) for v, c in t.coeffs])))
 
     @staticmethod
     def _difference(rel: str, a, b, k: int = 0) -> "Atom":
@@ -302,6 +290,8 @@ class Formula:
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 
     clauses: Tuple[Clause, ...] = ()
+    # A premise is hashed on every engine cache lookup; it computes the
+    # dataclass's field-tuple hash once and keeps it here.
     _hash: Optional[int] = field(default=None, init=False, repr=False,
                                  compare=False)
 

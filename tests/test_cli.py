@@ -162,7 +162,7 @@ def linear_terms(draw):
                                            "x.y"]), min_size=n, max_size=n))
     coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n,
                            max_size=n))
-    return Term._make(draw(st.integers(-5, 5)), {
+    return Term._build(draw(st.integers(-5, 5)), {
         SymVar(i, h): c for i, h, c in zip(ids, hints, coeffs)})
 
 

@@ -333,8 +333,6 @@ DATACLASSES = {
     "ir.PtrType": "compared and hashed in every type check of a step",
     "ir.AggType": "compared and hashed in every type check of a step",
     "ir.ProgramPosition": "compared at every step of a checked concrete run",
-    "logic.Term": "tens of thousands built and hashed per analysis",
-    "logic.Atom": "tens of thousands built and hashed per analysis",
     "logic.Formula": "thousands built and hashed per analysis",
     "absdom.Allocation": "hashed with every state and memory",
     "absdom.PointsTo": "hashed with every state and memory",

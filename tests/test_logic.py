@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import pathlib
 import random
 from typing import Mapping
@@ -36,14 +37,70 @@ def eval_formula(assignment: Mapping[SymVar, int], f: Formula) -> bool:
     return all(any(a.evaluate(assignment) for a in clause) for clause in f.clauses)
 
 
+def _compiled_clause(index: Mapping[SymVar, int], atoms):
+    """A clause as (last, rows): the position in ``index`` of its last
+    variable (-1 when it has none), and per atom ``(rel, const, pairs, c)``
+    with one ``(position, coefficient)`` pair per other variable and ``c``
+    the last variable's coefficient, 0 when the atom does not have it."""
+    positions = [[(index[v], c) for v, c in a.term.coeffs] for a in atoms]
+    last = max((i for pairs in positions for i, _ in pairs), default=-1)
+    return last, [(a.rel, a.term.const, [(i, c) for i, c in pairs if i != last],
+                   sum(c for i, c in pairs if i == last))
+                  for a, pairs in zip(atoms, positions)]
+
+
+def _negation(a: Atom) -> Atom:
+    """The atom that holds exactly where ``a`` does not, built here rather
+    than by the engine's own negation."""
+    if a.rel == logic.LE:  # not t <= 0 is -t + 1 <= 0 over the integers
+        return Atom(logic.LE, Term(1 - a.term.const,
+                                   tuple((v, -c) for v, c in a.term.coeffs)))
+    return Atom(logic.NE if a.rel == logic.EQ else logic.EQ, a.term)
+
+
+def _grid_point(checks, point: list, bound: int, level: int = 0) -> bool:
+    """Is there a point of [0, bound]^k, the first ``level`` values being
+    ``point``'s, where every clause holds?  ``checks[i]`` holds the clauses
+    whose last variable is the i-th; only the values of it that satisfy
+    them all are tried."""
+    if level == len(point):
+        return True
+    grid = range(bound + 1)
+    allowed = set(grid)
+    for rows in checks[level]:
+        satisfying = set()
+        for rel, const, pairs, c in rows:
+            rest = const + sum(ci * point[i] for i, ci in pairs)
+            satisfying |= {x for x in grid
+                           if logic.relation_holds(rel, rest + c * x)}
+        allowed &= satisfying
+    for value in allowed:
+        point[level] = value
+        if _grid_point(checks, point, bound, level + 1):
+            return True
+    return False
+
+
 def brute_force_valid(premise: Formula, conclusion: Formula, bound: int) -> bool:
-    """Exhaustively check ``premise => conclusion`` on the grid [0, bound]^k."""
+    """Exhaustively check ``premise => conclusion`` on the grid [0, bound]^k:
+    for each clause of the conclusion, search the grid for a point where
+    the premise holds and every atom of the clause fails."""
     vs = tuple(sorted(set(premise.vars()) | set(conclusion.vars())))
     if len(vs) > 6:
         raise ValueError(f"too many variables for brute force: {len(vs)}")
-    for point in itertools.product(range(bound + 1), repeat=len(vs)):
-        asg = dict(zip(vs, point))
-        if eval_formula(asg, premise) and not eval_formula(asg, conclusion):
+    index = {v: i for i, v in enumerate(vs)}
+    premise_clauses = [_compiled_clause(index, c) for c in premise.clauses]
+    for clause in conclusion.clauses:
+        checks = [[] for _ in vs]
+        ground = True  # every clause without variables holds
+        for last, rows in premise_clauses + [
+                _compiled_clause(index, (_negation(a),)) for a in clause]:
+            if last < 0:
+                ground = ground and any(logic.relation_holds(rel, const)
+                                        for rel, const, _, _ in rows)
+            else:
+                checks[last].append(rows)
+        if ground and _grid_point(checks, [0] * len(vs), bound):
             return False
     return True
 
@@ -128,6 +185,148 @@ def test_two_value_atoms_match_the_general_normal_form(a, b):
     for built, general in pairs:
         assert built == general, (a, b, built, general)
         assert hash(built) == hash(general)
+
+
+# The arithmetic as it was before terms and atoms were tuples, kept as the
+# reference for the paths that now build the tuples directly.
+def _reference_build(const, coeffs):
+    items = tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
+                         key=lambda vc: vc[0].id))
+    return Term(const, items)
+
+
+def _reference_add(t, other):
+    other = Term.of(other)
+    if not other.coeffs:
+        return Term(t.const + other.const, t.coeffs)
+    m = t.coeff_map()
+    for v, c in other.coeffs:
+        m[v] = m.get(v, 0) + c
+    return _reference_build(t.const + other.const, m)
+
+
+def _reference_scale(t, k):
+    if k == 0:
+        return Term(0)
+    return Term(t.const * k, tuple((v, c * k) for v, c in t.coeffs))
+
+
+def _reference_sub(t, other):
+    return _reference_add(t, _reference_scale(Term.of(other), -1))
+
+
+def _reference_substitute(t, subst):
+    if not any(v in subst for v, _ in t.coeffs):
+        return t
+    const, m = t.const, {}
+    for v, c in t.coeffs:
+        s = Term.of(subst[v]) if v in subst else Term(0, ((v, 1),))
+        const += c * s.const
+        for w, cw in s.coeffs:
+            m[w] = m.get(w, 0) + c * cw
+    return _reference_build(const, m)
+
+
+def _reference_make(rel, t):
+    if not t.coeffs:
+        return Atom(logic.LE, Term(0 if logic.relation_holds(rel, t.const)
+                                   else 1))
+    g = math.gcd(*[c for _, c in t.coeffs])
+    if rel in (logic.EQ, logic.NE):
+        coeffs = t.coeff_map()
+        if t.const % g == 0:
+            const = t.const // g
+            coeffs = {v: c // g for v, c in coeffs.items()}
+        else:
+            g2 = math.gcd(g, abs(t.const))
+            const = t.const // g2
+            coeffs = {v: c // g2 for v, c in coeffs.items()}
+        first = min(coeffs)
+        if coeffs[first] < 0:
+            const = -const
+            coeffs = {v: -c for v, c in coeffs.items()}
+        return Atom(rel, _reference_build(const, coeffs))
+    bound = (-t.const) // g
+    return Atom(logic.LE, Term(-bound, tuple((v, c // g) for v, c in t.coeffs)))
+
+
+def _reference_difference(rel, a, b, k=0):
+    if isinstance(a, SymVar):
+        if isinstance(b, SymVar):
+            if a.id < b.id:
+                return Atom(rel, Term(k, ((a, 1), (b, -1))))
+            if b.id < a.id:
+                return Atom(rel, Term(k, ((b, -1), (a, 1)) if rel == logic.LE
+                                      else ((b, 1), (a, -1))))
+        elif isinstance(b, int):
+            return Atom(rel, Term(k - b, ((a, 1),)))
+    elif isinstance(a, int) and isinstance(b, SymVar):
+        if rel == logic.LE:
+            return Atom(logic.LE, Term(a + k, ((b, -1),)))
+        return Atom(rel, Term(-a, ((b, 1),)))
+    t = _reference_sub(Term.of(a), Term.of(b))
+    return _reference_make(rel, _reference_add(t, k) if k else t)
+
+
+# Few variables, so one variable often appears twice; equal ids with
+# different hints too.
+SMALL_VARS = st.builds(SymVar, st.integers(0, 3), st.sampled_from(["v", "w"]))
+TERMS = st.builds(_reference_build, st.integers(-6, 6),
+                  st.dictionaries(SMALL_VARS, st.integers(-4, 4), max_size=4))
+OPERANDS = st.one_of(SMALL_VARS, st.integers(-6, 6), TERMS)
+
+
+def _same(built, reference):
+    """Equal, of the same types down to the coefficient tuple, and hashed
+    as the field tuple."""
+    assert built == reference, (built, reference)
+    assert type(built) is type(reference)
+    term = built.term if isinstance(built, Atom) else built
+    assert type(term) is Term and type(term.coeffs) is tuple
+    assert hash(built) == hash(tuple(built))
+
+
+@settings(max_examples=400, deadline=None)
+@given(OPERANDS, OPERANDS, st.integers(-3, 3),
+       st.dictionaries(SMALL_VARS, OPERANDS.map(Term.of), max_size=3))
+@example(SymVar(1), SymVar(1), 0, {})                  # one variable twice
+@example(SymVar(2, "v"), SymVar(2, "w"), 1, {})        # equal ids
+@example(SymVar(1), SymVar(3), 1, {})                  # lower id first
+@example(SymVar(3), SymVar(1), -1, {})                 # higher id first
+@example(SymVar(1), 4, 2, {})                          # a variable and an int
+@example(-2, SymVar(1), 1, {})                         # an int and a variable
+@example(Term(2, ((SymVar(1), 3),)), Term(2, ((SymVar(1), 3),)), 0,
+         {SymVar(1): Term(0, ((SymVar(1), -1),))})     # zero sums
+def test_term_and_atom_arithmetic_matches_the_reference(a, b, k, subst):
+    t = Term.of(a)
+    # Each of b, t and -t: t - t and t + (-t) are zero sums.
+    for other in (b, t, _reference_scale(t, -1)):
+        _same(t + other, _reference_add(t, other))
+        _same(t - other, _reference_sub(t, other))
+    _same(t.scale(k), _reference_scale(t, k))
+    assert t.vars() == tuple(v for v, _ in t.coeffs)
+    _same(t.substitute(subst), _reference_substitute(t, subst))
+    for rel in (logic.EQ, logic.NE, logic.LE):
+        _same(Atom.make(rel, t - b), _reference_make(rel, _reference_sub(t, b)))
+        shift = k if rel == logic.LE else 0
+        _same(Atom._difference(rel, a, b, shift),
+              _reference_difference(rel, a, b, shift))
+
+
+def test_tuple_terms_and_atoms_keep_their_hashes_and_clauses():
+    """A term and an atom hash as their field tuples, as the dataclasses
+    did, so every set and dict over them iterates in the same order; a
+    formula takes an atom as one unit clause, not as a clause of its
+    fields, and a tuple of atoms as one clause."""
+    x, y = SymVar(1, "x"), SymVar(2, "y")
+    coeffs = ((x, 1), (y, -2))
+    t = Term(3, coeffs)
+    a, b = Atom(logic.LE, t), Atom.eq(x, y)
+    assert hash(t) == hash((3, coeffs))
+    assert hash(a) == hash((logic.LE, t)) == hash((logic.LE, (3, coeffs)))
+    assert Formula.of(a).clauses == ((a,),)
+    assert Formula.of((a, b)).clauses == ((a, b),)
+    assert Formula.of(a, (a, b)).atoms() == (a,)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -303,7 +502,6 @@ def test_hypothesis_premise_monotonicity(data):
     p = _random_formula(rng, vs, 2)
     g = _random_formula(rng, vs, 1)
     if Entailment().entails(p, g) is Verdict.VALID:
-        import itertools
         for pt in itertools.product(range(0, 7), repeat=2):
             asg = dict(zip(vs, pt))
             if eval_formula(asg, p):
