@@ -15,9 +15,9 @@ are saturated once and share one formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
+                    Union)
 
 from .ir import AggType, IrType, ProgramPosition, Record
 from .logic import Atom, Entailment, Formula, SymVar, Value, rename_formula
@@ -30,8 +30,7 @@ def value_key(v: Value):
     return (0, v, "")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Byte range [lo, hi], both ends allocated."""
 
     lo: SymVar
@@ -44,8 +43,7 @@ class Allocation:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class PointsTo:
+class PointsTo(NamedTuple):
     """The memory at ``addr``, read with type ``ty``, holds ``value``."""
 
     addr: SymVar
@@ -59,8 +57,7 @@ class PointsTo:
         return f"{self.addr} -{self.ty}-> {self.value}"
 
 
-@dataclass(frozen=True)
-class LIField:
+class LIField(NamedTuple):
     off: int
     fty: IrType
     first: Value  # field value in the first list element
@@ -70,8 +67,7 @@ class LIField:
         return f"({self.off}: {self.fty}: {self.first}..{self.last})"
 
 
-@dataclass(frozen=True)
-class ListInvariant:
+class ListInvariant(NamedTuple):
     """Summary of a non-empty acyclic chain of ``length`` nodes of aggregate
     type ``ty`` starting at address ``ad``; ``rec_index`` is the 1-based
     index of the unique pointer-to-self field."""
@@ -112,26 +108,40 @@ class ErrState(Record):
 ERR = ErrState()
 
 
-@dataclass(frozen=True)
-class Memory:
+class Memory(Record):
     """The components of a state that its state formula reads: states that
     differ only in position or local variables share one."""
 
+    __slots__ = ("al", "pt", "li", "kb", "_hash")
     al: Tuple[Allocation, ...]
     pt: Tuple[PointsTo, ...]
     li: Tuple[ListInvariant, ...]
     kb: Formula
 
+    def __init__(self, al: Tuple[Allocation, ...], pt: Tuple[PointsTo, ...],
+                 li: Tuple[ListInvariant, ...], kb: Formula) -> None:
+        set_ = object.__setattr__
+        set_(self, "al", al)
+        set_(self, "pt", pt)
+        set_(self, "li", li)
+        set_(self, "kb", kb)
+        # The field tuple's hash, computed now: a memory is made only to be
+        # looked up in the engine's state formulas.
+        set_(self, "_hash", hash((al, pt, li, kb)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.al, self.pt, self.li, self.kb) == \
+            (other.al, other.pt, other.li, other.kb)
+
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.al, self.pt, self.li, self.kb))
 
-
-@dataclass(frozen=True)
-class AbstractState:
+class AbstractState(Record):
+    __slots__ = ("pos", "lv", "al", "pt", "li", "kb",
+                 "_hash", "_memory", "_sym_vars")
     pos: ProgramPosition
     lv: Tuple[Tuple[str, Value], ...]
     al: Tuple[Allocation, ...]
@@ -139,19 +149,41 @@ class AbstractState:
     li: Tuple[ListInvariant, ...]
     kb: Formula
 
+    def __init__(self, pos: ProgramPosition, lv: Tuple[Tuple[str, Value], ...],
+                 al: Tuple[Allocation, ...], pt: Tuple[PointsTo, ...],
+                 li: Tuple[ListInvariant, ...], kb: Formula) -> None:
+        set_ = object.__setattr__
+        set_(self, "pos", pos)
+        set_(self, "lv", lv)
+        set_(self, "al", al)
+        set_(self, "pt", pt)
+        set_(self, "li", li)
+        set_(self, "kb", kb)
+        # Computed once, on first use.
+        set_(self, "_hash", None)
+        set_(self, "_memory", None)
+        set_(self, "_sym_vars", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pos, self.lv, self.al, self.pt, self.li, self.kb) == \
+            (other.pos, other.lv, other.al, other.pt, other.li, other.kb)
+
     def __hash__(self) -> int:
+        # The field tuple's hash: states are hashed on every plan lookup.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.pos, self.lv, self.al, self.pt, self.li, self.kb)))
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        # The dataclass's field-tuple hash, computed once: states are hashed
-        # on every state-formula lookup.
-        return hash((self.pos, self.lv, self.al, self.pt, self.li, self.kb))
-
-    @cached_property
+    @property
     def memory(self) -> Memory:
         """The state formula's cache key (computed once)."""
-        return Memory(self.al, self.pt, self.li, self.kb)
+        if self._memory is None:
+            object.__setattr__(self, "_memory",
+                               Memory(self.al, self.pt, self.li, self.kb))
+        return self._memory
 
     # -- construction --------------------------------------------------------
 
@@ -198,9 +230,11 @@ class AbstractState:
         m[var] = value
         return m
 
-    @cached_property
+    @property
     def sym_vars(self) -> Tuple[SymVar, ...]:
         """The state's symbolic variables, sorted by id (computed once)."""
+        if self._sym_vars is not None:
+            return self._sym_vars
         seen: Dict[SymVar, None] = {}
 
         def add(v):
@@ -223,7 +257,8 @@ class AbstractState:
                 add(f.last)
         for v in self.kb.vars():
             seen[v] = None
-        return tuple(sorted(seen))
+        object.__setattr__(self, "_sym_vars", tuple(sorted(seen)))
+        return self._sym_vars
 
     def __str__(self) -> str:
         lv = ", ".join(f"{k}={v}" for k, v in self.lv)
@@ -342,9 +377,10 @@ def alpha_rename(s: AbstractState, ren: Dict[SymVar, SymVar]) -> AbstractState:
         lv={k: r(v) for k, v in s.lv},
         al=[Allocation(r(a.lo), r(a.hi)) for a in s.al],
         pt=[PointsTo(r(p.addr), p.ty, r(p.value)) for p in s.pt],
-        li=[replace(l, ad=r(l.ad), length=r(l.length),
-                    fields=tuple(replace(f, first=r(f.first), last=r(f.last))
-                                 for f in l.fields))
+        li=[l._replace(ad=r(l.ad), length=r(l.length),
+                       fields=tuple(f._replace(first=r(f.first),
+                                               last=r(f.last))
+                                    for f in l.fields))
             for l in s.li],
         kb=rename_formula(s.kb, ren),
     )

@@ -20,15 +20,14 @@ and allocation list, that lives as long as the walk of that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (Container, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from . import ir
 from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
-from .ir import (ICMP, Instruction, Layout, Program, ProgramPosition, Record,
-                 type_size)
+from .ir import (ICMP, Fields, Instruction, Layout, Program, ProgramPosition,
+                 Record, type_size)
 from .logic import (EQ, NE, Atom, Entailment, Formula, OffsetClosure, SymVar,
                     relation_holds)
 
@@ -56,14 +55,34 @@ def read_le(mem: Mapping[int, int], addr: int, size: int) -> Optional[int]:
 # Concrete states and stepping
 # --------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class ConcreteState:
+class ConcreteState(Fields):
+    __slots__ = ("pos", "asgn", "allocations", "mem", "halted", "error")
     pos: ProgramPosition
-    asgn: Dict[str, int] = field(default_factory=dict)
-    allocations: List[Tuple[int, int]] = field(default_factory=list)
-    mem: Dict[int, int] = field(default_factory=dict)
-    halted: bool = False
-    error: bool = False
+    asgn: Dict[str, int]
+    allocations: List[Tuple[int, int]]
+    mem: Dict[int, int]
+    halted: bool
+    error: bool
+
+    def __init__(self, pos: ProgramPosition,
+                 asgn: Optional[Dict[str, int]] = None,
+                 allocations: Optional[List[Tuple[int, int]]] = None,
+                 mem: Optional[Dict[int, int]] = None,
+                 halted: bool = False, error: bool = False) -> None:
+        self.pos = pos
+        self.asgn = {} if asgn is None else asgn
+        self.allocations = [] if allocations is None else allocations
+        self.mem = {} if mem is None else mem
+        self.halted = halted
+        self.error = error
+
+    def __eq__(self, other: object) -> bool:
+        # Fields.__eq__ spelled out: a run compares its states at every step.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pos, self.asgn, self.allocations, self.mem, self.halted,
+                self.error) == (other.pos, other.asgn, other.allocations,
+                                other.mem, other.halted, other.error)
 
     def allocated(self, lo: int, hi: int) -> bool:
         return any(alo <= lo and hi <= ahi for alo, ahi in self.allocations)
@@ -78,8 +97,7 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
-@dataclass
-class Trace:
+class Trace(Fields):
     """A run: ``instructions[i]`` leads from ``states[i]`` to
     ``states[i + 1]``.  A run that diverges ends in a lasso: ``loop`` is the
     index of the state that its last state repeats, so the run goes on by
@@ -88,7 +106,14 @@ class Trace:
 
     states: List[ConcreteState]
     instructions: List[Instruction]
-    loop: Optional[int] = None
+    loop: Optional[int]
+
+    def __init__(self, states: List[ConcreteState],
+                 instructions: List[Instruction],
+                 loop: Optional[int] = None) -> None:
+        self.states = states
+        self.instructions = instructions
+        self.loop = loop
 
     @property
     def final(self) -> ConcreteState:
@@ -368,11 +393,14 @@ class _Plan(Record):
     pt: Tuple[Tuple[Ref, int, Ref], ...]  # the points-to entries no step reads
 
 
-def _compile(s: AbstractState, formula: Formula, layout: Layout) -> _Plan:
+def _compile(s: AbstractState, formula: Formula, layout: Layout,
+             shared: Dict[CClause, CClause]) -> _Plan:
     """Order the state's bindings: program variables; then equalities
     solved for their one unbound class, points-to reads and summary walks
     as their inputs get bound; then witnesses for the classes left.  Each
-    clause is checked at the first step that binds all of its classes."""
+    clause is checked at the first step that binds all of its classes, and
+    is the one copy of it in ``shared``, which the plans of one engine
+    share."""
     closure = OffsetClosure(formula)
     index: Dict[SymVar, int] = {}
 
@@ -475,7 +503,8 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout) -> _Plan:
         classes = {c for _, _, terms in alts for c, _ in terms}
         at = next((i for i, k in enumerate(known) if classes <= k),
                   len(steps))
-        checks[at].append(tuple(alts))
+        compiled = tuple(alts)
+        checks[at].append(shared.setdefault(compiled, compiled))
 
     init: List[Optional[int]] = [None] * len(index)
     init[zero[0]] = -zero[1]
@@ -617,7 +646,8 @@ def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
         return True  # ERR makes no claims; everything is an instance
     plan = engine.state_plans.get(s)
     if plan is None:
-        plan = _compile(s, state_formula(s, engine), layout)
+        plan = _compile(s, state_formula(s, engine), layout,
+                        engine.plan_clauses)
         engine.state_plans[s] = plan
     if len(plan.lv) != len(c.asgn):
         return False  # names are checked as they bind

@@ -18,21 +18,46 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, List, Optional, Tuple, Union
+from typing import Collection, Dict, List, NamedTuple, Optional, Tuple, Union
 
 
-class Record:
-    """An immutable record for classes built only a few times per run.  Its
-    fields are its class's annotated names, in order, with class attributes
-    as defaults.  It equals only its own class's records, and hashes and
-    prints as a frozen dataclass, but defining one generates no code."""
+class Fields:
+    """A record compared and printed by its fields, which are its class's
+    annotated names, in order: it equals only its own class's records with
+    equal fields, and prints as a dataclass.  The mutable ones (the
+    interpreter's states and traces, the graph, the transition system)
+    derive from it directly, set their fields in ``__init__`` and are
+    unhashable; the immutable ones derive from :class:`Record`."""
 
+    __slots__ = ()
     _fields: Tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(self._fields, self._values())) + ")"
+
+
+class Record(Fields):
+    """An immutable :class:`Fields` record, with class attributes as
+    defaults, that hashes as a frozen dataclass, but defining one generates
+    no code.  A class built or hashed on the hot path (``logic.Formula``,
+    ``absdom.Memory``, ``absdom.AbstractState``) lists its fields in
+    ``__slots__`` and writes its own ``__init__``, ``__eq__`` and a
+    ``__hash__`` that keeps the field tuple's hash."""
+
+    __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -43,20 +68,8 @@ class Record:
         for n in fields:  # in one order, so that instances share their keys
             object.__setattr__(self, n, values.get(n, getattr(self, n, None)))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, n) for n in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(" + ", ".join(
-            f"{n}={v!r}" for n, v in zip(self._fields, self._values())) + ")"
 
     def __setattr__(self, name: str, _value: object = None) -> None:
         raise AttributeError(f"cannot change field {name!r}")
@@ -77,26 +90,23 @@ class ParseError(Exception):
 # Types and layout
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntType:
+class IntType(NamedTuple):
     width: int  # bits
 
     def __str__(self) -> str:
         return f"i{self.width}"
 
 
-@dataclass(frozen=True)
-class PtrType:
+class PtrType(NamedTuple):
     pointee: "IrType"
 
     def __str__(self) -> str:
         return f"{self.pointee}*"
 
 
-@dataclass(frozen=True)
-class AggType:
-    """A named struct; ``fields`` is resolved lazily via the program's
-    type table so self-referential declarations work."""
+class AggType(NamedTuple):
+    """A named struct, by name only, so that a struct can point to itself;
+    its layout is the program's ``layout[name]``."""
 
     name: str
 
@@ -264,8 +274,7 @@ def branch_targets(ins: Instruction) -> Tuple[str, ...]:
     return (ins.block,) if isinstance(ins, Br) else ()
 
 
-@dataclass(frozen=True)
-class ProgramPosition:
+class ProgramPosition(NamedTuple):
     block: str
     index: int
 

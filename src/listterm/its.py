@@ -12,11 +12,11 @@ clauses and read back from them; no other module prints or parses SMT-LIB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .absdom import AbstractState, Value, state_formula
-from .ir import Record
+from .ir import Fields, Record
 from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, OffsetClosure,
                     SymVar, Term, dense_renaming)
 from .seg import COMPLETE, GENERALIZATION, Seg
@@ -40,10 +40,17 @@ class Transition(Record):
         return dict(self.update)
 
 
-@dataclass
-class ITS:
-    locations: Dict[int, Location] = field(default_factory=dict)
-    transitions: List[Transition] = field(default_factory=list)
+class ITS(Fields):
+    """An integer transition system: locations by graph node, and
+    transitions between them."""
+
+    locations: Dict[int, Location]
+    transitions: List[Transition]
+
+    def __init__(self, locations: Optional[Dict[int, Location]] = None,
+                 transitions: Optional[List[Transition]] = None) -> None:
+        self.locations = {} if locations is None else locations
+        self.transitions = [] if transitions is None else transitions
 
 
 class RankCertificate(Record):
@@ -199,13 +206,15 @@ def extract_its(seg: Seg, engine: Entailment) -> ITS:
 # Termination proving
 # --------------------------------------------------------------------------
 
-def _candidate_ranks(vars_: Sequence[SymVar]) -> List[Term]:
-    cands: List[Term] = [Term.of(v) for v in vars_]
+def _candidate_ranks(vars_: Sequence[SymVar]) -> Iterator[Term]:
+    """Each variable, then each ordered difference of two, built as the
+    search reaches it."""
+    for v in vars_:
+        yield Term.of(v)
     for i, x in enumerate(vars_):
         for y in vars_[i + 1:]:
-            cands.append(Term.of(x) - Term.of(y))
-            cands.append(Term.of(y) - Term.of(x))
-    return cands
+            yield Term.of(x) - Term.of(y)
+            yield Term.of(y) - Term.of(x)
 
 
 def _known_drop(cand: Term, upd: Dict[SymVar, Term],
@@ -260,21 +269,20 @@ def prove_termination(its: ITS, engine: Entailment) -> TerminationResult:
             for v in its.locations[t.dst].vars:
                 if v not in header_vars:
                     header_vars.append(v)
-        closures = {id(t): OffsetClosure(t.guard) for t in closing}
+        checks = [(t, t.update_map(), OffsetClosure(t.guard)) for t in closing]
         found = None
         for cand in _candidate_ranks(header_vars):
             decrease: List[Atom] = []
             bound: List[Atom] = []
             ok = True
-            for t in closing:
-                upd = t.update_map()
+            for t, upd, closure in checks:
                 if any(v not in upd for v in cand.vars()):
                     ok = False
                     break
                 post = cand.substitute(upd)
                 dec = Atom.ge(cand - post, 1)
                 bnd = Atom.ge(cand, 0)
-                known = _known_drop(cand, upd, closures[id(t)])
+                known = _known_drop(cand, upd, closure)
                 if known is not None and known < 1:
                     ok = False  # exact change is provable and too small
                     break

@@ -49,10 +49,11 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
+
+from .ir import Record
 
 log = logging.getLogger(__name__)
 
@@ -285,17 +286,24 @@ class Atom(NamedTuple):
 Clause = Tuple[Atom, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+class Formula(Record):
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 
-    clauses: Tuple[Clause, ...] = ()
-    # A premise is hashed on every engine cache lookup; it computes the
-    # dataclass's field-tuple hash once and keeps it here.
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
+    __slots__ = ("clauses", "_hash")
+    clauses: Tuple[Clause, ...]
+
+    def __init__(self, clauses: Tuple[Clause, ...] = ()) -> None:
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "_hash", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.clauses == other.clauses
 
     def __hash__(self) -> int:
+        # A premise is hashed on every engine cache lookup: the field
+        # tuple's hash is computed once and kept.
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.clauses,)))
         return self._hash
@@ -956,8 +964,10 @@ class Entailment:
         self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
         # absdom.state_formula's results, per memory (absdom.Memory).
         self.state_formulas: Dict[object, Formula] = {}
-        # concrete.represents's compiled states.
+        # concrete.represents's compiled states, and one copy of each
+        # compiled clause that their plans check.
         self.state_plans: Dict[object, object] = {}
+        self.plan_clauses: Dict[tuple, tuple] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
         # The premises of the last refutations, compiled, the latest first:

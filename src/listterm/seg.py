@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import ir
 from .absdom import (
@@ -34,7 +33,7 @@ from .absdom import (
     state_formula,
     value_key,
 )
-from .ir import AggType, Program, Record, type_size
+from .ir import AggType, Fields, Program, Record, type_size
 from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
                     dense_renaming, rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
@@ -46,8 +45,7 @@ CONTAINS_ERR = "err"
 INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     kind: str
@@ -57,12 +55,21 @@ class Edge:
         return dict(self.instantiation or ())
 
 
-@dataclass
-class Seg:
-    states: List[StateOrErr] = field(default_factory=list)
-    edges: List[Edge] = field(default_factory=list)
-    root: int = 0
-    outcome: str = INCOMPLETE
+class Seg(Fields):
+    """A symbolic execution graph: its states, edges, root and outcome."""
+
+    states: List[StateOrErr]
+    edges: List[Edge]
+    root: int
+    outcome: str
+
+    def __init__(self, states: Optional[List[StateOrErr]] = None,
+                 edges: Optional[List[Edge]] = None, root: int = 0,
+                 outcome: str = INCOMPLETE) -> None:
+        self.states = [] if states is None else states
+        self.edges = [] if edges is None else edges
+        self.root = root
+        self.outcome = outcome
 
     def add_state(self, s: StateOrErr) -> int:
         self.states.append(s)

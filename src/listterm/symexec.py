@@ -18,7 +18,6 @@ traversal, whatever the shape of the summaries, is one rule
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
 from . import ir
@@ -192,7 +191,7 @@ def rule_list_extension(s: AbstractState, ins: ir.Store, prog: Program,
                 stored = engine.fresh(f"v{m}")
                 head_vals[m] = stored
                 new_fields = tuple(
-                    replace(fld, first=head_vals[i])
+                    fld._replace(first=head_vals[i])
                     for i, fld in enumerate(l.fields, start=1))
                 new_inv = ListInvariant(ad=alloc.lo, length=new_len,
                                         ty=l.ty, fields=new_fields,
@@ -286,7 +285,7 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
         atoms.append(Atom.eq(u_len, Term.of(partner.length) + 1))
         li.append(ListInvariant(
             ad=partner.ad, length=u_len, ty=partner.ty,
-            fields=tuple(replace(f1, last=fl.first)
+            fields=tuple(f1._replace(last=fl.first)
                          for f1, fl in zip(partner.fields, l.fields)),
             rec_index=l.rec_index))
     head = Term.of(l.rec_field.first)
@@ -301,7 +300,7 @@ def _traverse(s: AbstractState, ins, l: ListInvariant, acc: int,
     if long:
         li.append(ListInvariant(
             ad=w_start, length=w_len, ty=l.ty,
-            fields=tuple(replace(fld, first=engine.fresh(f"w{i}"))
+            fields=tuple(fld._replace(first=engine.fresh(f"w{i}"))
                          for i, fld in enumerate(l.fields, start=1)),
             rec_index=l.rec_index))
     for i, fld in enumerate(l.fields):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -579,6 +578,21 @@ def test_search_scans_a_long_list_without_violations(search_graph, n):
     assert counts[TRAV] == 2 * n - 2
 
 
+def test_the_plans_of_one_engine_share_each_compiled_clause(search_graph):
+    """Equal clauses in two states' plans are one object, the engine's
+    copy, and a new engine starts with none."""
+    prog, seg, engine = search_graph
+    for n in (3, 5):
+        match_trace(run_concrete(prog, itertools.chain(
+            [n, 9], itertools.cycle(range(9)))), seg, prog, engine)
+    clauses = [c for plan in engine.state_plans.values()
+               for checks in plan.checks for c in checks]
+    assert len(engine.state_plans) > 1 and len(clauses) > len(set(clauses))
+    assert len({id(c) for c in clauses}) == len(set(clauses))
+    assert all(engine.plan_clauses[c] is c for c in clauses)
+    assert Entailment().plan_clauses == {}
+
+
 def checked_lengths(monkeypatch, name, fuel):
     """Run differential_check on seed 0 of a corpus program; return its
     result and the length of each trace it checked."""
@@ -661,7 +675,7 @@ def test_a_bad_edge_on_a_later_lap_of_a_lasso_is_reported():
                 and seg.states[e.src].pos == body_end),
                key=lambda k: seg.edges[k].src)
     edges = list(seg.edges)
-    edges[late] = dataclasses.replace(edges[late], dst=seg.root)
+    edges[late] = edges[late]._replace(dst=seg.root)
     bad = Seg(seg.states, edges, seg.root, seg.outcome)
     assert match_trace(t, seg, prog, engine)[1] == []
     step, *edge = match_trace(t, bad, prog, engine)[1][0]

@@ -5,13 +5,14 @@ level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
 state in one place, only ``ir.py`` says what the IR means, only
-``logic.py`` makes variables, and only the classes below are
-dataclasses."""
+``logic.py`` makes variables, and no module imports ``dataclasses``."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 from listterm.ir import ICMP
 
@@ -325,55 +326,41 @@ w = logic.SymVar(2); engine.fresh("x"); isinstance(v, SymVar)
     assert symvar_sites(ast.parse(source)) == [2, 3]
 
 
-# The package's dataclasses, each with why it is one.  ``@dataclass``
-# generates and compiles its methods at import, so a record that a run
-# builds only a few times derives from ``ir.Record`` instead.
-DATACLASSES = {
-    "ir.IntType": "compared and hashed in every type check of a step",
-    "ir.PtrType": "compared and hashed in every type check of a step",
-    "ir.AggType": "compared and hashed in every type check of a step",
-    "ir.ProgramPosition": "compared at every step of a checked concrete run",
-    "logic.Formula": "thousands built and hashed per analysis",
-    "absdom.Allocation": "hashed with every state and memory",
-    "absdom.PointsTo": "hashed with every state and memory",
-    "absdom.LIField": "hashed with every state; dataclasses.replace edits it",
-    "absdom.ListInvariant": "hashed with every state; replace edits it",
-    "absdom.Memory": "the state-formula cache key, hashed per lookup",
-    "absdom.AbstractState": "the plan cache key, hashed per represents call",
-    "concrete.ConcreteState": "built and compared at every concrete step",
-    "concrete.Trace": "a mutable container",
-    "its.ITS": "a mutable container",
-    "seg.Seg": "a mutable container",
-    "seg.Edge": "tests pass it to dataclasses.replace",
-}
+def dataclass_imports(tree: ast.Module):
+    """The line of each import of ``dataclasses``.  The module loads
+    ``inspect`` and its imports, about 1 MB of every process's memory:
+    records are ``NamedTuple``s, ``ir.Record``s or ``ir.Fields``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(
+                      alias.name.split(".")[0] == "dataclasses"
+                      for alias in node.names)
+                  or isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "dataclasses")
 
 
-def dataclass_names(tree: ast.Module):
-    """The classes of a module that a ``dataclass`` decorator makes."""
-    def name(node: ast.AST) -> str:
-        node = node.func if isinstance(node, ast.Call) else node
-        return node.attr if isinstance(node, ast.Attribute) else \
-            getattr(node, "id", "")
-    return sorted(node.name for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef)
-                  and any(name(d) == "dataclass" for d in node.decorator_list))
+def test_no_module_imports_dataclasses():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in dataclass_imports(ast.parse(path.read_text()))]
+    assert found == []
 
 
-def test_only_hot_classes_are_dataclasses():
-    found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
-             for name in dataclass_names(ast.parse(path.read_text()))}
-    assert found == set(DATACLASSES)
-
-
-def test_dataclass_classes_are_found():
+def test_dataclass_imports_are_found():
     source = """
+import dataclasses
+from dataclasses import dataclass, field
+import os, dataclasses as dc
+from typing import NamedTuple
 @dataclass
 class A: pass
-@dataclass(frozen=True, slots=True)
-class B: pass
-@dataclasses.dataclass(order=True)
-class C: pass
-@other
-class D(Record): pass
 """
-    assert dataclass_names(ast.parse(source)) == ["A", "B", "C"]
+    assert dataclass_imports(ast.parse(source)) == [2, 3, 4]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    """In a fresh interpreter, importing the CLI loads neither module."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, listterm.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

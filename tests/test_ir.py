@@ -8,6 +8,9 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from listterm.absdom import (AbstractState, Allocation, LIField,
+                             ListInvariant, PointsTo)
+from listterm.concrete import ConcreteState, Trace
 from listterm.ir import (
     AggType,
     Add,
@@ -33,6 +36,9 @@ from listterm.ir import (
     pretty_print,
     type_size,
 )
+from listterm.its import ITS
+from listterm.logic import Atom, Formula, SymVar
+from listterm.seg import Edge, Seg
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 I32 = IntType(32)
@@ -137,6 +143,67 @@ def test_records_behave_as_frozen_dataclasses():
                          ((), {"label": "a"})]:
         with pytest.raises(TypeError):
             Br(*args, **kwargs)
+
+
+def test_tuple_slotted_and_mutable_records_behave_as_dataclasses():
+    """The value records hash as their field tuples, as frozen dataclasses
+    do, so every set and dict over them iterates in one order; they print
+    as dataclasses and cannot be changed, and ``_replace`` edits the
+    tuples among them.  The mutable containers compare by fields and are
+    unhashable."""
+    x, y = SymVar(1, "x"), SymVar(2, "y")
+    pos = ProgramPosition("b", 3)
+    fld = LIField(8, I32, x, y)
+    inv = ListInvariant(x, y, AggType("list"), (fld,), 1)
+    kb = Formula.conj([Atom.eq(x, y)])
+    state = AbstractState(pos, (("p", x),), (Allocation(x, y),),
+                          (PointsTo(x, I32, 0),), (inv,), kb)
+    edge = Edge(0, 1, "evaluation")
+    records = [
+        (I32, (32,), "IntType(width=32)"),
+        (PtrType(I32), (I32,), "PtrType(pointee=IntType(width=32))"),
+        (AggType("list"), ("list",), "AggType(name='list')"),
+        (pos, ("b", 3), "ProgramPosition(block='b', index=3)"),
+        (Allocation(x, y), (x, y), "Allocation(lo=x_1, hi=y_2)"),
+        (PointsTo(x, I32, 0), (x, I32, 0),
+         "PointsTo(addr=x_1, ty=IntType(width=32), value=0)"),
+        (fld, (8, I32, x, y),
+         "LIField(off=8, fty=IntType(width=32), first=x_1, last=y_2)"),
+        (inv, (x, y, AggType("list"), (fld,), 1),
+         f"ListInvariant(ad=x_1, length=y_2, ty=AggType(name='list'), "
+         f"fields=({fld!r},), rec_index=1)"),
+        (edge, (0, 1, "evaluation", None),
+         "Edge(src=0, dst=1, kind='evaluation', instantiation=None)"),
+        (kb, (kb.clauses,), f"Formula(clauses={kb.clauses!r})"),
+        (state.memory, (state.al, state.pt, state.li, kb),
+         f"Memory(al={state.al!r}, pt={state.pt!r}, li={state.li!r}, "
+         f"kb={kb!r})"),
+        (state, (pos, state.lv, state.al, state.pt, state.li, kb),
+         f"AbstractState(pos={pos!r}, lv={state.lv!r}, al={state.al!r}, "
+         f"pt={state.pt!r}, li={state.li!r}, kb={kb!r})"),
+    ]
+    for record, fields, text in records:
+        assert hash(record) == hash(fields)
+        assert repr(record) == text
+        with pytest.raises(AttributeError):
+            setattr(record, type(record)._fields[0], None)
+    assert fld._replace(first=y) == LIField(8, I32, y, y)
+    assert inv._replace(length=x).length == x
+    assert edge._replace(dst=0) == Edge(0, 0, "evaluation")
+
+    c = ConcreteState(pos, {"p": 1})
+    assert repr(c) == ("ConcreteState(pos=ProgramPosition(block='b', "
+                       "index=3), asgn={'p': 1}, allocations=[], mem={}, "
+                       "halted=False, error=False)")
+    for same, copy, other in [
+            (c, ConcreteState(pos, {"p": 1}), ConcreteState(pos, {"p": 1},
+                                                             error=True)),
+            (Trace([c], []), Trace([c], []), Trace([c], [], loop=0)),
+            (ITS(), ITS({}, []), ITS({}, [None])),
+            (Seg(), Seg([], [], 0), Seg(root=1))]:
+        assert same == copy and same != other
+        with pytest.raises(TypeError):
+            hash(same)
 
 
 LIST = AggType("list")
