@@ -194,23 +194,23 @@ class AbstractState(Record):
              pt: Iterable[PointsTo] = (),
              li: Iterable[ListInvariant] = (),
              kb: Formula = Formula()) -> "AbstractState":
-        return AbstractState(
-            pos=pos,
-            lv=tuple(sorted(dict(lv).items())),
-            al=tuple(sorted(al, key=Allocation.sort_key)),
-            pt=tuple(sorted(pt, key=PointsTo.sort_key)),
-            li=tuple(sorted(li, key=ListInvariant.sort_key)),
-            kb=kb,
-        )
+        return AbstractState(pos, (), (), (), (), kb).replace_components(
+            lv=lv, al=al, pt=pt, li=li)
 
     def replace_components(self, *, pos=None, lv=None, al=None, pt=None,
                            li=None, kb=None) -> "AbstractState":
-        return AbstractState.make(
+        """This state with the given components, each sorted into the one
+        order every state keeps; the others are this state's own objects,
+        already in it."""
+        return AbstractState(
             pos=self.pos if pos is None else pos,
-            lv=dict(self.lv) if lv is None else lv,
-            al=self.al if al is None else al,
-            pt=self.pt if pt is None else pt,
-            li=self.li if li is None else li,
+            lv=self.lv if lv is None else tuple(sorted(dict(lv).items())),
+            al=self.al if al is None else tuple(
+                sorted(al, key=Allocation.sort_key)),
+            pt=self.pt if pt is None else tuple(
+                sorted(pt, key=PointsTo.sort_key)),
+            li=self.li if li is None else tuple(
+                sorted(li, key=ListInvariant.sort_key)),
             kb=self.kb if kb is None else kb,
         )
 
@@ -299,10 +299,12 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
 
     clauses: List[Tuple[Atom, ...]] = list(s.kb.clauses)
     present = set(clauses)
+    shared = engine.shared
 
     def add(*atoms: Atom) -> bool:
         if atoms in present:
             return False
+        atoms = shared.setdefault(atoms, atoms)
         present.add(atoms)
         clauses.append(atoms)
         return True
@@ -344,9 +346,10 @@ def state_formula(s: AbstractState, engine: Entailment) -> Formula:
                 for a in facts:
                     changed |= add(a)
 
-    result = Formula(tuple(clauses))
-    cache[key] = result
-    return result
+    # The last round added nothing: its formula, already hashed and
+    # compiled by the engine, is the result.
+    cache[key] = current
+    return current
 
 
 def is_satisfiable(s: AbstractState, engine: Entailment) -> bool:

@@ -394,19 +394,22 @@ class _Plan(Record):
 
 
 def _compile(s: AbstractState, formula: Formula, layout: Layout,
-             shared: Dict[CClause, CClause]) -> _Plan:
+             shared: Dict[tuple, tuple]) -> _Plan:
     """Order the state's bindings: program variables; then equalities
     solved for their one unbound class, points-to reads and summary walks
     as their inputs get bound; then witnesses for the classes left.  Each
-    clause is checked at the first step that binds all of its classes, and
-    is the one copy of it in ``shared``, which the plans of one engine
-    share."""
+    clause is checked at the first step that binds all of its classes.
+    Each clause, reference and program-variable entry is the one copy of it
+    in ``shared``, which the plans of one engine share."""
     closure = OffsetClosure(formula)
     index: Dict[SymVar, int] = {}
 
+    def share(t: tuple) -> tuple:
+        return shared.setdefault(t, t)
+
     def ref(v: Value) -> Ref:
         root, off = closure.find(v)
-        return index.setdefault(root, len(index)), off
+        return share((index.setdefault(root, len(index)), off))
 
     zero = ref(0)  # the constant 0's class, whose value is -zero[1]
 
@@ -419,7 +422,7 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout,
         const -= coeffs.pop(zero[0], 0) * zero[1]
         return a.rel, const, tuple((c, k) for c, k in coeffs.items() if k)
 
-    lv = tuple((x, ref(v)) for x, v in s.lv)
+    lv = tuple(share((x, ref(v))) for x, v in s.lv)
     bound = {zero[0]} | {r[0] for _, r in lv}
     known = [frozenset(bound)]  # the classes bound before each step
     steps: List[Union[Tuple[Ref, int, Ref], _Walk, _Solve]] = []
@@ -503,8 +506,7 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout,
         classes = {c for _, _, terms in alts for c, _ in terms}
         at = next((i for i, k in enumerate(known) if classes <= k),
                   len(steps))
-        compiled = tuple(alts)
-        checks[at].append(shared.setdefault(compiled, compiled))
+        checks[at].append(share(tuple(alts)))
 
     init: List[Optional[int]] = [None] * len(index)
     init[zero[0]] = -zero[1]
@@ -646,8 +648,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
         return True  # ERR makes no claims; everything is an instance
     plan = engine.state_plans.get(s)
     if plan is None:
-        plan = _compile(s, state_formula(s, engine), layout,
-                        engine.plan_clauses)
+        plan = _compile(s, state_formula(s, engine), layout, engine.shared)
         engine.state_plans[s] = plan
     if len(plan.lv) != len(c.asgn):
         return False  # names are checked as they bind

@@ -961,13 +961,17 @@ class Entailment:
     def __init__(self, effort: int = 10_000):
         self.effort = effort
         self._ids = itertools.count(1)
-        self._cache: Dict[Tuple[Formula, Formula], Verdict] = {}
+        # One copy of each immutable tuple the analysis keeps, filed by
+        # ``setdefault``: the state formulas' clauses, the cached
+        # conclusions and the replay plans' parts.  Tuples of two kinds
+        # never compare equal: somewhere in them, their items differ in type.
+        self.shared: Dict[tuple, tuple] = {}
+        # The verdicts per premise, then per conclusion's clauses.
+        self._cache: Dict[Formula, Dict[Tuple[Clause, ...], Verdict]] = {}
         # absdom.state_formula's results, per memory (absdom.Memory).
         self.state_formulas: Dict[object, Formula] = {}
-        # concrete.represents's compiled states, and one copy of each
-        # compiled clause that their plans check.
+        # concrete.represents's compiled states.
         self.state_plans: Dict[object, object] = {}
-        self.plan_clauses: Dict[tuple, tuple] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
         # The premises of the last refutations, compiled, the latest first:
@@ -984,13 +988,16 @@ class Entailment:
         return self.entails(premise, Formula.of(*parts)) is Verdict.VALID
 
     def entails(self, premise: Formula, conclusion: Formula) -> Verdict:
-        key = (premise, conclusion)
-        hit = self._cache.get(key)
+        answers = self._cache.get(premise)
+        if answers is None:
+            answers = self._cache[premise] = {}
+        key = conclusion.clauses
+        hit = answers.get(key)
         if hit is not None:
             return hit
         self.queries += 1
         verdict = self._entails_uncached(premise, conclusion)
-        self._cache[key] = verdict
+        answers[self.shared.setdefault(key, key)] = verdict
         return verdict
 
     def _entails_uncached(self, premise: Formula, conclusion: Formula) -> Verdict:

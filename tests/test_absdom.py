@@ -182,6 +182,30 @@ def test_states_with_one_memory_share_one_saturation():
     assert len(eng.state_formulas) == 2
 
 
+def test_replace_components_keeps_what_is_not_given():
+    """Components not given are the state's own objects; given ones are
+    sorted as ``make`` sorts them, so the result is ``make``'s state."""
+    p, q, x, y, n = sv(1), sv(2), sv(3), sv(4), sv(5)
+    s = AbstractState.make(
+        POS, lv={"b": q, "a": p}, al=[Allocation(q, y), Allocation(p, x)],
+        pt=[PointsTo(p, I32, 0)], li=[make_list_inv(q, n, 1, 2, x, 0)],
+        kb=Formula.conj([Atom.ge(n, 1)]))
+    pt = [PointsTo(q, I32, y), PointsTo(p, I32, x)]  # not in make's order
+    cases = [
+        ({"pt": pt}, ("pos", "lv", "al", "li", "kb")),
+        ({"pos": ProgramPosition("c", 1), "lv": {"z": x, "a": p},
+          "kb": Formula.conj([Atom.ge(x, 2)])}, ("al", "pt", "li")),
+    ]
+    for given, kept in cases:
+        r = s.replace_components(**given)
+        assert all(getattr(r, name) is getattr(s, name) for name in kept)
+        made = AbstractState.make(**{
+            name: given.get(name, getattr(s, name))
+            for name in ("pos", "lv", "al", "pt", "li", "kb")})
+        assert r == made and hash(r) == hash(made)
+    assert list(s.replace_components(pt=pt).pt) == pt[::-1]
+
+
 @pytest.mark.parametrize("name, states, formulas", [
     ("build_traverse_ptr.ll", 142, 82),
     ("build_traverse_field.ll", 132, 82),

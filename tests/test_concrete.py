@@ -17,11 +17,14 @@ from listterm.absdom import (
     ListInvariant,
     PointsTo,
 )
-from listterm.cli import EXT, GEN, OTHER, TRAV, match_trace
+from listterm.cli import (EXT, GEN, OTHER, TRAV, differential_check,
+                          match_trace)
 from listterm.concrete import (
     ConcreteState,
     FuelExhausted,
     Trace,
+    _Solve,
+    _Walk,
     _step,
     decode_le,
     encode_le,
@@ -589,8 +592,47 @@ def test_the_plans_of_one_engine_share_each_compiled_clause(search_graph):
                for checks in plan.checks for c in checks]
     assert len(engine.state_plans) > 1 and len(clauses) > len(set(clauses))
     assert len({id(c) for c in clauses}) == len(set(clauses))
-    assert all(engine.plan_clauses[c] is c for c in clauses)
-    assert Entailment().plan_clauses == {}
+    assert all(engine.shared[c] is c for c in clauses)
+    assert Entailment().shared == {}
+
+
+def _plan_refs(plan):
+    """Every reference a plan holds: its program variables', its steps',
+    and its allocations' and unread points-to entries'."""
+    refs = [r for _, r in plan.lv]
+    for step in plan.steps:
+        if isinstance(step, _Walk):
+            refs += [step.root, step.length, *(a for a, _ in step.anchors)]
+            refs += [r for f in step.fields for r in f[2:]]
+        elif not isinstance(step, _Solve):
+            refs += [step[0], step[2]]
+    refs += [r for pair in plan.al for r in pair]
+    return refs + [r for addr, _, value in plan.pt for r in (addr, value)]
+
+
+def test_one_analysis_keeps_one_copy_of_each_tuple(search_graph):
+    """After a build and a replayed batch, the clauses the state formulas
+    appended, the cached conclusions and the plans' references,
+    program-variable entries and checked clauses are each the engine's one
+    copy."""
+    prog, seg, engine = search_graph
+    differential_check(prog, seg, range(5), 5000, engine)
+    shared = engine.shared
+    kinds = {
+        "clauses": [c for memory, f in engine.state_formulas.items()
+                    for c in f.clauses[len(memory.kb.clauses):]],
+        "conclusions": [k for answers in engine._cache.values()
+                        for k in answers],
+        "refs": [r for plan in engine.state_plans.values()
+                 for r in _plan_refs(plan)],
+        "lv": [e for plan in engine.state_plans.values() for e in plan.lv],
+        "checks": [c for plan in engine.state_plans.values()
+                   for checks in plan.checks for c in checks],
+    }
+    for kind, items in kinds.items():
+        assert len(items) > len(set(items)), kind  # repeats to share
+        assert all(shared.get(x) is x for x in items), kind
+    assert Entailment().shared == {}
 
 
 def checked_lengths(monkeypatch, name, fuel):

@@ -414,6 +414,28 @@ def test_entails_cache_and_counters():
     assert eng.queries == n
 
 
+def test_the_cache_is_keyed_by_value():
+    """An equal but distinct premise and conclusion are a hit; the same
+    conclusion under another premise is a miss."""
+    a, b, c = V[:3]
+
+    def premise(*extra):
+        return Formula.conj([Atom.le(a, b), Atom.le(b, c), *extra])
+
+    def conclusion():
+        return Formula.of(Atom.le(a, c))
+
+    eng = Entailment()
+    p1, g1 = premise(), conclusion()
+    assert eng.entails(p1, g1) is Verdict.VALID and eng.queries == 1
+    p2, g2 = premise(), conclusion()  # built while p1 and g1 are alive
+    assert p2 is not p1 and p2.clauses is not p1.clauses
+    assert g2 is not g1 and g2.clauses is not g1.clauses
+    assert eng.entails(p2, g2) is Verdict.VALID and eng.queries == 1
+    assert eng.entails(premise(Atom.ge(a, 0)), g2) is Verdict.VALID
+    assert eng.queries == 2
+
+
 def test_effort_bound_degrades_gracefully():
     eng = Entailment(effort=1)
     vs = [eng.fresh() for _ in range(8)]
