@@ -191,6 +191,26 @@ def test_cycle_needs_a_closing_transition(closing):
         assert engine.queries == 0
 
 
+@pytest.mark.parametrize("updated", [True, False])
+def test_a_rank_needs_its_variables_in_every_closing_update(updated):
+    """Two locations close the cycle on each other, and both transitions
+    count ``x`` down.  The rank ``x`` is accepted when both updates give
+    ``x`` an image, and rejected when the second lacks it."""
+    x, xp = sv(1, "x"), sv(2, "xp")
+    guard = Formula.conj([Atom.ge(x, 1), Atom.eq(Term.of(xp), Term.of(x) - 1)])
+    its = ITS()
+    its.locations[0] = Location(0, (x,))
+    its.locations[1] = Location(1, (x,))
+    its.transitions.append(Transition(0, 1, guard, ((x, Term.of(xp)),),
+                                      closing=True))
+    its.transitions.append(Transition(
+        1, 0, guard, ((x, Term.of(xp)),) if updated else (), closing=True))
+    res = prove_termination(its, Entailment())
+    assert res.terminating is updated
+    if not updated:
+        assert res.reason == "no affine rank found"
+
+
 @pytest.mark.parametrize("drop", [-1, 0, 1, 2])
 def test_exact_drop_below_one_rejects_the_rank(drop):
     """The guard fixes ``x - x'`` to ``drop``, so the offset closure knows

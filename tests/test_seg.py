@@ -377,6 +377,30 @@ def test_find_instantiation_rejects_position_mismatch(build_only_seg):
     assert find_instantiation(moved, merged, prog, eng) is None
 
 
+A, B, C = sv(1, "a"), sv(2, "b"), sv(3, "c")
+ABAR, BBAR, CBAR = sv(11, "a"), sv(12, "b"), sv(13, "c")
+
+
+@pytest.mark.parametrize("lv,lv_bar,mu", [
+    ({"p": 5, "q": A}, {"p": 5, "q": ABAR}, {ABAR: A}),
+    ({"p": 6, "q": A}, {"p": 5, "q": ABAR}, None),
+    ({"p": A, "q": A}, {"p": ABAR, "q": ABAR}, {ABAR: A}),
+    ({"p": A, "q": B}, {"p": ABAR, "q": ABAR}, None),
+], ids=["same-constant", "other-constant", "one-binding", "two-bindings"])
+def test_find_instantiation_needs_the_program_variables_to_match(lv, lv_bar,
+                                                                 mu):
+    """Each older program variable's value must map onto the newer one's: a
+    constant onto the same constant, and a variable onto one value only.  A
+    mismatch is rejected before the engine is asked anything, whereas the
+    newer state's two cells cost its formula a query."""
+    cells = [PointsTo(C, I32, 0), PointsTo(sv(4, "d"), I32, 1)]
+    s = AbstractState.make(POS, lv=lv, pt=cells)
+    sbar = AbstractState.make(POS, lv=lv_bar)
+    engine = Entailment()
+    assert find_instantiation(s, sbar, load("straight_line.ll"), engine) == mu
+    assert (engine.queries == 0) is (mu is None)
+
+
 def test_find_instantiation_closes_loop(build_only_seg):
     prog, eng, seg = build_only_seg
     loop_edges = [e for e in seg.edges
@@ -416,10 +440,6 @@ def test_check_generalization_rejects_bogus_map(build_only_seg):
     some = next(iter(bad))
     bad[some] = 424242
     assert not check_generalization(src, merged, bad, prog, eng)
-
-
-A, B, C = sv(1, "a"), sv(2, "b"), sv(3, "c")
-ABAR, BBAR, CBAR = sv(11, "a"), sv(12, "b"), sv(13, "c")
 
 
 def generalizes(al=(), pt=(), al_bar=(), pt_bar=(), pos_bar=POS,
