@@ -15,10 +15,10 @@ from __future__ import annotations
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
-from .absdom import AbstractState, Value, state_formula
+from .absdom import AbstractState, state_formula
 from .ir import Fields, Record
-from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, OffsetClosure,
-                    SymVar, Term, dense_renaming)
+from .logic import (EQ, NE, Atom, Clause, Entailment, Formula, SymVar, Term,
+                    dense_renaming)
 from .seg import COMPLETE, GENERALIZATION, Seg
 
 
@@ -217,27 +217,6 @@ def _candidate_ranks(vars_: Sequence[SymVar]) -> Iterator[Term]:
             yield Term.of(y) - Term.of(x)
 
 
-def _known_drop(cand: Term, upd: Dict[SymVar, Term],
-                closure: OffsetClosure) -> Optional[int]:
-    """Exact provable value of rank - rank' when every variable's change is
-    a known constant offset in the guard; None when undetermined."""
-    total = 0
-    for v, c in cand.coeffs:
-        img = upd[v]
-        if not img.coeffs:
-            w: Value = img.const
-        elif len(img.coeffs) == 1 and img.coeffs[0][1] == 1 \
-                and img.const == 0:
-            w = img.coeffs[0][0]
-        else:
-            return None
-        d = closure.diff(v, w)
-        if d is None:
-            return None
-        total += c * d
-    return total
-
-
 def prove_termination(its: ITS, engine: Entailment) -> TerminationResult:
     """Affine ranking per strongly connected component: the rank must be
     bounded below and decrease by at least one across every closing
@@ -269,27 +248,21 @@ def prove_termination(its: ITS, engine: Entailment) -> TerminationResult:
             for v in its.locations[t.dst].vars:
                 if v not in header_vars:
                     header_vars.append(v)
-        checks = [(t, t.update_map(), OffsetClosure(t.guard)) for t in closing]
+        checks = [(t, t.update_map()) for t in closing]
         found = None
         for cand in _candidate_ranks(header_vars):
             decrease: List[Atom] = []
             bound: List[Atom] = []
             ok = True
-            for t, upd, closure in checks:
+            for t, upd in checks:
                 if any(v not in upd for v in cand.vars()):
                     ok = False
                     break
                 post = cand.substitute(upd)
                 dec = Atom.ge(cand - post, 1)
                 bnd = Atom.ge(cand, 0)
-                known = _known_drop(cand, upd, closure)
-                if known is not None and known < 1:
-                    ok = False  # exact change is provable and too small
-                    break
-                if known is None and not engine.holds(t.guard, dec):
-                    ok = False
-                    break
-                if not engine.holds(t.guard, bnd):
+                if not (engine.holds(t.guard, dec)
+                        and engine.holds(t.guard, bnd)):
                     ok = False
                     break
                 decrease.append(dec)

@@ -4,9 +4,9 @@ All reasoning in the analyzer goes through an :class:`Entailment` engine
 (:meth:`Entailment.holds` for one implied fact).  One engine serves one
 analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share this module's
-equality reasoning: :class:`OffsetClosure` answers constant offsets
-between variables without the engine, and its classes are the ones the
-representation oracle binds.  Variables, terms and atoms are tuples, so
+equality reasoning: :class:`OffsetClosure` gives the constant offsets
+between variables by which ``seg`` matches exact sizes and field offsets,
+and its classes are the ones the representation oracle binds.  Variables, terms and atoms are tuples, so
 they are built, hashed and compared in C; as tuples they also equal plain
 ones, so no code compares one with a plain tuple, iterates or sizes one.
 
@@ -38,9 +38,9 @@ it.  A goal the model falsifies is not entailed.  Any other normalizes only
 its own negation and pushes its edges onto the graph, to pop them when it
 is decided or out of effort, or goes on from a copy of the solved
 equalities; it is charged the premise's work as if it had done it.  No
-other procedure decides a query.  The trusted arithmetic is the engine
-and :class:`OffsetClosure`, whose offsets answer some equalities
-(``seg._equal``) and rank decreases (``its._known_drop``) with no query.
+other procedure decides a query.  The trusted arithmetic is the engine,
+plus :class:`OffsetClosure` for ``seg``'s exact size and offset matching
+and the oracle's classes.
 """
 
 from __future__ import annotations

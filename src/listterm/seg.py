@@ -102,13 +102,6 @@ class ListMatch(Record):
         return self.values[-1]
 
 
-def _equal(closure: OffsetClosure, f: Formula, engine: Entailment,
-           a: Value, b: Value) -> bool:
-    """``a = b`` under ``f``, where ``closure`` is ``f``'s offset closure:
-    proved by the closure when it can, else by the engine."""
-    return closure.diff(a, b) == 0 or engine.holds(f, Atom.eq(a, b))
-
-
 def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
               engine: Entailment) -> Optional[ListMatch]:
     """Maximal concrete chain of ``ty`` nodes beginning at ``start``:
@@ -129,7 +122,7 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
         alloc = next(
             (a for a in s.al if a not in used
              and closure.diff(a.hi, a.lo) == agg.size - 1
-             and _equal(closure, f, engine, current, a.lo)),
+             and engine.holds(f, Atom.eq(current, a.lo))),
             None)
         if alloc is None:
             break
@@ -257,8 +250,8 @@ class _Merger:
         for a2, item in candidates:
             for v1, v2, m in self.pairs:
                 if isinstance(m, SymVar) and \
-                        _equal(self.cl1, self.f1, self.engine, a1, v1) and \
-                        _equal(self.cl2, self.f2, self.engine, a2, v2):
+                        self.engine.holds(self.f1, Atom.eq(a1, v1)) and \
+                        self.engine.holds(self.f2, Atom.eq(a2, v2)):
                     return m, item
         return None
 
@@ -508,7 +501,6 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             mu[vbar] = v
 
     f = state_formula(s, engine)
-    closure = OffsetClosure(f)
 
     def img(v: Value) -> Optional[Value]:
         return v if isinstance(v, int) else mu.get(v)
@@ -523,7 +515,7 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             if lo_i is None or img(abar.hi) is not None:
                 continue
             for a in s.al:
-                if _equal(closure, f, engine, a.lo, lo_i):
+                if engine.holds(f, Atom.eq(a.lo, lo_i)):
                     mu[abar.hi] = a.hi
                     progress = True
                     break
@@ -534,7 +526,7 @@ def find_instantiation(s: AbstractState, sbar: AbstractState, prog: Program,
             if isinstance(pbar.value, SymVar) and pbar.value not in mu:
                 for p in s.pt:
                     if p.ty == pbar.ty and \
-                            _equal(closure, f, engine, p.addr, addr_i):
+                            engine.holds(f, Atom.eq(p.addr, addr_i)):
                         mu[pbar.value] = p.value
                         progress = True
                         break

@@ -53,44 +53,44 @@ QUERIES = re.compile(r' *"entailment_queries": (\d+),?|entailment queries: '
 WALL_TIME = "wall time: "
 
 GOLDEN = {
-    ("build_append", "analyze-json"): (2333, "b0594e40a12492d8"),
-    ("build_append", "analyze-dot"): (2333, "84ca6cee593fc4c3"),
+    ("build_append", "analyze-json"): (2379, "b0594e40a12492d8"),
+    ("build_append", "analyze-dot"): (2379, "84ca6cee593fc4c3"),
     ("build_append", "check"): (None, "65b10afe918306d5"),
     ("build_append", "run"): (None, "6a4154352f4ce60d"),
-    ("build_only", "analyze-json"): (516, "18b749f492ba0694"),
-    ("build_only", "analyze-dot"): (516, "0d4852a299815626"),
+    ("build_only", "analyze-json"): (526, "18b749f492ba0694"),
+    ("build_only", "analyze-dot"): (526, "0d4852a299815626"),
     ("build_only", "check"): (None, "65b10afe918306d5"),
     ("build_only", "run"): (None, "71b9cdc4a6e83957"),
-    ("build_search_value", "analyze-json"): (1847, "254d5f9b75bbf19f"),
-    ("build_search_value", "analyze-dot"): (1847, "cca791d8e8b52308"),
+    ("build_search_value", "analyze-json"): (1873, "254d5f9b75bbf19f"),
+    ("build_search_value", "analyze-dot"): (1873, "cca791d8e8b52308"),
     ("build_search_value", "check"): (None, "65b10afe918306d5"),
     ("build_search_value", "run"): (None, "528224c10ed8de49"),
-    ("build_traverse_field", "analyze-json"): (1330, "c2b512c962f134ce"),
-    ("build_traverse_field", "analyze-dot"): (1330, "f357a677e3eeaeeb"),
+    ("build_traverse_field", "analyze-json"): (1356, "c2b512c962f134ce"),
+    ("build_traverse_field", "analyze-dot"): (1356, "f357a677e3eeaeeb"),
     ("build_traverse_field", "check"): (None, "65b10afe918306d5"),
     ("build_traverse_field", "run"): (None, "54fc0bbb325a434b"),
-    ("build_traverse_ptr", "analyze-json"): (1331, "6e41a7fabc35940a"),
-    ("build_traverse_ptr", "analyze-dot"): (1331, "27eaa78414274946"),
+    ("build_traverse_ptr", "analyze-json"): (1357, "6e41a7fabc35940a"),
+    ("build_traverse_ptr", "analyze-dot"): (1357, "27eaa78414274946"),
     ("build_traverse_ptr", "check"): (None, "65b10afe918306d5"),
     ("build_traverse_ptr", "run"): (None, "242e61bb8e5f86e3"),
-    ("count_up", "analyze-json"): (53, "59b279134a8a98f7"),
-    ("count_up", "analyze-dot"): (53, "cca34b2c71e3e528"),
+    ("count_up", "analyze-json"): (58, "59b279134a8a98f7"),
+    ("count_up", "analyze-dot"): (58, "cca34b2c71e3e528"),
     ("count_up", "check"): (None, "65b10afe918306d5"),
     ("count_up", "run"): (None, "c43d08158682b6c8"),
-    ("cyclic_traverse", "analyze-json"): (49, "f384748999222bf9"),
-    ("cyclic_traverse", "analyze-dot"): (49, "3816df75d5984414"),
+    ("cyclic_traverse", "analyze-json"): (62, "f384748999222bf9"),
+    ("cyclic_traverse", "analyze-dot"): (62, "3816df75d5984414"),
     ("cyclic_traverse", "check"): (None, "65b10afe918306d5"),
     ("cyclic_traverse", "run"): (None, "e5b39d2a942fb5ff"),
-    ("infinite_loop", "analyze-json"): (11, "931b58957f9c0056"),
-    ("infinite_loop", "analyze-dot"): (11, "4909244088cbba92"),
+    ("infinite_loop", "analyze-json"): (13, "931b58957f9c0056"),
+    ("infinite_loop", "analyze-dot"): (13, "4909244088cbba92"),
     ("infinite_loop", "check"): (None, "65b10afe918306d5"),
     ("infinite_loop", "run"): (None, "0c24024e73962ca1"),
     ("null_deref", "analyze-json"): (7, "ff94ca0ab8fcd3a5"),
     ("null_deref", "analyze-dot"): (7, "7e2ec30e1174718d"),
     ("null_deref", "check"): (None, "65b10afe918306d5"),
     ("null_deref", "run"): (None, "4d8ec985ab8270f8"),
-    ("store_into_invariant", "analyze-json"): (473, "5f806f075bdee115"),
-    ("store_into_invariant", "analyze-dot"): (473, "47957de0327b0a55"),
+    ("store_into_invariant", "analyze-json"): (476, "5f806f075bdee115"),
+    ("store_into_invariant", "analyze-dot"): (476, "47957de0327b0a55"),
     ("store_into_invariant", "check"): (None, "65b10afe918306d5"),
     ("store_into_invariant", "run"): (None, "eac8aa1d4577bfd5"),
     ("straight_line", "analyze-json"): (13, "30dfe2d338f680a6"),

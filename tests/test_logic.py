@@ -937,8 +937,10 @@ def _digest(lines) -> str:
 # ``premise|conclusion|verdict`` in order, and the digest of the effort
 # every budget spent, in the order the budgets were made (premise model
 # searches included).  Backjumping and the premise model changed only the
-# effort column, from "0a76314871ff68a8".
-QUESTION_STREAM = (516, "a23f34a3e631687f", "4ef9850d0a65af83")
+# effort column, from "0a76314871ff68a8".  Asking the engine what the offset
+# closure used to answer took it from (516, "a23f34a3e631687f",
+# "4ef9850d0a65af83").
+QUESTION_STREAM = (526, "1b2b0da1bf5607e8", "eec7e57e17546831")
 
 
 def test_question_stream_is_pinned(monkeypatch):
@@ -970,18 +972,19 @@ def test_question_stream_is_pinned(monkeypatch):
 # Per corpus program: its uncached questions and the digest of each one's
 # ``premise|conclusion|verdict``, in order.  A change to the engine that
 # keeps every answer keeps these; they were measured before backjumping and
-# the premise model, which kept them.
+# the premise model, which kept them.  Asking the engine what the offset
+# closure used to answer added 0 to 46 questions per program.
 CORPUS_QUESTIONS = {
-    "build_append": (2333, "7c4f642bf4a96fc1"),
-    "build_only": (516, "a23f34a3e631687f"),
-    "build_search_value": (1847, "4194312affeec53d"),
-    "build_traverse_field": (1330, "db09772fd3db127a"),
-    "build_traverse_ptr": (1331, "ffb30442dd4683f9"),
-    "count_up": (53, "29173f1c75dea38b"),
-    "cyclic_traverse": (49, "3f5304d37ba44976"),
-    "infinite_loop": (11, "9b2fb9e5288f7a12"),
+    "build_append": (2379, "b4e53caa6cb6517d"),
+    "build_only": (526, "1b2b0da1bf5607e8"),
+    "build_search_value": (1873, "6a59b75840026430"),
+    "build_traverse_field": (1356, "1aae887bd6c1a21d"),
+    "build_traverse_ptr": (1357, "9007c688ebf1dd87"),
+    "count_up": (58, "fb30be7fe2f46bce"),
+    "cyclic_traverse": (62, "ac19d65eae457c27"),
+    "infinite_loop": (13, "3a1a134ac0ac90ec"),
     "null_deref": (7, "46b18ca120c70f9a"),
-    "store_into_invariant": (473, "d590b166bc9e61b7"),
+    "store_into_invariant": (476, "1eb02bf7bc0f2620"),
     "straight_line": (13, "3379b59ec29b1a2b"),
 }
 
@@ -1006,8 +1009,8 @@ def test_every_corpus_question_keeps_its_answer(monkeypatch):
 
 # build_only's analysis: the calls of the graph's case split and of its edge
 # insertion, model searches included.  Without backjumping and the premise
-# model they were 2,271 and 4,258.
-CASE_SPLITS = (713, 2201)
+# model they were 2,271 and 4,258; with the offset shortcuts, 713 and 2,201.
+CASE_SPLITS = (723, 2215)
 
 
 def test_case_splits_are_pinned():
