@@ -6,9 +6,10 @@ analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share this module's
 equality reasoning: :class:`OffsetClosure` gives the constant offsets
 between variables by which ``seg`` matches exact sizes and field offsets,
-and its classes are the ones the representation oracle binds.  Variables, terms and atoms are tuples, so
-they are built, hashed and compared in C; as tuples they also equal plain
-ones, so no code compares one with a plain tuple, iterates or sizes one.
+and its classes are the ones the representation oracle binds.  Variables,
+terms and atoms are tuples, so they are built, hashed and compared in C;
+as tuples they also equal plain ones, so no code compares one with a plain
+tuple, iterates or sizes one.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal, with only the premise's disjunctions that

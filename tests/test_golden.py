@@ -34,6 +34,8 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+from listterm.cli import main
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
@@ -103,8 +105,6 @@ GOLDEN = {
 def outputs(path: pathlib.Path, argv):
     """(queries reported, digest) of ``listterm`` run on ``path`` with
     ``argv`` in a fresh working directory."""
-    from listterm.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
