@@ -28,8 +28,7 @@ from .absdom import (AbstractState, ErrState, ListInvariant, StateOrErr,
                      Value, state_formula)
 from .ir import (ICMP, Fields, Instruction, Layout, Program, ProgramPosition,
                  Record, type_size)
-from .logic import (EQ, NE, Atom, Entailment, Formula, OffsetClosure, SymVar,
-                    relation_holds)
+from .logic import EQ, NE, Atom, Entailment, SymVar, relation_holds
 
 
 # --------------------------------------------------------------------------
@@ -393,16 +392,17 @@ class _Plan(Record):
     pt: Tuple[Tuple[Ref, int, Ref], ...]  # the points-to entries no step reads
 
 
-def _compile(s: AbstractState, formula: Formula, layout: Layout,
-             shared: Dict[tuple, tuple]) -> _Plan:
+def _compile(s: AbstractState, layout: Layout, engine: Entailment) -> _Plan:
     """Order the state's bindings: program variables; then equalities
     solved for their one unbound class, points-to reads and summary walks
     as their inputs get bound; then witnesses for the classes left.  Each
     clause is checked at the first step that binds all of its classes.
     Each clause, reference and program-variable entry is the one copy of it
-    in ``shared``, which the plans of one engine share."""
-    closure = OffsetClosure(formula)
-    index: Dict[SymVar, int] = {}
+    in ``engine.shared``, which the plans of one engine share."""
+    formula = state_formula(s, engine)
+    closure, shared = engine.offsets(formula), engine.shared
+    # Class 0, the root None, holds the integers: its value is 0.
+    index: Dict[Optional[SymVar], int] = {None: 0}
 
     def share(t: tuple) -> tuple:
         return shared.setdefault(t, t)
@@ -411,19 +411,17 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout,
         root, off = closure.find(v)
         return share((index.setdefault(root, len(index)), off))
 
-    zero = ref(0)  # the constant 0's class, whose value is -zero[1]
-
     def catom(a: Atom) -> CAtom:
         const, coeffs = a.term.const, {}
         for v, k in a.term.coeffs:
             cls, off = ref(v)
             const += k * off
             coeffs[cls] = coeffs.get(cls, 0) + k
-        const -= coeffs.pop(zero[0], 0) * zero[1]
+        coeffs.pop(0, None)
         return a.rel, const, tuple((c, k) for c, k in coeffs.items() if k)
 
     lv = tuple(share((x, ref(v))) for x, v in s.lv)
-    bound = {zero[0]} | {r[0] for _, r in lv}
+    bound = {0} | {r[0] for _, r in lv}
     known = [frozenset(bound)]  # the classes bound before each step
     steps: List[Union[Tuple[Ref, int, Ref], _Walk, _Solve]] = []
     pts, lis = list(s.pt), list(s.li)
@@ -508,10 +506,8 @@ def _compile(s: AbstractState, formula: Formula, layout: Layout,
                   len(steps))
         checks[at].append(share(tuple(alts)))
 
-    init: List[Optional[int]] = [None] * len(index)
-    init[zero[0]] = -zero[1]
     return _Plan(
-        lv=lv, init=tuple(init),
+        lv=lv, init=(0,) + (None,) * (len(index) - 1),
         steps=tuple(steps), checks=tuple(tuple(c) for c in checks),
         al=tuple((ref(a.lo), ref(a.hi)) for a in s.al),
         pt=tuple((ref(p.addr), type_size(p.ty, layout), ref(p.value))
@@ -648,7 +644,7 @@ def represents(c: ConcreteState, s: StateOrErr, layout: Layout,
         return True  # ERR makes no claims; everything is an instance
     plan = engine.state_plans.get(s)
     if plan is None:
-        plan = _compile(s, state_formula(s, engine), layout, engine.shared)
+        plan = _compile(s, layout, engine)
         engine.state_plans[s] = plan
     if len(plan.lv) != len(c.asgn):
         return False  # names are checked as they bind

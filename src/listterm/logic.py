@@ -4,12 +4,13 @@ All reasoning in the analyzer goes through an :class:`Entailment` engine
 (:meth:`Entailment.holds` for one implied fact).  One engine serves one
 analysis: it issues the analysis's fresh variables, with ids unique only
 within it, and owns its caches.  The other modules share this module's
-equality reasoning: :class:`OffsetClosure` gives the constant offsets
-between variables by which ``seg`` matches exact sizes and field offsets,
-and its classes are the ones the representation oracle binds.  Variables,
-terms and atoms are tuples, so they are built, hashed and compared in C;
-as tuples they also equal plain ones, so no code compares one with a plain
-tuple, iterates or sizes one.
+equality reasoning: :class:`OffsetClosure`, the engine's own elimination
+of a formula's equalities, gives the constant offsets between variables by
+which ``seg`` matches exact sizes and field offsets, and its classes are
+the ones the representation oracle binds.  Variables, terms and atoms are
+tuples, so they are built, hashed and compared in C; as tuples they also
+equal plain ones, so no code compares one with a plain tuple, iterates or
+sizes one.
 
 A query ``premise => goal`` is decided by refuting ``premise and not goal``,
 clause by clause of the goal, with only the premise's disjunctions that
@@ -39,9 +40,9 @@ it.  A goal the model falsifies is not entailed.  Any other normalizes only
 its own negation and pushes its edges onto the graph, to pop them when it
 is decided or out of effort, or goes on from a copy of the solved
 equalities; it is charged the premise's work as if it had done it.  No
-other procedure decides a query.  The trusted arithmetic is the engine,
-plus :class:`OffsetClosure` for ``seg``'s exact size and offset matching
-and the oracle's classes.
+other procedure decides a query.  The trusted arithmetic is the engine:
+one elimination (:func:`_eliminate`) solves every equality, the engine's
+and the offset closures'.
 """
 
 from __future__ import annotations
@@ -360,74 +361,6 @@ def rename_formula(f: Formula, ren: Mapping[SymVar, Value]) -> Formula:
     return f.substitute({v: Term.of(w) for v, w in ren.items()})
 
 
-# --------------------------------------------------------------------------
-# Equalities without the engine
-# --------------------------------------------------------------------------
-
-class OffsetClosure:
-    """Union-find over the conjunctive equalities of a formula, tracking a
-    constant offset to each representative.  Supports 'x - y = ?' and
-    'x = const?' queries without full entailment calls."""
-
-    _CONST = SymVar(0, "const0")  # sentinel root representing the value 0
-
-    def __init__(self, f: Formula):
-        self.parent: Dict[SymVar, SymVar] = {}
-        self.offset: Dict[SymVar, int] = {}
-        for a in f.atoms():
-            if a.rel != EQ:
-                continue
-            coeffs = a.term.coeffs
-            if len(coeffs) == 1 and abs(coeffs[0][1]) == 1:
-                v, c = coeffs[0]
-                self._union(v, self._CONST, -a.term.const * c)
-            elif len(coeffs) == 2:
-                (x, cx), (y, cy) = coeffs
-                if cx == 1 and cy == -1:
-                    # x - y + const = 0, so x = y - const.
-                    self._union(x, y, -a.term.const)
-
-    def _find(self, v: SymVar) -> Tuple[SymVar, int]:
-        path = []
-        off = 0
-        while v in self.parent:
-            path.append((v, off))
-            off += self.offset[v]
-            v = self.parent[v]
-        for node, seen in path:
-            self.parent[node] = v
-            self.offset[node] = off - seen
-        return v, off
-
-    def _union(self, x: SymVar, y: SymVar, d: int) -> None:
-        # x = y + d
-        rx, ox = self._find(x)
-        ry, oy = self._find(y)
-        if rx == ry:
-            return  # consistency is the entailment engine's business
-        # x = rx + ox and y = ry + oy, so rx = ry + (oy + d - ox).
-        self.parent[rx] = ry
-        self.offset[rx] = oy + d - ox
-
-    def find(self, v: Value) -> Tuple[SymVar, int]:
-        """(representative, offset) with ``v = representative + offset``;
-        integers are offsets from the representative of 0."""
-        if isinstance(v, int):
-            root, off = self._find(self._CONST)
-            return root, off + v
-        return self._find(v)
-
-    def diff(self, a: Value, b: Value) -> Optional[int]:
-        ra, oa = self.find(a)
-        rb, ob = self.find(b)
-        if ra != rb:
-            return None
-        return oa - ob
-
-    def const(self, a: Value) -> Optional[int]:
-        return self.diff(a, 0)
-
-
 class Verdict(enum.Enum):
     VALID = "valid"
     NOT_PROVEN = "not_proven"
@@ -451,34 +384,77 @@ class _Budget:
         return False
 
 
+def _eliminate(t: Term, subst: Dict[SymVar, Term], residual: list) -> bool:
+    """Eliminate the equality ``t = 0`` into ``subst`` and ``residual``
+    (rows ``t <= 0``), which hold any earlier ones; True when unsat."""
+    t = t.substitute(subst)
+    if not t.coeffs:
+        return t.const != 0
+    if t.const % math.gcd(*[c for _, c in t.coeffs]) != 0:
+        return True
+    unit, cu = next(((v, c) for v, c in t.coeffs if abs(c) == 1), (None, 0))
+    if unit is None:
+        # Keep as a pair of inequalities (sound weakening of completeness).
+        residual += [t, t.scale(-1)]
+        return False
+    # cu * unit + rest = 0 with cu = +-1, so unit = -cu * rest.
+    expr = (t - Term(0, ((unit, cu),))).scale(-cu)
+    # Re-resolve existing entries against the new binding.
+    one = {unit: expr}
+    for v in subst:
+        subst[v] = subst[v].substitute(one)
+    subst[unit] = expr
+    return False
+
+
 def _solve_equalities(eqs: Sequence[Term], budget: _Budget,
                       subst: Dict[SymVar, Term], residual: list) -> bool:
-    """Eliminate the equalities ``t = 0`` into ``subst`` and ``residual``
-    (rows ``t <= 0``), which hold any earlier ones; True when unsat."""
+    """:func:`_eliminate` each equality of ``eqs`` for one unit of effort,
+    while it lasts; True when unsat."""
     for t in eqs:
         if not budget.spend():
             break
-        t = t.substitute(subst)
-        if not t.coeffs:
-            if t.const != 0:
-                return True
-            continue
-        if t.const % math.gcd(*[c for _, c in t.coeffs]) != 0:
+        if _eliminate(t, subst, residual):
             return True
-        unit, cu = next(((v, c) for v, c in t.coeffs if abs(c) == 1),
-                        (None, 0))
-        if unit is None:
-            # Keep as a pair of inequalities (sound weakening of completeness).
-            residual += [t, t.scale(-1)]
-            continue
-        # cu * unit + rest = 0 with cu = +-1, so unit = -cu * rest.
-        expr = (t - Term(0, ((unit, cu),))).scale(-cu)
-        # Re-resolve existing entries against the new binding.
-        one = {unit: expr}
-        for v in subst:
-            subst[v] = subst[v].substitute(one)
-        subst[unit] = expr
     return False
+
+
+class OffsetClosure:
+    """The constant offsets that a formula's unit-clause equalities fix,
+    solved by the engine's own elimination (:func:`_eliminate`), with no
+    effort bound.  ``find`` gives a variable solved to ``root + offset``
+    that pair, one solved to a constant ``(None, constant)``, and any other
+    itself with offset 0.  An engine builds one per formula
+    (:meth:`Entailment.offsets`)."""
+
+    def __init__(self, f: Formula):
+        subst: Dict[SymVar, Term] = {}
+        for a in f.atoms():
+            if a.rel == EQ:
+                # Consistency is the engine's business: an unsat equality
+                # leaves ``subst`` as it was.
+                _eliminate(a.term, subst, [])
+        self.image: Dict[SymVar, Tuple[Optional[SymVar], int]] = {
+            v: (t.coeffs[0][0] if t.coeffs else None, t.const)
+            for v, t in subst.items()
+            if not t.coeffs or (len(t.coeffs) == 1 and t.coeffs[0][1] == 1)}
+
+    def find(self, v: Value) -> Tuple[Optional[SymVar], int]:
+        """(root, offset) with ``v = root + offset``, where the root of an
+        integer, or of a variable solved to one, is None, standing for 0."""
+        if isinstance(v, int):
+            return None, v
+        return self.image.get(v, (v, 0))
+
+    def diff(self, a: Value, b: Value) -> Optional[int]:
+        ra, oa = self.find(a)
+        rb, ob = self.find(b)
+        if ra != rb:
+            return None
+        return oa - ob
+
+    def const(self, a: Value) -> Optional[int]:
+        return self.diff(a, 0)
 
 
 class _Solved(NamedTuple):
@@ -973,6 +949,8 @@ class Entailment:
         self.state_formulas: Dict[object, Formula] = {}
         # concrete.represents's compiled states.
         self.state_plans: Dict[object, object] = {}
+        # The offset closure of each formula ``offsets`` was asked for.
+        self.closures: Dict[Formula, OffsetClosure] = {}
         self.queries = 0
         self.exhausted = 0  # refutations cut off by the effort bound
         # The premises of the last refutations, compiled, the latest first:
@@ -982,6 +960,13 @@ class Entailment:
     def fresh(self, hint: str = "v") -> SymVar:
         """A new variable; ids count up from 1 within this engine."""
         return SymVar(next(self._ids), hint)
+
+    def offsets(self, f: Formula) -> OffsetClosure:
+        """``f``'s :class:`OffsetClosure`, built once per engine."""
+        closure = self.closures.get(f)
+        if closure is None:
+            closure = self.closures[f] = OffsetClosure(f)
+        return closure
 
     def holds(self, premise: Formula, *parts: Union[Atom, Clause, Formula]
               ) -> bool:

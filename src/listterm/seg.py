@@ -34,8 +34,8 @@ from .absdom import (
     value_key,
 )
 from .ir import AggType, Fields, Program, Record, type_size
-from .logic import (Atom, Entailment, Formula, OffsetClosure, SymVar, Term,
-                    dense_renaming, rename_formula)
+from .logic import (Atom, Entailment, Formula, SymVar, Term, dense_renaming,
+                    rename_formula)
 from .symexec import EVALUATION, REFINEMENT, is_return, step
 
 GENERALIZATION = "generalization"
@@ -111,7 +111,7 @@ def find_list(s: AbstractState, start: Value, ty: AggType, prog: Program,
     if agg.rec_index is None:
         return None
     f = state_formula(s, engine)
-    closure = OffsetClosure(f)
+    closure = engine.offsets(f)
     starts: List[SymVar] = []
     ends: List[SymVar] = []
     values: List[Tuple[Value, ...]] = []
@@ -172,7 +172,7 @@ def _has_concrete_head_pointer(s: AbstractState, l: ListInvariant,
     size = type_size(l.ty, prog.layout)
     off_j = l.rec_field.off
     f = state_formula(s, engine)
-    closure = OffsetClosure(f)
+    closure = engine.offsets(f)
     for alloc in s.al:
         if closure.diff(alloc.hi, alloc.lo) != size - 1:
             continue
@@ -218,8 +218,8 @@ class _Merger:
         self.engine = engine
         self.f1 = state_formula(s, engine)
         self.f2 = state_formula(s2, engine)
-        self.cl1 = OffsetClosure(self.f1)
-        self.cl2 = OffsetClosure(self.f2)
+        self.cl1 = engine.offsets(self.f1)
+        self.cl2 = engine.offsets(self.f2)
         self.pairs: List[Tuple[Value, Value, Value]] = []  # (img1, img2, merged)
         self.pair_index: Dict[Tuple, Value] = {}
         self.mu1: Dict[SymVar, Value] = {}

@@ -5,7 +5,8 @@ level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
 state in one place, only ``ir.py`` says what the IR means, only
-``logic.py`` makes variables, and no module imports ``dataclasses``."""
+``logic.py`` makes variables and offset closures, and no module imports
+``dataclasses``."""
 
 from __future__ import annotations
 
@@ -303,19 +304,23 @@ ProgramPosition("entry", 1); f"{pred}"; "equal"; 0
         "'slt'", "'ult'", "ProgramPosition(...)", "ProgramPosition(...)"]
 
 
-def symvar_sites(tree: ast.Module):
-    """The line of each call that builds a ``SymVar``: an analysis's
-    variables come from its engine, and the exports' names from
-    ``logic.dense_renaming``."""
+def call_sites(tree: ast.Module, name: str):
+    """The line of each call of ``name``, bare or as an attribute."""
     return sorted(node.lineno for node in ast.walk(tree)
-                  if _called(node) == "SymVar")
+                  if _called(node) == name)
+
+
+def outside_logic(name: str):
+    """``module:line`` for each call of ``name`` outside ``logic.py``."""
+    return [f"{path.name}:{line}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "logic.py"
+            for line in call_sites(ast.parse(path.read_text()), name)]
 
 
 def test_only_logic_makes_variables():
-    found = [f"{path.name}:{line}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "logic.py"
-             for line in symvar_sites(ast.parse(path.read_text()))]
-    assert found == []
+    """An analysis's variables come from its engine, and the exports' names
+    from ``logic.dense_renaming``."""
+    assert outside_logic("SymVar") == []
 
 
 def test_variable_sites_are_found():
@@ -323,7 +328,21 @@ def test_variable_sites_are_found():
 v = SymVar(1, "x")
 w = logic.SymVar(2); engine.fresh("x"); isinstance(v, SymVar)
 """
-    assert symvar_sites(ast.parse(source)) == [2, 3]
+    assert call_sites(ast.parse(source), "SymVar") == [2, 3]
+
+
+def test_only_logic_builds_offset_closures():
+    """An analysis asks its engine for a formula's closure
+    (``Entailment.offsets``), which builds it once."""
+    assert outside_logic("OffsetClosure") == []
+
+
+def test_offset_closure_sites_are_found():
+    source = """
+closure = OffsetClosure(f)
+c = logic.OffsetClosure(Formula()); engine.offsets(f); OffsetClosure
+"""
+    assert call_sites(ast.parse(source), "OffsetClosure") == [2, 3]
 
 
 def dataclass_imports(tree: ast.Module):

@@ -1023,22 +1023,28 @@ def test_case_splits_are_pinned():
     assert (split.call_count, add.call_count) == CASE_SPLITS
 
 
-# --- equalities without the engine ------------------------------------------
+# --- offset closures ---------------------------------------------------------
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_offset_closure_differences_are_entailed(data):
+    """Unit differences and constants, but also sums ``x + y = c`` and
+    three-variable equalities, which the closure eliminates without giving
+    every variable an offset."""
     draw = data.draw
     vs = [SymVar(i, "o") for i in range(1, draw(st.integers(1, 5)) + 1)]
     atoms = []
     for _ in range(draw(st.integers(1, 5))):
-        x = draw(st.sampled_from(vs))
-        y = draw(st.sampled_from(vs))
-        if x == y or draw(st.booleans()):
+        x, y, z = (Term.of(draw(st.sampled_from(vs))) for _ in range(3))
+        kind = draw(st.sampled_from(["const", "diff", "sum", "three"]))
+        if kind == "const" or x == y:
             atoms.append(Atom.eq(x, draw(st.integers(0, 8))))
+        elif kind == "diff":
+            atoms.append(Atom.eq(x - y, draw(st.integers(-4, 4))))
+        elif kind == "sum":
+            atoms.append(Atom.eq(x + y, draw(st.integers(0, 8))))
         else:
-            d = draw(st.integers(-4, 4))
-            atoms.append(Atom.eq(Term.of(x) - Term.of(y), d))
+            atoms.append(Atom.eq(x + y - z, draw(st.integers(-4, 4))))
     for _ in range(draw(st.integers(0, 2))):
         x = draw(st.sampled_from(vs))
         atoms.append(Atom.le(x, draw(st.integers(0, 8))))
@@ -1053,6 +1059,56 @@ def test_offset_closure_differences_are_entailed(data):
     assert brute_force_valid(f, Formula.of(*derived), 8), f"{f}: {derived}"
 
 
+def test_an_engine_builds_each_formulas_closure_once():
+    x, y = SymVar(1, "x"), SymVar(2, "y")
+    f = Formula.conj([Atom.eq(x, Term.of(y) + 2)])
+    engine = Entailment()
+    assert engine.offsets(f) is engine.offsets(Formula(f.clauses))
+    assert engine.offsets(f).diff(x, y) == 2 and len(engine.closures) == 1
+    assert Entailment().closures == {}
+
+
+def _unit_equality_offsets(f: Formula):
+    """``(x, y, d)`` for each unit-clause equality ``x - y = d`` of ``f``,
+    and ``(x, 0, d)`` for each ``x = d``."""
+    for a in f.atoms():
+        coeffs = a.term.coeffs
+        if a.rel != logic.EQ or any(abs(c) != 1 for _, c in coeffs):
+            continue
+        if len(coeffs) == 1:
+            (x, c), = coeffs
+            yield x, 0, -a.term.const * c
+        elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
+            (x, c), (y, _) = coeffs
+            yield x, y, -a.term.const * c
+
+
+def test_offset_closures_answer_every_unit_equality_of_the_corpus(
+        monkeypatch):
+    """On every state formula of the 11 analyses, each unit difference and
+    constant equality is answered with its own offset: everything that
+    matching sizes and offsets by equality classes can ask."""
+    from listterm import cli
+    engines = []
+
+    class Recorded(Entailment):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "Entailment", Recorded)
+    paths = sorted(CORPUS.glob("*.ll"))
+    for path in paths:
+        main(["analyze", str(path)])
+    assert len(paths) == len(engines) == 11
+    answered = 0
+    for engine in engines:
+        for f in engine.state_formulas.values():
+            closure = engine.offsets(f)
+            for x, y, d in _unit_equality_offsets(f):
+                assert closure.diff(x, y) == d, (f, x, y, d)
+                answered += 1
+    assert answered > 1000
 def test_fresh_vars_count_up_per_engine():
     a, b = Entailment(), Entailment()
     assert [a.fresh(), a.fresh("x"), b.fresh("x")] == [

@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from listterm.absdom import (ERR, AbstractState, Allocation, ErrState,
-                             LIField, ListInvariant, state_formula)
+                             LIField, ListInvariant, PointsTo, state_formula)
 from listterm.cli import (EXT, GEN, TRAV, differential_check, match_trace,
                           nondet_stream)
 from listterm.concrete import run_concrete
@@ -306,11 +306,17 @@ UNBOUND_OPERAND = {
 }
 
 
+def one_instruction(ins):
+    """``UNBOUND_PROGRAM`` running ``ins`` and then, unless it branches,
+    going on to ``yes``."""
+    body = ins if ins.startswith("br ") else ins + "\n  br label yes"
+    return parse_program(UNBOUND_PROGRAM.format(body))
+
+
 def unbound_operand_state(ins, bound):
     """The program, engine and entry state of an ``UNBOUND_OPERAND`` case,
     with ``x`` bound to a variable too when ``bound``."""
-    body = ins if ins.startswith("br ") else ins + "\n  br label yes"
-    prog, eng = parse_program(UNBOUND_PROGRAM.format(body)), Entailment()
+    prog, eng = one_instruction(ins), Entailment()
     lv = {"p": eng.fresh("p")}
     if bound:
         lv["x"] = eng.fresh("x")
@@ -352,6 +358,117 @@ def test_bound_operands_reach_the_rules(raising_rules, ins):
     prog, eng, s = unbound_operand_state(ins, bound=True)
     with pytest.raises(RuleRan):
         step(s, prog, eng)
+
+
+# --- rejections, each with an accepted twin ------------------------------------
+# Each twin differs from its rejected input only in the component the
+# rejection checks.
+
+LIST_PTR = PtrType(AggType("list"))
+
+
+def stepped(ins, eng, **components):
+    """The entry state with ``components`` of ``one_instruction(ins)``, and
+    its one successor."""
+    prog = one_instruction(ins)
+    s = AbstractState.make(prog.entry_position, **components)
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION and len(r.successors) == 1
+    return s, r.successors[0]
+
+
+def node(eng):
+    """A 16-byte allocation ``[a, e]``, the address ``a8`` of its second
+    field, and the knowledge base that places them."""
+    a, e, a8 = eng.fresh("a"), eng.fresh("e"), eng.fresh("a8")
+    return a, e, a8, Formula.of(Atom.eq(e, Term.of(a) + 15),
+                                Atom.eq(a8, Term.of(a) + 8))
+
+
+@pytest.mark.parametrize("at_address", [True, False])
+def test_covered_load_without_an_entry_at_its_address_is_error(at_address):
+    """The load lies inside the allocation either way; only an entry at its
+    address, not one 8 bytes on, gives it a value."""
+    eng = Entailment()
+    a, e, a8, kb = node(eng)
+    _, t = stepped("v = load i32, i32* p", eng, lv={"p": a},
+                   al=[Allocation(a, e)],
+                   pt=[PointsTo(a if at_address else a8, I32, 7)], kb=kb)
+    if at_address:
+        assert entails(eng, t, Atom.eq(t.lv_of("v"), 7))
+    else:
+        assert isinstance(t, ErrState)
+
+
+@pytest.mark.parametrize("linked", [True, False])
+def test_list_extension_needs_the_new_heads_link_at_the_summary(linked):
+    """Storing the payload of a node whose link field holds the summary's
+    root extends the summary; with another value there it is a plain
+    store."""
+    eng = Entailment()
+    a, e, a8, kb = node(eng)
+    b, n, v, w, nx, nl, c = (eng.fresh(h) for h in
+                             ("b", "n", "v", "w", "nx", "nl", "c"))
+    summary = ListInvariant(b, n, AggType("list"), (
+        LIField(0, I32, v, w), LIField(8, LIST_PTR, nx, nl)), 2)
+    s, t = stepped("store i32 1, i32* p", eng, lv={"p": a},
+                   al=[Allocation(a, e)],
+                   pt=[PointsTo(a8, LIST_PTR, b if linked else c)],
+                   li=[summary], kb=kb)
+    if linked:
+        assert t.al == () and [l.ad for l in t.li] == [a]
+        assert entails(eng, t, Atom.eq(t.li[0].length, Term.of(n) + 1))
+    else:
+        assert t.al == s.al and t.li == s.li
+        assert PointsTo(a, I32, 1) in t.pt
+
+
+@pytest.mark.parametrize("cond", [1, 2])
+def test_branch_on_a_constant_other_than_0_or_1_is_error(cond):
+    _, t = stepped("br i1 c, label yes, label no", Entailment(),
+                   lv={"c": cond})
+    if cond == 1:
+        assert t.pos == ProgramPosition("yes", 0)
+    else:
+        assert isinstance(t, ErrState)
+
+
+@pytest.mark.parametrize("size", [1, 0, -8])
+def test_malloc_below_one_byte_is_error(size):
+    _, t = stepped("m = call i8* @malloc(i64 n)", Entailment(),
+                   lv={"n": size})
+    if size == 1:
+        assert len(t.al) == 1 and t.al[0].lo == t.lv_of("m")
+    else:
+        assert isinstance(t, ErrState)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_malloc_of_a_symbolic_size_is_error(symbolic):
+    """Even a size variable that the knowledge base fixes at 16."""
+    eng = Entailment()
+    n = eng.fresh("n")
+    _, t = stepped("m = call i8* @malloc(i64 n)", eng,
+                   lv={"n": n if symbolic else 16},
+                   kb=Formula.of(Atom.eq(n, 16)))
+    if symbolic:
+        assert isinstance(t, ErrState)
+    else:
+        assert len(t.al) == 1
+
+
+@pytest.mark.parametrize("at_base", [True, False])
+def test_free_of_a_pointer_that_is_no_allocations_base_is_error(at_base):
+    """Freeing the allocation's second field, not its base, is an error."""
+    eng = Entailment()
+    a, e, a8, kb = node(eng)
+    _, t = stepped("call void @free(i8* p)", eng,
+                   lv={"p": a if at_base else a8}, al=[Allocation(a, e)],
+                   kb=kb)
+    if at_base:
+        assert t.al == ()
+    else:
+        assert isinstance(t, ErrState)
 
 
 def test_return_position_is_recognized_and_not_stepped():
