@@ -420,24 +420,32 @@ def _solve_equalities(eqs: Sequence[Term], budget: _Budget,
 
 
 class OffsetClosure:
-    """The constant offsets that a formula's unit-clause equalities fix,
+    """The constant differences that a formula's unit-clause equalities fix,
     solved by the engine's own elimination (:func:`_eliminate`), with no
-    effort bound.  ``find`` gives a variable solved to ``root + offset``
-    that pair, one solved to a constant ``(None, constant)``, and any other
-    itself with offset 0.  An engine builds one per formula
+    effort bound.  Variables solved to terms with one variable part differ
+    by constants: a class, whose root is ``r`` for the part ``r``, None for
+    no part, else its first variable.  An engine builds one per formula
     (:meth:`Entailment.offsets`)."""
 
     def __init__(self, f: Formula):
+        # Differences ``x - y = c`` and constants ``x = c`` first: their
+        # elimination leaves every image a variable plus an offset, or a
+        # constant, and a later binding substitutes into the images of one
+        # root alike, so the classes they join stay joined.
+        eqs = [a.term for a in f.atoms() if a.rel == EQ]
+        eqs.sort(key=lambda t: [c for _, c in t.coeffs] not in ([1], [1, -1]))
         subst: Dict[SymVar, Term] = {}
-        for a in f.atoms():
-            if a.rel == EQ:
-                # Consistency is the engine's business: an unsat equality
-                # leaves ``subst`` as it was.
-                _eliminate(a.term, subst, [])
-        self.image: Dict[SymVar, Tuple[Optional[SymVar], int]] = {
-            v: (t.coeffs[0][0] if t.coeffs else None, t.const)
-            for v, t in subst.items()
-            if not t.coeffs or (len(t.coeffs) == 1 and t.coeffs[0][1] == 1)}
+        for t in eqs:
+            # Consistency is the engine's business: an unsat equality
+            # leaves ``subst`` as it was.
+            _eliminate(t, subst, [])
+        roots: Dict[tuple, Tuple[Optional[SymVar], int]] = {(): (None, 0)}
+        self.image: Dict[SymVar, Tuple[Optional[SymVar], int]] = {}
+        for v, t in subst.items():
+            unit = len(t.coeffs) == 1 and t.coeffs[0][1] == 1
+            root, base = roots.setdefault(
+                t.coeffs, (t.coeffs[0][0], 0) if unit else (v, t.const))
+            self.image[v] = (root, t.const - base)
 
     def find(self, v: Value) -> Tuple[Optional[SymVar], int]:
         """(root, offset) with ``v = root + offset``, where the root of an

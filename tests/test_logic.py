@@ -1025,12 +1025,27 @@ def test_case_splits_are_pinned():
 
 # --- offset closures ---------------------------------------------------------
 
+def _unit_equality_offsets(f: Formula):
+    """``(x, y, d)`` for each unit-clause equality ``x - y = d`` of ``f``,
+    and ``(x, 0, d)`` for each ``x = d``."""
+    for a in f.atoms():
+        coeffs = a.term.coeffs
+        if a.rel != logic.EQ or any(abs(c) != 1 for _, c in coeffs):
+            continue
+        if len(coeffs) == 1:
+            (x, c), = coeffs
+            yield x, 0, -a.term.const * c
+        elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
+            (x, c), (y, _) = coeffs
+            yield x, y, -a.term.const * c
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_offset_closure_differences_are_entailed(data):
     """Unit differences and constants, but also sums ``x + y = c`` and
-    three-variable equalities, which the closure eliminates without giving
-    every variable an offset."""
+    three-variable equalities, which can solve a class of variables to a
+    term of several variables."""
     draw = data.draw
     vs = [SymVar(i, "o") for i in range(1, draw(st.integers(1, 5)) + 1)]
     atoms = []
@@ -1050,6 +1065,10 @@ def test_offset_closure_differences_are_entailed(data):
         atoms.append(Atom.le(x, draw(st.integers(0, 8))))
     f = Formula.conj(draw(st.permutations(atoms)))
     closure = OffsetClosure(f)
+    # Complete on differences and constants: each is answered, and, by the
+    # entailment check below, with its own offset whenever ``f`` has a model.
+    for x, y, d in _unit_equality_offsets(f):
+        assert closure.diff(x, y) is not None, (f, x, y, d)
     derived = []
     for a in vs + [0]:
         for b in vs:
@@ -1059,6 +1078,26 @@ def test_offset_closure_differences_are_entailed(data):
     assert brute_force_valid(f, Formula.of(*derived), 8), f"{f}: {derived}"
 
 
+def test_offset_closure_keeps_classes_solved_to_several_variables():
+    """A class the differences join stays joined when a later equality
+    solves it to a term of several variables, or leaves them unsolved."""
+    x, z, y, r = (SymVar(i, "o") for i in range(1, 5))
+    # r = x + y solves x and z to r - y.
+    f = Formula.conj([Atom.eq(x, z), Atom.eq(r, Term.of(x) + y)])
+    assert OffsetClosure(f).diff(x, z) == 0
+    # An allocation's bounds, then a pointer a + n with a symbolic n.
+    a, n, e, q = (SymVar(i, "o") for i in range(1, 5))
+    f = Formula.conj([Atom.eq(e, Term.of(a) + 15),
+                      Atom.eq(q, Term.of(a) + n)])
+    assert OffsetClosure(f).diff(e, a) == 15
+    # x = 2w and y = 2v first would leave x - y = 0 as 2w - 2v = 0.
+    x, y, w, v = (SymVar(i, "o") for i in range(1, 5))
+    f = Formula.conj([Atom.eq(Term.of(x) - Term.of(w).scale(2), 0),
+                      Atom.eq(Term.of(y) - Term.of(v).scale(2), 0),
+                      Atom.eq(x, y)])
+    assert OffsetClosure(f).diff(x, y) == 0
+
+
 def test_an_engine_builds_each_formulas_closure_once():
     x, y = SymVar(1, "x"), SymVar(2, "y")
     f = Formula.conj([Atom.eq(x, Term.of(y) + 2)])
@@ -1066,21 +1105,6 @@ def test_an_engine_builds_each_formulas_closure_once():
     assert engine.offsets(f) is engine.offsets(Formula(f.clauses))
     assert engine.offsets(f).diff(x, y) == 2 and len(engine.closures) == 1
     assert Entailment().closures == {}
-
-
-def _unit_equality_offsets(f: Formula):
-    """``(x, y, d)`` for each unit-clause equality ``x - y = d`` of ``f``,
-    and ``(x, 0, d)`` for each ``x = d``."""
-    for a in f.atoms():
-        coeffs = a.term.coeffs
-        if a.rel != logic.EQ or any(abs(c) != 1 for _, c in coeffs):
-            continue
-        if len(coeffs) == 1:
-            (x, c), = coeffs
-            yield x, 0, -a.term.const * c
-        elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
-            (x, c), (y, _) = coeffs
-            yield x, y, -a.term.const * c
 
 
 def test_offset_closures_answer_every_unit_equality_of_the_corpus(
@@ -1109,6 +1133,8 @@ def test_offset_closures_answer_every_unit_equality_of_the_corpus(
                 assert closure.diff(x, y) == d, (f, x, y, d)
                 answered += 1
     assert answered > 1000
+
+
 def test_fresh_vars_count_up_per_engine():
     a, b = Entailment(), Entailment()
     assert [a.fresh(), a.fresh("x"), b.fresh("x")] == [
