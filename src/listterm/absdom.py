@@ -16,10 +16,11 @@ are saturated once and share one formula.
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
                     Union)
 
-from .ir import AggType, IrType, ProgramPosition, Record
+from .ir import AggType, HashedRecord, IrType, ProgramPosition, Record
 from .logic import Atom, Entailment, Formula, SymVar, Value, rename_formula
 
 
@@ -108,82 +109,34 @@ class ErrState(Record):
 ERR = ErrState()
 
 
-class Memory(Record):
+class Memory(HashedRecord):
     """The components of a state that its state formula reads: states that
     differ only in position or local variables share one."""
 
-    __slots__ = ("al", "pt", "li", "kb", "_hash")
+    __slots__ = ("al", "pt", "li", "kb")
     al: Tuple[Allocation, ...]
     pt: Tuple[PointsTo, ...]
     li: Tuple[ListInvariant, ...]
     kb: Formula
 
-    def __init__(self, al: Tuple[Allocation, ...], pt: Tuple[PointsTo, ...],
-                 li: Tuple[ListInvariant, ...], kb: Formula) -> None:
-        set_ = object.__setattr__
-        set_(self, "al", al)
-        set_(self, "pt", pt)
-        set_(self, "li", li)
-        set_(self, "kb", kb)
-        # The field tuple's hash, computed now: a memory is made only to be
-        # looked up in the engine's state formulas.
-        set_(self, "_hash", hash((al, pt, li, kb)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.al, self.pt, self.li, self.kb) == \
-            (other.al, other.pt, other.li, other.kb)
-
-    def __hash__(self) -> int:
-        return self._hash
+EMPTY_MEMORY = Memory((), (), (), Formula())
 
 
-class AbstractState(Record):
-    __slots__ = ("pos", "lv", "al", "pt", "li", "kb",
-                 "_hash", "_memory", "_sym_vars")
+class AbstractState(HashedRecord):
+    """A program position, the local variables' values, and the memory that
+    the state formula reads, whose components the state also reads as its
+    own (``s.al`` is ``s.memory.al``)."""
+
+    __slots__ = ("pos", "lv", "memory", "_sym_vars")
     pos: ProgramPosition
     lv: Tuple[Tuple[str, Value], ...]
-    al: Tuple[Allocation, ...]
-    pt: Tuple[PointsTo, ...]
-    li: Tuple[ListInvariant, ...]
-    kb: Formula
+    memory: Memory
 
-    def __init__(self, pos: ProgramPosition, lv: Tuple[Tuple[str, Value], ...],
-                 al: Tuple[Allocation, ...], pt: Tuple[PointsTo, ...],
-                 li: Tuple[ListInvariant, ...], kb: Formula) -> None:
-        set_ = object.__setattr__
-        set_(self, "pos", pos)
-        set_(self, "lv", lv)
-        set_(self, "al", al)
-        set_(self, "pt", pt)
-        set_(self, "li", li)
-        set_(self, "kb", kb)
-        # Computed once, on first use.
-        set_(self, "_hash", None)
-        set_(self, "_memory", None)
-        set_(self, "_sym_vars", None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pos, self.lv, self.al, self.pt, self.li, self.kb) == \
-            (other.pos, other.lv, other.al, other.pt, other.li, other.kb)
-
-    def __hash__(self) -> int:
-        # The field tuple's hash: states are hashed on every plan lookup.
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.pos, self.lv, self.al, self.pt, self.li, self.kb)))
-        return self._hash
-
-    @property
-    def memory(self) -> Memory:
-        """The state formula's cache key (computed once)."""
-        if self._memory is None:
-            object.__setattr__(self, "_memory",
-                               Memory(self.al, self.pt, self.li, self.kb))
-        return self._memory
+    al = property(attrgetter("memory.al"))
+    pt = property(attrgetter("memory.pt"))
+    li = property(attrgetter("memory.li"))
+    kb = property(attrgetter("memory.kb"))
 
     # -- construction --------------------------------------------------------
 
@@ -194,25 +147,28 @@ class AbstractState(Record):
              pt: Iterable[PointsTo] = (),
              li: Iterable[ListInvariant] = (),
              kb: Formula = Formula()) -> "AbstractState":
-        return AbstractState(pos, (), (), (), (), kb).replace_components(
-            lv=lv, al=al, pt=pt, li=li)
+        return AbstractState(pos, (), EMPTY_MEMORY).replace_components(
+            lv=lv, al=al, pt=pt, li=li, kb=kb)
 
     def replace_components(self, *, pos=None, lv=None, al=None, pt=None,
                            li=None, kb=None) -> "AbstractState":
         """This state with the given components, each sorted into the one
         order every state keeps; the others are this state's own objects,
-        already in it."""
+        already in it, and so is its memory when no part of it is given."""
+        memory = self.memory
+        if not (al is None and pt is None and li is None and kb is None):
+            memory = Memory(
+                memory.al if al is None else tuple(
+                    sorted(al, key=Allocation.sort_key)),
+                memory.pt if pt is None else tuple(
+                    sorted(pt, key=PointsTo.sort_key)),
+                memory.li if li is None else tuple(
+                    sorted(li, key=ListInvariant.sort_key)),
+                memory.kb if kb is None else kb)
         return AbstractState(
-            pos=self.pos if pos is None else pos,
-            lv=self.lv if lv is None else tuple(sorted(dict(lv).items())),
-            al=self.al if al is None else tuple(
-                sorted(al, key=Allocation.sort_key)),
-            pt=self.pt if pt is None else tuple(
-                sorted(pt, key=PointsTo.sort_key)),
-            li=self.li if li is None else tuple(
-                sorted(li, key=ListInvariant.sort_key)),
-            kb=self.kb if kb is None else kb,
-        )
+            self.pos if pos is None else pos,
+            self.lv if lv is None else tuple(sorted(dict(lv).items())),
+            memory)
 
     # -- accessors ------------------------------------------------------------
 
@@ -233,8 +189,10 @@ class AbstractState(Record):
     @property
     def sym_vars(self) -> Tuple[SymVar, ...]:
         """The state's symbolic variables, sorted by id (computed once)."""
-        if self._sym_vars is not None:
+        try:
             return self._sym_vars
+        except AttributeError:
+            pass
         seen: Dict[SymVar, None] = {}
 
         def add(v):

@@ -52,10 +52,8 @@ class Fields:
 class Record(Fields):
     """An immutable :class:`Fields` record, with class attributes as
     defaults, that hashes as a frozen dataclass, but defining one generates
-    no code.  A class built or hashed on the hot path (``logic.Formula``,
-    ``absdom.Memory``, ``absdom.AbstractState``) lists its fields in
-    ``__slots__`` and writes its own ``__init__``, ``__eq__`` and a
-    ``__hash__`` that keeps the field tuple's hash."""
+    no code.  A class hashed on the hot path derives from
+    :class:`HashedRecord`."""
 
     __slots__ = ()
 
@@ -75,6 +73,24 @@ class Record(Fields):
         raise AttributeError(f"cannot change field {name!r}")
 
     __delattr__ = __setattr__
+
+
+class HashedRecord(Record):
+    """A :class:`Record`, its fields listed in ``__slots__``, that keeps its
+    hash, the field tuple's, once computed: ``logic.Formula``, which keys
+    the engine's caches, and ``absdom.Memory`` and ``absdom.AbstractState``,
+    which key the state formulas and the replay plans.  A subclass that
+    defines ``__eq__`` re-binds this ``__hash__``, which Python drops from
+    a class that defines ``__eq__``."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values()))
+            return self._hash
 
 
 class ParseError(Exception):

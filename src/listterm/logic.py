@@ -35,14 +35,14 @@ Consecutive queries mostly share a premise, alternate between two, or
 extend the last by unit clauses, so an engine keeps its two latest premises
 compiled and extends the latest in place: its normal form, components, a
 graph holding its edges with a feasible potential (or the cycle they
-close), and, once a goal needs them, its equalities solved and a model of
-it.  A goal the model falsifies is not entailed.  Any other normalizes only
-its own negation and pushes its edges onto the graph, to pop them when it
-is decided or out of effort, or goes on from a copy of the solved
-equalities; it is charged the premise's work as if it had done it.  No
-other procedure decides a query.  The trusted arithmetic is the engine:
-one elimination (:func:`_eliminate`) solves every equality, the engine's
-and the offset closures'.
+close), and, once a goal needs them, its equalities solved within the
+effort and a model of it.  A goal the model falsifies is not entailed.
+Any other normalizes only its own negation and pushes its edges onto the
+graph, to pop them when it is decided or out of effort, or goes on from a
+copy of the solved equalities; it is charged the premise's work as if it
+had done it.  No other procedure decides a query.  The trusted arithmetic
+is the engine: one elimination (:func:`_eliminate`) solves every
+equality, the engine's and the offset closures'.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from operator import attrgetter
 from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from .ir import Record
+from .ir import HashedRecord
 
 log = logging.getLogger(__name__)
 
@@ -194,14 +194,9 @@ class Atom(NamedTuple):
             return Atom(LE, Term(0 if relation_holds(rel, t.const) else 1))
         g = math.gcd(*[c for _, c in t.coeffs])
         if rel in (EQ, NE):
-            coeffs = t.coeff_map()
-            if t.const % g == 0:
-                const = t.const // g
-                coeffs = {v: c // g for v, c in coeffs.items()}
-            else:
-                g2 = math.gcd(g, abs(t.const))
-                const = t.const // g2
-                coeffs = {v: c // g2 for v, c in coeffs.items()}
+            g = math.gcd(g, t.const)
+            const = t.const // g
+            coeffs = {v: c // g for v, c in t.coeffs}
             first = min(coeffs)
             if coeffs[first] < 0:
                 const = -const
@@ -288,27 +283,22 @@ class Atom(NamedTuple):
 Clause = Tuple[Atom, ...]
 
 
-class Formula(Record):
+class Formula(HashedRecord):
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 
-    __slots__ = ("clauses", "_hash")
+    __slots__ = ("clauses",)
     clauses: Tuple[Clause, ...]
 
+    # Built on every query: one field, set and compared directly.
     def __init__(self, clauses: Tuple[Clause, ...] = ()) -> None:
         object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "_hash", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.clauses == other.clauses
 
-    def __hash__(self) -> int:
-        # A premise is hashed on every engine cache lookup: the field
-        # tuple's hash is computed once and kept.
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.clauses,)))
-        return self._hash
+    __hash__ = HashedRecord.__hash__
 
     @staticmethod
     def conj(atoms: Iterable[Atom]) -> "Formula":
@@ -474,11 +464,13 @@ class _Solved(NamedTuple):
     rows: list
 
 
-def _solve(conjuncts: Sequence[Atom]) -> _Solved:
-    eqs = [a.term for a in conjuncts if a.rel == EQ]
-    subst, residual, budget = {}, [], _Budget(len(eqs))
-    unsat = _solve_equalities(eqs, budget, subst, residual)
-    return _Solved(subst, residual, unsat, len(eqs) - budget.left,
+def _solve(conjuncts: Sequence[Atom], effort: int) -> _Solved:
+    """The equalities of ``conjuncts`` solved within ``effort``: a solution
+    that runs out spends more than ``effort``."""
+    subst, residual, budget = {}, [], _Budget(effort)
+    unsat = _solve_equalities([a.term for a in conjuncts if a.rel == EQ],
+                              budget, subst, residual)
+    return _Solved(subst, residual, unsat, effort - budget.left,
                    [a.term.substitute(subst) for a in conjuncts if a.rel == LE])
 
 
@@ -576,7 +568,7 @@ def _refute_fm(conjuncts: list, clauses: list, budget: _Budget) -> bool:
     query = _normalize(conjuncts, clauses)
     if query is None:
         return True
-    return _refute_from(_solve(()), *query, budget)
+    return _refute_from(_solve((), 0), *query, budget)
 
 
 def _refute_from(start: _Solved, conjuncts: list, clauses: list,
@@ -932,10 +924,8 @@ class _Premise:
                     edges, self.alternatives + alternatives
                     + [a for d in selected for a in d.alternatives], budget)
         clauses = splits + goal_splits + [c for d in selected for c in d.splits]
-        fm = self.fm = self.fm or _solve(kept)
-        if fm.spent > budget.left:
-            # The premise's equalities alone run out of effort.
-            return _refute_fm(kept + goal_kept, clauses, budget)
+        # A clause gets here with its whole budget, the engine's effort.
+        fm = self.fm = self.fm or _solve(kept, budget.left)
         return _refute_from(fm, goal_kept, clauses, budget)
 
 

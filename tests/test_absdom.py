@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -11,12 +12,13 @@ from listterm.absdom import (
     Allocation,
     LIField,
     ListInvariant,
+    Memory,
     PointsTo,
     alpha_rename,
     is_satisfiable,
     state_formula,
 )
-from listterm.ir import (AggType, IntType, ProgramPosition, PtrType,
+from listterm.ir import (AggType, IntType, ProgramPosition, PtrType, Record,
                          parse_program)
 from listterm.logic import Atom, Entailment, Formula, SymVar, Verdict
 from listterm.seg import build_seg
@@ -195,6 +197,8 @@ def test_replace_components_keeps_what_is_not_given():
         ({"pt": pt}, ("pos", "lv", "al", "li", "kb")),
         ({"pos": ProgramPosition("c", 1), "lv": {"z": x, "a": p},
           "kb": Formula.conj([Atom.ge(x, 2)])}, ("al", "pt", "li")),
+        ({"pos": ProgramPosition("c", 1), "lv": {"z": x}},
+         ("memory", "al", "pt", "li", "kb")),
     ]
     for given, kept in cases:
         r = s.replace_components(**given)
@@ -218,6 +222,22 @@ def test_graph_states_are_saturated_once_per_memory(name, states, formulas):
     eng = Entailment()
     seg = build_seg(prog, eng)
     assert (len(seg.states), len(eng.state_formulas)) == (states, formulas)
+
+
+@pytest.mark.parametrize("name, memories", [
+    ("build_traverse_ptr.ll", 84),
+    ("build_only.ll", 47),
+    ("build_search_value.ll", 105),
+])
+def test_graph_states_share_their_parents_memory(name, memories):
+    """A step that changes only the position or the locals keeps its
+    state's memory object: the graph build makes a memory per change of
+    allocations, points-to entries, summaries or knowledge base."""
+    prog = parse_program((CORPUS / name).read_text())
+    with mock.patch.object(Memory, "__init__", autospec=True,
+                           side_effect=Record.__init__) as init:
+        build_seg(prog, Entailment())
+    assert init.call_count == memories
 
 
 def test_kb_clauses_come_first_and_are_kept():

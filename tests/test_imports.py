@@ -4,9 +4,9 @@ read by the package or its benchmark (or listed), every import sits at module
 level, no module keeps mutable state (whatever an analysis changes
 belongs to that analysis's engine), no module starts a process (nothing
 outside the package decides a query), a symbolic step goes to the error
-state in one place, only ``ir.py`` says what the IR means, only
-``logic.py`` makes variables and offset closures, and no module imports
-``dataclasses``."""
+state in one place, only ``ir.py`` says what the IR means and defines a
+hash, only ``logic.py`` makes variables and offset closures, and no module
+imports ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -113,6 +113,9 @@ UNREAD_DEFINITIONS = {
                        "mutants of ROADMAP item 6 will",
     "its.parse_its_text": "criterion 7 reads exported systems back with it, "
                           "and the proof checker of ROADMAP item 2 will",
+    "logic._refute_fm": "the tests' reference refutation "
+                        "(_reference_refutes), and the proof checker of "
+                        "ROADMAP item 6 will decide its obligations with it",
 }
 
 
@@ -302,6 +305,57 @@ ProgramPosition("entry", 1); f"{pred}"; "equal"; 0
 """
     assert [what for _, what in ir_meaning_sites(ast.parse(source))] == [
         "'slt'", "'ult'", "ProgramPosition(...)", "ProgramPosition(...)"]
+
+
+def _is_shared_hash(node: ast.AST) -> bool:
+    """Is ``node`` ``HashedRecord.__hash__``, bare or as an attribute?"""
+    return isinstance(node, ast.Attribute) and node.attr == "__hash__" and \
+        getattr(node.value, "id", getattr(node.value, "attr", None)) == \
+        "HashedRecord"
+
+
+def hash_sites(tree: ast.Module):
+    """(line, what) for each ``def __hash__`` and each binding of
+    ``__hash__`` to anything but ``HashedRecord.__hash__``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name == "__hash__":
+            found.append((node.lineno, "def __hash__"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target]
+            if any(getattr(t, "id", None) == "__hash__" for t in targets) \
+                    and not _is_shared_hash(node.value):
+                found.append((node.lineno,
+                              f"__hash__ = {ast.unparse(node.value)}"))
+    return sorted(found)
+
+
+def test_only_ir_defines_a_hash():
+    """``ir.py`` says how a record hashes: as its field tuple, kept by
+    ``HashedRecord`` on the hot path.  A class elsewhere that defines
+    ``__eq__``, and so loses the hash it inherits, re-binds that one."""
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "ir.py"
+             for line, what in hash_sites(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_hash_sites_are_found():
+    source = """
+class A(HashedRecord):
+    def __hash__(self): return 0
+    __hash__ = HashedRecord.__hash__
+class B(ir.HashedRecord):
+    __hash__ = ir.HashedRecord.__hash__
+    __hash__ = Record.__hash__
+    __hash__: object = lambda self: 0
+    def hash(self): return 0
+"""
+    assert hash_sites(ast.parse(source)) == [
+        (3, "def __hash__"), (7, "__hash__ = Record.__hash__"),
+        (8, "__hash__ = lambda self: 0")]
 
 
 def call_sites(tree: ast.Module, name: str):

@@ -459,6 +459,27 @@ def test_effort_exhaustion_is_counted():
     assert full.exhausted == 0
 
 
+def test_premise_equalities_beyond_the_effort_answer_as_from_scratch():
+    """With fewer units of effort than the premise has equalities, the
+    engine solves the premise's first equalities once, within the effort,
+    and each goal gets Fourier-Motzkin's answer from scratch under that
+    effort: a goal that the solved equalities settle is proven, and one
+    that needs the last runs out, which is counted."""
+    a, b, c, d, e = (SymVar(i, h) for i, h in enumerate("abcde", start=1))
+    premise = Formula.conj([Atom.eq(a, Term.of(b).scale(2)),
+                            Atom.eq(c, Term.of(d).scale(2)),
+                            Atom.eq(e, Term.of(a) + c)])
+    goals = [Atom.le(a, Term.of(b).scale(2)),
+             Atom.le(e, Term.of(b).scale(2) + Term.of(d).scale(2))]
+    engine = Entailment(effort=2)
+    for goal, proven in zip(goals, [True, False]):
+        negated = [*premise.atoms(), logic._negate_atom(goal)]
+        assert logic._refute_fm(negated, [], logic._Budget(2)) is proven
+        assert engine.holds(premise, goal) is proven
+        assert Entailment().holds(premise, goal)
+    assert engine.exhausted == 1
+
+
 def test_rename_formula_alpha_invariance():
     a, b = V[:2]
     eng = Entailment()

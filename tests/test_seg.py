@@ -341,6 +341,41 @@ def test_check_generalization_needs_the_chain_ends(build_only_seg, changes):
     assert not summary_generalizes(prog, eng, s, **changes)
 
 
+TWO_TYPES = """\
+list = type { i32, list* }
+other = type { i32, other* }
+define i32 @main() {
+entry:
+  ret i32 0
+}
+"""
+
+
+@pytest.mark.parametrize("ty,accepted", [(LIST, True),
+                                         (AggType("other"), False)],
+                         ids=["same", "other"])
+def test_check_generalization_needs_a_summary_of_the_same_type(ty,
+                                                               accepted):
+    """The older summary of ``list`` nodes needs one of its type at its
+    image; a twin whose summary has the same values but summarizes
+    ``other`` nodes, of the same layout, is rejected."""
+    plain = [sv(i, h) for i, h in enumerate(("r", "n", "f1", "l1", "f2",
+                                             "l2"), start=1)]
+    barred = [sv(i + 10, v.hint) for i, v in enumerate(plain, start=1)]
+
+    def state(ty, r, n, f1, l1, f2, l2):
+        return AbstractState.make(
+            POS, lv={"p": r},
+            li=[ListInvariant(r, n, ty, (LIField(0, I32, f1, l1),
+                                         LIField(8, PtrType(ty), f2, l2)),
+                              2)],
+            kb=Formula.conj([Atom.ge(n, 1)]))
+
+    assert check_generalization(
+        state(ty, *plain), state(LIST, *barred), dict(zip(barred, plain)),
+        parse_program(TWO_TYPES), Entailment()) is accepted
+
+
 def test_can_merge_requires_equal_domains(build_only_seg):
     prog, eng, _ = build_only_seg
     s, _ = two_node_state(prog)

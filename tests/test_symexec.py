@@ -385,6 +385,15 @@ def node(eng):
                                 Atom.eq(a8, Term.of(a) + 8))
 
 
+def summary_and_other(eng):
+    """A summary of ``list`` nodes, and a value ``c`` that is not its
+    root."""
+    b, n, v, w, nx, nl, c = (eng.fresh(h) for h in
+                             ("b", "n", "v", "w", "nx", "nl", "c"))
+    return ListInvariant(b, n, AggType("list"), (
+        LIField(0, I32, v, w), LIField(8, LIST_PTR, nx, nl)), 2), c
+
+
 @pytest.mark.parametrize("at_address", [True, False])
 def test_covered_load_without_an_entry_at_its_address_is_error(at_address):
     """The load lies inside the allocation either way; only an entry at its
@@ -407,10 +416,8 @@ def test_list_extension_needs_the_new_heads_link_at_the_summary(linked):
     store."""
     eng = Entailment()
     a, e, a8, kb = node(eng)
-    b, n, v, w, nx, nl, c = (eng.fresh(h) for h in
-                             ("b", "n", "v", "w", "nx", "nl", "c"))
-    summary = ListInvariant(b, n, AggType("list"), (
-        LIField(0, I32, v, w), LIField(8, LIST_PTR, nx, nl)), 2)
+    summary, c = summary_and_other(eng)
+    b, n = summary.ad, summary.length
     s, t = stepped("store i32 1, i32* p", eng, lv={"p": a},
                    al=[Allocation(a, e)],
                    pt=[PointsTo(a8, LIST_PTR, b if linked else c)],
@@ -421,6 +428,27 @@ def test_list_extension_needs_the_new_heads_link_at_the_summary(linked):
     else:
         assert t.al == s.al and t.li == s.li
         assert PointsTo(a, I32, 1) in t.pt
+
+
+@pytest.mark.parametrize("root", [True, False])
+def test_list_extension_stores_only_the_summarys_root_into_the_link(root):
+    """Storing the summary's root into the link field of a node whose
+    payload is set extends the summary; storing another value there is a
+    plain store."""
+    eng = Entailment()
+    a, e, a8, kb = node(eng)
+    summary, c = summary_and_other(eng)
+    b, n = summary.ad, summary.length
+    s, t = stepped("store list* q, list** p", eng,
+                   lv={"p": a8, "q": b if root else c},
+                   al=[Allocation(a, e)], pt=[PointsTo(a, I32, 1)],
+                   li=[summary], kb=kb)
+    if root:
+        assert t.al == () and [l.ad for l in t.li] == [a]
+        assert entails(eng, t, Atom.eq(t.li[0].length, Term.of(n) + 1))
+    else:
+        assert t.al == s.al and t.li == s.li
+        assert PointsTo(a8, LIST_PTR, c) in t.pt
 
 
 @pytest.mark.parametrize("cond", [1, 2])
@@ -530,12 +558,12 @@ TRAVERSE = """\
     """
 
 
-def traversal_input(long, partner):
+def traversal_input(long, partner, src=TRAVERSE):
     """``cur`` holds the chain value of the summary's head node, so the
     field address lands in its second node.  The summary's length is >= 2
     with ``long``, 1 without, and undecided with ``long=None``.  With
     ``partner`` a prefix summary ends at the traversed summary's root."""
-    prog = parse(TRAVERSE)
+    prog = parse(src)
     eng = Entailment()
     ptr = PtrType(AggType("list"))
     a, n, v, v_last, nx, nx_last = (eng.fresh(h) for h in
@@ -662,6 +690,53 @@ def test_traversal_of_undecided_length_splits_first():
         assert_destination(eng, t, l)
     assert len(step(r.successors[0], prog, eng).successors[0].li) == 1
     assert step(r.successors[1], prog, eng).successors[0].li == ()
+
+
+def gep_step(gep):
+    """The long summary of :func:`traversal_input` and the successor of
+    ``p = gep`` over ``cur``, in a program that also declares ``other``, a
+    struct of ``list``'s layout."""
+    src = TRAVERSE.replace(
+        "list = type { i32, list* }",
+        "list = type { i32, list* }\n    other = type { i32, other* }",
+    ).replace("getelementptr list, list* cur, i32 0, i32 1", gep)
+    prog, eng, s, l, _ = traversal_input(True, False, src)
+    r = step(s, prog, eng)
+    assert r.edge_kind == EVALUATION and len(r.successors) == 1
+    t = r.successors[0]
+    assert not isinstance(t, ErrState)
+    return eng, s, t, l
+
+
+def assert_traversed_or_plain(eng, s, t, l, traversed, offset):
+    """``t`` traversed ``l`` to the field at ``offset``, or, when not
+    ``traversed``, only defined ``p`` as ``cur + offset``."""
+    if traversed:
+        assert_advanced(eng, t, l, None)
+        assert_head_became_memory(eng, s, t, l)
+    else:
+        assert (t.al, t.pt, t.li) == (s.al, s.pt, s.li)
+        assert holds(eng, t, Atom.eq(dict(t.lv)["p"],
+                                     Term.of(dict(s.lv)["cur"]) + offset))
+
+
+@pytest.mark.parametrize("agg,traversed", [("list", True), ("other", False)])
+def test_field_traversal_needs_the_summarys_type(agg, traversed):
+    """A field address over the summary's type traverses it; the same
+    field of another struct type is a plain address computation."""
+    eng, s, t, l = gep_step(
+        f"getelementptr {agg}, {agg}* cur, i32 0, i32 1")
+    assert_traversed_or_plain(eng, s, t, l, traversed, 8)
+
+
+@pytest.mark.parametrize("offset,traversed", [(8, True), (4, False)])
+def test_byte_traversal_needs_an_offset_that_selects_a_field(offset,
+                                                             traversed):
+    """A byte offset at a field of the summary's nodes traverses it; 4, in
+    the padding after the first field, selects no field and is a plain
+    address computation."""
+    eng, s, t, l = gep_step(f"getelementptr i8, i8* cur, i64 {offset}")
+    assert_traversed_or_plain(eng, s, t, l, traversed, offset)
 
 
 BRANCH = """\
